@@ -3,4 +3,4 @@ extensions and amalgams: Stallings core graphs, Britton reduction,
 separation and malnormality tests, CSA classification, and bounded
 falsifiers, with a presentation-driven command line front end."""
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

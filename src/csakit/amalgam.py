@@ -333,7 +333,7 @@ def malnormal_persistence_check(P: AmalgamPresentation, h_gens, radius=3):
             continue
         xt_inv = xt.inv()
         for h, ht in zip(h_ball, h_imgs):
-            z = britton_reduce(xt_inv.mul(ht).mul(xt), ext)
+            z = britton_reduce(xt_inv, ext, ht, xt)
             if z.t_length == 0 and not z.head:
                 continue
             if in_H(z):

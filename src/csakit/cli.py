@@ -40,8 +40,8 @@ from . import csa as csa_mod
 from . import hnn as hnn_mod
 from . import stallings, wpengine
 from .amalgam import AmalgamPresentation, GogEdge, GraphOfGroups
-from .errors import (CsakitError, ParseError, UnsupportedBaseError,
-                     UnsupportedShapeError)
+from .errors import (CsakitError, MalformedWordError, ParseError,
+                     UnsupportedBaseError, UnsupportedShapeError)
 from .hnn import HnnPresentation, TWord
 from .words import concat, free_reduce, inverse, power
 from .wpengine import (AmalgamSpec, FreeByCyclicSpec, FreeProductCyclicsSpec,
@@ -54,6 +54,9 @@ COMMANDS = ("reduce", "check-malnormal", "check-separated",
 
 DEFAULT_RADIUS = 3
 DEFAULT_CAP = 32
+
+# brackets a word may nest, well inside the interpreter's recursion limit
+MAX_NESTING = 200
 
 KEYWORDS = {"sub", "hnn", "amalgam", "fbc", "gog", "vertex", "edge", "via"}
 
@@ -163,7 +166,7 @@ class Parser:
             return tok.value == "1"
         return tok.kind == "sym" and tok.value in "[("
 
-    def parse_word(self, name_map):
+    def parse_word(self, name_map, depth=0):
         tok = self.peek()
         if tok.kind == "int" and tok.value == "1":
             self.advance()
@@ -178,15 +181,15 @@ class Parser:
             elif tok.kind == "name" and tok.value not in KEYWORDS:
                 raise ParseError(f"unknown generator {tok.value!r}", tok.pos)
             elif tok.kind == "sym" and tok.value == "[":
-                self.advance()
-                u = self.parse_word(name_map)
+                self._open_bracket(depth)
+                u = self.parse_word(name_map, depth + 1)
                 self.expect("sym", ",")
-                v = self.parse_word(name_map)
+                v = self.parse_word(name_map, depth + 1)
                 self.expect("sym", "]")
                 atom = concat(inverse(u), inverse(v), u, v)
             elif tok.kind == "sym" and tok.value == "(":
-                self.advance()
-                atom = self.parse_word(name_map)
+                self._open_bracket(depth)
+                atom = self.parse_word(name_map, depth + 1)
                 self.expect("sym", ")")
             else:
                 break
@@ -199,6 +202,13 @@ class Parser:
         if not consumed:
             raise ParseError("expected a word", self.peek().pos)
         return free_reduce(letters)
+
+    def _open_bracket(self, depth):
+        tok = self.advance()
+        if depth >= MAX_NESTING:
+            raise MalformedWordError(
+                f"brackets nested deeper than {MAX_NESTING} levels "
+                f"(at position {tok.pos})")
 
     def parse_word_list(self, name_map, sep=","):
         out = [self.parse_word(name_map)]

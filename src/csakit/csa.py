@@ -9,9 +9,9 @@ from typing import Optional
 
 from . import wpengine, words
 from .errors import CsakitError, UnsupportedBaseError
-from .hnn import HnnPresentation
-from .wpengine import (HnnSpec, canonical_key, commutes, is_trivial,
-                       num_generators)
+from .hnn import HnnPresentation, TWord, britton_reduce, is_identity
+from .wpengine import (AmalgamSpec, HnnSpec, canonical_key, commutes,
+                       is_trivial, num_generators)
 from .words import (commutator, concat, conjugate, free_reduce, gcd_many,
                     inverse, power, shortlex_key)
 
@@ -25,6 +25,7 @@ def ball(spec, radius, dedupe=True):
     """Freely reduced words of length <= radius over the displayed
     generators, in shortlex order, deduplicated through the group's
     canonical form when one exists.  The identity is omitted."""
+    _check_radius(radius)
     n = num_generators(spec)
     letters = [l for g in range(1, n + 1) for l in (g, -g)]
     out = []
@@ -48,6 +49,11 @@ def ball(spec, radius, dedupe=True):
     return out
 
 
+def _check_radius(radius):
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
+
+
 # -- CSA / CT falsifiers ----------------------------------------------------
 
 
@@ -65,25 +71,30 @@ class CtWitness:
 
 
 def _search_context(elements, spec):
-    """Indexed commutation tests over a fixed element list; HNN specs get
-    a fast path working on pre-reduced TWords."""
-    if isinstance(spec, HnnSpec):
-        from .hnn import TWord, britton_reduce
-        P = spec.pres
-        t = spec.t_letter
-        tws = [britton_reduce(TWord.from_word(w, t), P) for w in elements]
+    """Indexed commutation tests over a fixed element list.  HNN and
+    amalgam specs reduce each commutator as a stream of pre-reduced
+    TWords, sharing one pinch memo for the whole search."""
+    if isinstance(spec, (HnnSpec, AmalgamSpec)):
+        if isinstance(spec, HnnSpec):
+            P, t = spec.pres, spec.t_letter
+
+            def to_tword(w):
+                return TWord.from_word(w, t)
+        else:
+            P, to_tword = spec.pres.extension, spec.pres.embed
+        memo = {}
+        tws = [britton_reduce(to_tword(w), P, memo=memo) for w in elements]
         invs = [tw.inv() for tw in tws]
 
-        def is_id(tw):
-            r = britton_reduce(tw, P)
-            return r.t_length == 0 and not r.head
-
         def commutes_idx(i, j):
-            return is_id(tws[i].mul(tws[j]).mul(invs[i]).mul(invs[j]))
+            return is_identity(tws[i], P, tws[j], invs[i], invs[j],
+                               memo=memo)
 
         def conj_commutes(i, j):
-            z = britton_reduce(invs[j].mul(tws[i]).mul(tws[j]), P)
-            return is_id(tws[i].mul(z).mul(invs[i]).mul(z.inv()))
+            # [a, v^-1 a v] streamed as a . v^-1 a v . a^-1 . v^-1 a^-1 v
+            a, a_inv, v, v_inv = tws[i], invs[i], tws[j], invs[j]
+            return is_identity(a, P, v_inv, a, v, a_inv, v_inv, a_inv, v,
+                               memo=memo)
 
         return commutes_idx, conj_commutes
 
@@ -131,11 +142,14 @@ def falsify_csa(spec, radius=3) -> Optional[CsaWitness]:
     commutes_idx, conj_commutes = _search_context(elements, spec)
     comm = _cached_pairwise(commutes_idx)
     index = {w: i for i, w in enumerate(elements)}
-    # (a, v) is a hit iff (a, v^-1) is, so skip v whose literal inverse
-    # occurs earlier in the scan
+    # (a, v) is a hit iff (a, v^-1) is, and iff (a^-1, v) is, while
+    # (a, a^-1) never is: skip every v, and every row a, whose literal
+    # inverse occurs earlier in the scan
     skip = [index.get(inverse(w), len(elements)) < i
             for i, w in enumerate(elements)]
     for i in range(len(elements)):
+        if skip[i]:
+            continue
         for j in range(len(elements)):
             if i == j or skip[j] or comm(i, j):
                 continue
@@ -260,6 +274,7 @@ def verify_obstacle(witness: ObstacleWitness, host) -> bool:
     """Check (i) every obstacle relator maps to 1 in the host and (ii)
     distinct obstacle elements of length <= radius stay distinct.
     Bounded-radius evidence of an embedding, not a proof."""
+    _check_radius(witness.radius)
     images = witness.images
     for rel in _obstacle_relators(witness.kind, witness.n):
         if not is_trivial(_map_word(rel, images), host):
@@ -320,14 +335,35 @@ def abelianization_one_relator(relator, num_gens):
     return torsion, num_gens - 1
 
 
+# Miller-Rabin with these bases decides primality for every p below
+# MILLER_RABIN_BOUND (Sorenson and Webster, Math. Comp. 86, 2017)
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p):
+    if p >= MILLER_RABIN_BOUND:
+        raise ValueError(f"primality of {p} is decided only below "
+                         f"{MILLER_RABIN_BOUND}")
     if p < 2:
         return False
-    k = 2
-    while k * k <= p:
-        if p % k == 0:
+    for b in MILLER_RABIN_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in MILLER_RABIN_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        k += 1
     return True
 
 

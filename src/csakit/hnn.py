@@ -44,22 +44,41 @@ class HnnPresentation:
         if self.A.free_rank != n_a or self.B.free_rank != n_a:
             raise ValueError("associated subgroup generators are not a basis")
 
+        # generator index (negative for inverses) -> image word, keyed by
+        # the sign e of the pinch t^e g t^-e it resolves
+        self._images = {-1: _index_images(self._b_basis),
+                        1: _index_images(self._a_basis)}
+
+    def pinch(self, e, g):
+        """Image of the base word g across the pinch t^e g t^-e: phi(g)
+        for e = -1, phi^-1(g) for e = 1; None when g lies outside A
+        (e = -1) or B (e = 1), so that there is no pinch."""
+        expr = (self.A if e < 0 else self.B).express(g)
+        if expr is None:
+            return None
+        images = self._images[e]
+        return concat(*[images[i] for i in expr])
+
     def phi(self, a):
         """Image of a in B; a must lie in A."""
-        expr = self.A.express(a)
-        if expr is None:
+        b = self.pinch(-1, a)
+        if b is None:
             raise ValueError(f"{a} is not in the associated subgroup A")
-        return concat(*(self._b_basis[i - 1] if i > 0
-                        else inverse(self._b_basis[-i - 1]) for i in expr)) \
-            if expr else ()
+        return b
 
     def phi_inv(self, b):
-        expr = self.B.express(b)
-        if expr is None:
+        a = self.pinch(1, b)
+        if a is None:
             raise ValueError(f"{b} is not in the associated subgroup B")
-        return concat(*(self._a_basis[i - 1] if i > 0
-                        else inverse(self._a_basis[-i - 1]) for i in expr)) \
-            if expr else ()
+        return a
+
+
+def _index_images(basis):
+    images = {}
+    for i, w in enumerate(basis, 1):
+        images[i] = w
+        images[-i] = inverse(w)
+    return images
 
 
 @dataclass(frozen=True)
@@ -127,45 +146,67 @@ class TWord:
                      tuple((e, free_reduce(g)) for (e, g) in tail))
 
 
-def britton_reduce(w: TWord, P: HnnPresentation) -> TWord:
-    """Remove every pinch t^-1 a t (a in A) and t b t^-1 (b in B)."""
+_UNSEEN = object()
+
+
+def britton_reduce(w: TWord, P: HnnPresentation, *factors, memo=None) -> TWord:
+    """Britton-reduce the product w * factors[0] * factors[1] * ...
+
+    One left-to-right pass keeps a pinch-free stack of syllables; each
+    stable letter read is checked for a pinch t^-1 a t (a in A) or
+    t b t^-1 (b in B) against the top of the stack only (Britton's lemma).
+    This removes the same leftmost pinches, in the same order, as
+    rescanning the product built with TWord.mul, so the reduced word is
+    the same.  ``memo`` maps (sign, base word) to the result of
+    P.pinch; a caller that reduces many words over P may pass one dict
+    to all of them.
+    """
+    if memo is None:
+        memo = {}
+    cached = memo.get
     head = w.head
-    tail = list(w.tail)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(tail) - 1):
-            e1, g = tail[i]
-            e2 = tail[i + 1][0]
-            if e1 == -1 and e2 == 1 and P.A.member(g):
-                mid = P.phi(g)
-            elif e1 == 1 and e2 == -1 and P.B.member(g):
-                mid = P.phi_inv(g)
-            else:
-                continue
-            rest = concat(mid, tail[i + 1][1])
-            if i == 0:
-                head = concat(head, rest)
-            else:
-                pe, pg = tail[i - 1]
-                tail[i - 1] = (pe, concat(pg, rest))
-            del tail[i:i + 2]
-            changed = True
-            break
-    return TWord(head, tuple(tail))
+    stack = []  # syllables (e, g) = t^e g, pinch-free
+    push = stack.append
+    first = True
+    for f in (w,) + factors:
+        if first:
+            first = False
+        elif stack:
+            e, g = stack[-1]
+            stack[-1] = (e, concat(g, f.head))
+        else:
+            head = concat(head, f.head)
+        for syl in f.tail:
+            if stack:
+                top = stack[-1]
+                if top[0] == -syl[0]:
+                    mid = cached(top, _UNSEEN)
+                    if mid is _UNSEEN:
+                        mid = memo[top] = P.pinch(*top)
+                    if mid is not None:
+                        stack.pop()
+                        if stack:
+                            e, g = stack[-1]
+                            stack[-1] = (e, concat(g, mid, syl[1]))
+                        else:
+                            head = concat(head, mid, syl[1])
+                        continue
+            push(syl)
+    return TWord(head, tuple(stack))
 
 
 def hnn_length(w: TWord, P: HnnPresentation) -> int:
     return britton_reduce(w, P).t_length
 
 
-def is_identity(w: TWord, P: HnnPresentation) -> bool:
-    r = britton_reduce(w, P)
+def is_identity(w: TWord, P: HnnPresentation, *factors, memo=None) -> bool:
+    """True iff the product w * factors[0] * ... is trivial."""
+    r = britton_reduce(w, P, *factors, memo=memo)
     return r.t_length == 0 and not r.head
 
 
 def equal(u: TWord, v: TWord, P: HnnPresentation) -> bool:
-    return is_identity(u.mul(v.inv()), P)
+    return is_identity(u, P, v.inv())
 
 
 def normal_form(w: TWord, P: HnnPresentation) -> tuple:
@@ -211,7 +252,7 @@ def hnn_cyclic_reduce(w: TWord, P: HnnPresentation):
             break
         # conjugate by g0 t^{e1}: the wrap pinch becomes internal and cancels
         u = TWord(c.head, ((e1, ()),))
-        c = britton_reduce(c.conjugate(u), P)
+        c = britton_reduce(u.inv(), P, c, u)
         conj = conj.mul(u)
     if c.t_length == 0:
         core, p = cyclic_reduce(c.head)

@@ -55,12 +55,14 @@ def concat(*ws):
 
 
 def power(w, n):
+    """w^n, freely reduced: p c^n p^-1 from w = p c p^-1 with c
+    cyclically reduced, so the cost is linear in the output."""
     if n < 0:
         return power(inverse(w), -n)
-    out = ()
-    for _ in range(n):
-        out = concat(out, w)
-    return out
+    c, p = cyclic_reduce(w)
+    if n == 0 or not c:
+        return ()
+    return p + c * n + inverse(p)
 
 
 def conjugate(w, g):

@@ -158,6 +158,31 @@ def test_main_error_paths(capsys):
     assert main(["check-malnormal", "/nonexistent/file"]) == 2
 
 
+def test_main_rejects_negative_radius(capsys):
+    for command in ("falsify-csa", "falsify-ct"):
+        assert main([command, B12, "--radius", "-1"]) == 2
+    assert main(["verify-obstacle", "< x, y | x^2 >", "--obstacle", "dinf",
+                 "--images", "x, y^-1 x y", "--radius", "-1"]) == 2
+    assert "radius" in capsys.readouterr().err
+
+
+def test_main_rejects_deep_nesting(capsys):
+    deep = "(" * 5000 + "x" + ")" * 5000
+    assert main(["reduce", "< x, y >", "--word", deep]) == 2
+    assert main(["classify", f"< x, z | z^-1 {deep} z = x^2 >"]) == 2
+    assert "nested deeper" in capsys.readouterr().err
+    shallow = "(" * 100 + "x" + ")" * 100
+    assert run("reduce", "< x, y >", {"word": shallow})[0].verdict == "x"
+    # commutators count toward the depth like parentheses
+    deep_commutator = "[" * 300 + "x, y" + "], y" * 299 + "]"
+    assert main(["reduce", "< x, y >", "--word", deep_commutator]) == 2
+
+
+def test_reduce_long_power():
+    rep, code = run("reduce", "< x, y >", {"word": "x^50000"})
+    assert (rep.verdict, code) == ("x^50000", 0)
+
+
 def test_main_stdin(monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO(B12))

@@ -127,3 +127,35 @@ def test_residually_p():
         csa.residually_p_obstruction(2, 3, 4)
     with pytest.raises(ValueError):
         csa.residually_p_obstruction(0, 3, 2)
+
+
+def test_is_prime_matches_trial_division():
+    def trial(p):
+        return p >= 2 and all(p % k for k in range(2, int(p ** 0.5) + 1))
+
+    for p in range(-2, 20000):
+        assert csa._is_prime(p) == trial(p), p
+
+
+def test_is_prime_large_and_bounded():
+    # 2^61 - 1 is a Mersenne prime; 2^61 + 1 is divisible by 3
+    assert csa._is_prime(2 ** 61 - 1)
+    assert not csa._is_prime(2 ** 61 + 1)
+    # 3215031751 = 151 * 751 * 28351 is a strong pseudoprime to bases
+    # 2, 3, 5 and 7
+    assert not csa._is_prime(3215031751)
+    assert csa._is_prime(1000000000000000003)
+    assert csa.residually_p_obstruction(1, 2, 1000000000000000003)
+    with pytest.raises(ValueError, match=str(csa.MILLER_RABIN_BOUND)):
+        csa._is_prime(csa.MILLER_RABIN_BOUND)
+
+
+def test_negative_radius_rejected():
+    spec = csa.bs_spec(1, 2)
+    for search in (csa.ball, csa.falsify_csa, csa.falsify_ct):
+        with pytest.raises(ValueError):
+            search(spec, -1)
+    witness = csa.ObstacleWitness(csa.OBSTACLE_DINF, {1: (1,), 2: (2,)},
+                                  radius=-1)
+    with pytest.raises(ValueError):
+        csa.verify_obstacle(witness, FreeProductCyclicsSpec((2, 0)))

@@ -1,0 +1,213 @@
+"""The single-pass Britton kernel against the restart-scan reducer it
+replaced, and the falsifiers built on it against brute-force scans."""
+
+import random
+
+import pytest
+
+from csakit import csa
+from csakit.amalgam import AmalgamPresentation
+from csakit.hnn import HnnPresentation, TWord, britton_reduce
+from csakit.words import concat, conjugate, free_reduce, inverse
+from csakit.wpengine import AmalgamSpec, HnnSpec, commutes, is_trivial
+
+AMALGAM = AmalgamPresentation(2, 2, [(1,)], [(1, 1)])
+GROUPS = {
+    "case1": HnnPresentation(2, [(1,)], [(2,)]),
+    "case2": HnnPresentation(2, [(1,)], [(1,)]),
+    "case3": HnnPresentation(1, [(1,)], [(-1,)]),
+    "case4": HnnPresentation(1, [(1,)], [(1, 1)]),
+    "ex1": HnnPresentation(3, [(1,), (2,)], [(2,), (1, 3)]),
+    "amalgam": AMALGAM.extension,
+    "bs12": HnnPresentation(1, [(1,)], [(1, 1)]),
+}
+
+
+def restart_scan_reduce(w, P):
+    """The reducer before the single-pass kernel: rescan from the left
+    after every pinch."""
+    head = w.head
+    tail = list(w.tail)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(tail) - 1):
+            e1, g = tail[i]
+            e2 = tail[i + 1][0]
+            if e1 == -1 and e2 == 1 and P.A.member(g):
+                mid = P.phi(g)
+            elif e1 == 1 and e2 == -1 and P.B.member(g):
+                mid = P.phi_inv(g)
+            else:
+                continue
+            rest = concat(mid, tail[i + 1][1])
+            if i == 0:
+                head = concat(head, rest)
+            else:
+                pe, pg = tail[i - 1]
+                tail[i - 1] = (pe, concat(pg, rest))
+            del tail[i:i + 2]
+            changed = True
+            break
+    return TWord(head, tuple(tail))
+
+
+def reference_product(factors, P):
+    out = factors[0]
+    for f in factors[1:]:
+        out = out.mul(f)
+    return restart_scan_reduce(out, P)
+
+
+def rand_base(rng, P):
+    """A short base word, often in A or B so that pinches occur."""
+    r = rng.random()
+    if r < 0.6:
+        gens = P.a_gens if r < 0.3 else P.b_gens
+        g = ()
+        for _ in range(rng.randint(1, 2)):
+            x = rng.choice(gens)
+            g = concat(g, x if rng.random() < 0.5 else inverse(x))
+        return g
+    letters = [s * k for k in range(1, P.base_rank + 1) for s in (1, -1)]
+    return free_reduce(rng.choice(letters) for _ in range(rng.randint(0, 3)))
+
+
+def rand_tword(rng, P, max_t=6):
+    return TWord(rand_base(rng, P),
+                 tuple((rng.choice((1, -1)), rand_base(rng, P))
+                       for _ in range(rng.randint(0, max_t))))
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_single_pass_matches_restart_scan(name):
+    P = GROUPS[name]
+    rng = random.Random(f"kernel:{name}")
+    memo = {}
+    pinched = 0
+    for _ in range(300):
+        w = rand_tword(rng, P)
+        want = restart_scan_reduce(w, P)
+        assert britton_reduce(w, P) == want
+        assert britton_reduce(w, P, memo=memo) == want
+        pinched += want.t_length < w.t_length
+    assert pinched > 50
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_streamed_product_matches_mul_chain(name):
+    P = GROUPS[name]
+    rng = random.Random(f"stream:{name}")
+    memo = {}
+    for _ in range(200):
+        factors = [rand_tword(rng, P, 4) for _ in range(rng.randint(1, 5))]
+        want = reference_product(factors, P)
+        assert britton_reduce(factors[0], P, *factors[1:]) == want
+        assert britton_reduce(factors[0], P, *factors[1:], memo=memo) == want
+        # the shapes the falsifiers stream: [a, b] and [a, v^-1 a v]
+        a = britton_reduce(factors[0], P, memo=memo)
+        v = britton_reduce(factors[-1], P, memo=memo)
+        a_inv, v_inv = a.inv(), v.inv()
+        for shape in ((a, v, a_inv, v_inv),
+                      (a, v_inv, a, v, a_inv, v_inv, a_inv, v)):
+            assert britton_reduce(shape[0], P, *shape[1:], memo=memo) == \
+                reference_product(shape, P)
+
+
+def test_pinch_matches_phi():
+    P = GROUPS["ex1"]
+    rng = random.Random(11)
+    for _ in range(200):
+        g = rand_base(rng, P)
+        for e, graph, image in ((-1, P.A, P.phi), (1, P.B, P.phi_inv)):
+            got = P.pinch(e, g)
+            if graph.member(g):
+                assert got == image(g)
+            else:
+                assert got is None
+
+
+# -- falsifiers against brute force ------------------------------------------
+
+
+def _hnn(rank, u, v):
+    return HnnSpec(HnnPresentation(rank, [u], [v]))
+
+
+def _amalgam(left, right, u, v):
+    return AmalgamSpec(AmalgamPresentation(left, right, [u], [v]))
+
+
+SEARCHES = [
+    ("bs12", _hnn(1, (1,), (1, 1)), 3),
+    ("klein", _hnn(1, (1,), (-1,)), 3),
+    ("z2", _hnn(1, (1,), (1,)), 3),
+    ("bs13", _hnn(1, (1,), (1, 1, 1)), 2),
+    ("bs22", _hnn(1, (1, 1), (1, 1)), 2),
+    ("bs23", _hnn(1, (1, 1), (1, 1, 1)), 2),
+    ("bs1-2", _hnn(1, (1,), (-1, -1)), 3),
+    ("bs24", _hnn(1, (1, 1), (1, 1, 1, 1)), 2),
+    ("klein-f2", _hnn(2, (1,), (-1,)), 2),
+    ("bs12-f2", _hnn(2, (1,), (1, 1)), 2),
+    ("case1", _hnn(2, (1,), (2,)), 2),
+    ("case2", _hnn(2, (1,), (1,)), 2),
+    ("xy-yx", _hnn(2, (1, 2), (2, 1)), 2),
+    ("x-conj", _hnn(2, (1,), (-2, 1, 2)), 2),
+    ("xx-y", _hnn(2, (1, 1), (2,)), 2),
+    ("xY-y", _hnn(2, (1, -2), (2,)), 2),
+    ("x-yy", _hnn(2, (1,), (2, 2)), 2),
+    ("y-xx", _hnn(2, (2,), (1, 1)), 3),
+    # first hits deep in the scan, after rows the inverse skip drops
+    ("xy-YX", _hnn(2, (1, 2), (-2, -1)), 2),
+    ("xY-Yx", _hnn(2, (2, -1), (-2, 1)), 2),
+    ("XY-yx", _hnn(2, (-1, -2), (2, 1)), 2),
+    ("yy-YY", _hnn(2, (2, 2), (-2, -2)), 2),
+    ("ex1", HnnSpec(GROUPS["ex1"]), 2),
+    ("a~c2", _amalgam(2, 2, (1,), (1, 1)), 2),
+    ("a~c", _amalgam(2, 2, (1,), (1,)), 2),
+    ("ab~c", _amalgam(2, 2, (1, 2), (1,)), 2),
+    ("aa~b", _amalgam(2, 1, (1, 1), (1,)), 2),
+    ("aa~AA", _amalgam(2, 2, (1, 1), (-1, -1)), 2),
+    ("bb~dd", _amalgam(2, 2, (2, 2), (2, 2)), 2),
+    ("trefoil", _amalgam(1, 1, (1, 1), (1, 1, 1)), 3),
+    ("a~bb", _amalgam(1, 1, (1,), (1, 1)), 3),
+]
+
+
+def _brute_force(spec, radius):
+    """First CSA and CT witnesses of a full scan: every row and column,
+    each commutation decided by wpengine.commutes."""
+    elements = [w for w in csa.ball(spec, radius) if not is_trivial(w, spec)]
+    cache = {}
+
+    def comm(x, y):
+        key = (x, y) if x <= y else (y, x)
+        if key not in cache:
+            cache[key] = commutes(x, y, spec)
+        return cache[key]
+
+    csa_hit = next(((a, v) for a in elements for v in elements
+                    if a != v and not comm(a, v)
+                    and commutes(a, conjugate(a, v), spec)), None)
+    ct_hit = next(((a, b, c) for a in elements for b in elements
+                   if b != a and comm(a, b)
+                   for c in elements
+                   if c not in (a, b) and comm(b, c) and not comm(a, c)),
+                  None)
+    return csa_hit, ct_hit
+
+
+def test_falsifiers_match_brute_force():
+    csa_hits = ct_hits = 0
+    for name, spec, radius in SEARCHES:
+        want_csa, want_ct = _brute_force(spec, radius)
+        got_csa = csa.falsify_csa(spec, radius)
+        got_ct = csa.falsify_ct(spec, radius)
+        assert (None if got_csa is None else (got_csa.a, got_csa.v)) == \
+            want_csa, name
+        assert (None if got_ct is None else
+                (got_ct.a, got_ct.b, got_ct.c)) == want_ct, name
+        csa_hits += want_csa is not None
+        ct_hits += want_ct is not None
+    assert 5 <= csa_hits <= len(SEARCHES) - 5
+    assert 3 <= ct_hits <= len(SEARCHES) - 5

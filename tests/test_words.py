@@ -47,6 +47,25 @@ def test_power():
     assert power((1, 2), 0) == ()
 
 
+def loop_power(w, n):
+    """The quadratic concatenation loop power() replaced."""
+    if n < 0:
+        return loop_power(inverse(w), -n)
+    out = ()
+    for _ in range(n):
+        out = concat(out, w)
+    return out
+
+
+def test_power_matches_concatenation_loop():
+    rng = random.Random(12)
+    words = [rand_word(rng) for _ in range(60)]
+    words += [concat(p, c, inverse(p)) for p, c in zip(words, words[1:])]
+    for w in words:
+        for n in range(-50, 51):
+            assert power(w, n) == loop_power(w, n)
+
+
 def test_conjugate_commutator():
     u, v = (1,), (2,)
     assert conjugate(u, v) == (-2, 1, 2)
