@@ -6,13 +6,13 @@ quasi-malnormal / malnormal / separated predicates and CSA verdicts.
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import hnn as hnn_mod, stallings, words
-from .errors import CapExceededError, UnsupportedBaseError, UnsupportedShapeError
+from . import words
+from .errors import CapExceededError, UnsupportedShapeError
 from .hnn import HnnPresentation, TWord, britton_reduce
 from .stallings import (conj_intersection_trivial, fold, is_malnormal,
                         malnormal_closure, pointed_intersection_nontrivial)
 from .words import (concat, free_reduce, inverse, is_maximal_abelian_in_free,
-                    shortlex_key)
+                    reduced_words, shortlex_key)
 
 
 def shift_word(word, offset):
@@ -36,36 +36,19 @@ class AmalgamPresentation:
             self.a_gens,
             tuple(shift_word(g, left_rank) for g in self.b_gens))
 
-    # embedding into the extension <G*H, t | t^-1 a t = phi(a)>:
-    # left-factor words map to their t-conjugates, right-factor words to
-    # themselves (re-indexed after the left factor).
-
-    def embed_left(self, word):
-        t = self.free_product_rank + 1
-        out = []
-        for l in word:
-            out.extend((-t, l, t))
-        return TWord.from_word(free_reduce(out), t)
-
-    def embed_right(self, word):
-        return TWord.from_word(shift_word(free_reduce(word, self.right_rank),
-                                          self.left_rank),
-                               self.free_product_rank + 1)
-
     def embed(self, word):
         """Word over the amalgam's displayed generators (left 1..rl, then
-        right) into the extension."""
+        right) into the extension <G*H, t | t^-1 a t = phi(a)>: left-factor
+        letters map to their t-conjugates, right-factor letters to
+        themselves."""
         t = self.free_product_rank + 1
         out = []
-        for l in word:
+        for l in free_reduce(word, self.free_product_rank):
             if abs(l) <= self.left_rank:
                 out.extend((-t, l, t))
             else:
                 out.append(l)
         return TWord.from_word(free_reduce(out), t)
-
-    def is_identity(self, word):
-        return hnn_mod.is_identity(self.embed(word), self.extension)
 
 
 def amalgam_csa_verdict_abelian(P: AmalgamPresentation):
@@ -298,7 +281,6 @@ def malnormal_persistence_check(P: AmalgamPresentation, h_gens, radius=3):
         return True, None
 
     ext = P.extension
-    t = P.free_product_rank + 1
 
     def in_H(tword):
         r = britton_reduce(tword, ext)
@@ -311,23 +293,10 @@ def malnormal_persistence_check(P: AmalgamPresentation, h_gens, radius=3):
 
     # ball of H elements (as loops in its core graph)
     h_ball = _loop_ball(H, 4)
-    h_imgs = [P.embed_right(h) for h in h_ball]
+    h_imgs = [P.embed(shift_word(h, P.left_rank)) for h in h_ball]
 
-    # conjugator candidates: alternating products of single letters
-    letters = [l for g in range(1, P.free_product_rank + 1)
-               for l in (g, -g)]
-    candidates = [()]
-    frontier = [()]
-    for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            for l in letters:
-                if w and w[-1] == -l:
-                    continue
-                nxt.append(w + (l,))
-        candidates.extend(nxt)
-        frontier = nxt
-    for x in candidates:
+    # conjugator candidates: reduced words of length <= radius
+    for x in reduced_words(P.free_product_rank, radius):
         xt = P.embed(x)
         if in_H(xt):
             continue

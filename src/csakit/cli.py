@@ -42,7 +42,7 @@ from . import stallings, wpengine
 from .amalgam import AmalgamPresentation, GogEdge, GraphOfGroups
 from .errors import (CsakitError, MalformedWordError, ParseError,
                      UnsupportedBaseError, UnsupportedShapeError)
-from .hnn import HnnPresentation, TWord
+from .hnn import HnnPresentation
 from .words import concat, free_reduce, inverse, power
 from .wpengine import (AmalgamSpec, FreeByCyclicSpec, FreeProductCyclicsSpec,
                        FreeSpec, HnnSpec)
@@ -131,6 +131,7 @@ class Parser:
     def __init__(self, text):
         self.tokens = tokenize(text)
         self.i = 0
+        self.groups_open = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -157,14 +158,6 @@ class Parser:
         return tok.kind == "name" and tok.value == word
 
     # words
-
-    def starts_word(self, name_map):
-        tok = self.peek()
-        if tok.kind == "name":
-            return tok.value in name_map
-        if tok.kind == "int":
-            return tok.value == "1"
-        return tok.kind == "sym" and tok.value in "[("
 
     def parse_word(self, name_map, depth=0):
         tok = self.peek()
@@ -217,6 +210,18 @@ class Parser:
             out.append(self.parse_word(name_map))
         return out
 
+    def parse_pairs(self, left_map, right_map, *sep):
+        """word sep word (',' word sep word)* -> (left words, right words),
+        where sep is the kind and value of the separator token."""
+        lefts, rights = [], []
+        while True:
+            lefts.append(self.parse_word(left_map))
+            self.expect(*sep)
+            rights.append(self.parse_word(right_map))
+            if not self.at_sym(","):
+                return lefts, rights
+            self.advance()
+
     # presentations
 
     def parse_angle(self):
@@ -251,6 +256,15 @@ class Parser:
         return names, relators
 
     def parse_group(self):
+        if self.groups_open >= MAX_NESTING:
+            raise ParseError(f"groups nested deeper than {MAX_NESTING} "
+                             "levels", self.peek().pos)
+        self.groups_open += 1
+        group = self._parse_group()
+        self.groups_open -= 1
+        return group
+
+    def _parse_group(self):
         if self.at_sym("<"):
             names, relators = self.parse_angle()
             return resolve_presentation(names, relators)
@@ -283,15 +297,7 @@ class Parser:
             raise ParseError("expected 'via'", self.peek().pos)
         self.advance()
         name_map = base.name_map
-        a_gens, b_gens = [], []
-        while True:
-            a_gens.append(self.parse_word(name_map))
-            self.expect("arrow")
-            b_gens.append(self.parse_word(name_map))
-            if self.at_sym(","):
-                self.advance()
-            else:
-                break
+        a_gens, b_gens = self.parse_pairs(name_map, name_map, "arrow")
         self.expect("sym", ")")
         stable = next(nm for nm in ("t", "s", "u", "t1", "t2")
                       if nm not in name_map)
@@ -313,15 +319,8 @@ class Parser:
         if left.kind != "free" or right.kind != "free":
             raise UnsupportedBaseError("amalgam factors must be free")
         self.expect("sym", ";")
-        a_gens, b_gens = [], []
-        while True:
-            a_gens.append(self.parse_word(left.name_map))
-            self.expect("sym", "~")
-            b_gens.append(self.parse_word(right.name_map))
-            if self.at_sym(","):
-                self.advance()
-            else:
-                break
+        a_gens, b_gens = self.parse_pairs(left.name_map, right.name_map,
+                                          "sym", "~")
         self.expect("sym", ")")
         pres = AmalgamPresentation(len(left.names), len(right.names),
                                    a_gens, b_gens)
@@ -358,19 +357,11 @@ class Parser:
                 if src_v not in vertex_names or dst_v not in vertex_names:
                     raise ParseError("edge references an unknown vertex",
                                      self.peek().pos)
-                gens, images = [], []
                 src_map = {nm: i + 1
                            for i, nm in enumerate(vertex_names[src_v])}
                 dst_map = {nm: i + 1
                            for i, nm in enumerate(vertex_names[dst_v])}
-                while True:
-                    gens.append(self.parse_word(src_map))
-                    self.expect("sym", "~")
-                    images.append(self.parse_word(dst_map))
-                    if self.at_sym(","):
-                        self.advance()
-                    else:
-                        break
+                gens, images = self.parse_pairs(src_map, dst_map, "sym", "~")
                 edges.append(GogEdge(src_v, dst_v, tuple(gens),
                                      tuple(images)))
                 self.expect("sym", ";")
@@ -563,30 +554,10 @@ def _cmd_reduce(src, flags):
     w = p.parse_word(src.name_map)
     if p.peek().kind != "end":
         raise ParseError("trailing input after word", p.peek().pos)
-    spec = src.spec
-    if isinstance(spec, (FreeSpec, FreeProductCyclicsSpec)):
-        key = wpengine.canonical_key(w, spec)
-        if isinstance(spec, FreeProductCyclicsSpec):
-            key = tuple(l for (g, e) in key for l in power((g,), e))
-        out = word_to_str(key, src.names)
-    elif isinstance(spec, (HnnSpec, AmalgamSpec)):
-        if isinstance(spec, HnnSpec):
-            pres, t, img = spec.pres, spec.t_letter, w
-            names = src.names
-        else:
-            pres = spec.pres.extension
-            t = spec.pres.free_product_rank + 1
-            img = wpengine.amalgam_image(w, spec.pres)
-            names = src.names + ["t"]
-        head, tail = hnn_mod.normal_form(TWord.from_word(img, t), pres)
-        out = word_to_str(TWord(head, tail).flatten(t), names)
-    elif isinstance(spec, FreeByCyclicSpec):
-        fib, k = wpengine.fc_normal_form(w)
-        disp = tuple((3 if abs(l) == wpengine.FIB_D else 1) *
-                     (1 if l > 0 else -1) for l in fib)
-        out = word_to_str(concat(disp, power((2,), k)), src.names)
-    else:
+    if src.spec is None:
         raise UnsupportedShapeError("reduce does not support this source")
+    # an amalgam's normal form also uses its extension's stable letter
+    out = word_to_str(src.spec.normal_word(w), src.names + ["t"])
     return Report("reduce", out), 0
 
 
@@ -693,8 +664,7 @@ def _cmd_verify_obstacle(src, flags):
         radius=flags.get("radius", DEFAULT_RADIUS), n=flags.get("n"))
     ok = csa_mod.verify_obstacle(witness, src.spec)
     details = {}
-    if kind == csa_mod.OBSTACLE_CALB and \
-            isinstance(src.spec, FreeByCyclicSpec):
+    if kind == csa_mod.OBSTACLE_CALB and src.kind == "fbc":
         fibers = []
         for img in images[:2]:
             fib, k = wpengine.fc_normal_form(img)
@@ -892,7 +862,6 @@ def main(argv=None):
     parser.add_argument("--radius", type=int, default=DEFAULT_RADIUS)
     parser.add_argument("--cap", type=int, default=None)
     parser.add_argument("--json", action="store_true")
-    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--obstacle", choices=("dinf", "calb", "b1n"))
     parser.add_argument("--images", help="comma-separated obstacle "
                                          "generator images")
@@ -901,7 +870,7 @@ def main(argv=None):
     parser.add_argument("--p", type=int, default=None)
     args = parser.parse_args(argv)
 
-    flags = {"radius": args.radius, "json": args.json, "seed": args.seed,
+    flags = {"radius": args.radius, "json": args.json,
              "word": args.word, "obstacle": args.obstacle,
              "images": args.images, "n": args.n, "m": args.m, "p": args.p,
              "cap": args.cap if args.cap is not None else _default_cap()}

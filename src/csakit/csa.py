@@ -7,13 +7,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from . import wpengine, words
-from .errors import CsakitError, UnsupportedBaseError
-from .hnn import HnnPresentation, TWord, britton_reduce, is_identity
-from .wpengine import (AmalgamSpec, HnnSpec, canonical_key, commutes,
+from . import wpengine
+from .hnn import HnnPresentation, britton_reduce, is_identity
+from .wpengine import (BrittonSpec, HnnSpec, canonical_key, commutes,
                        is_trivial, num_generators)
-from .words import (commutator, concat, conjugate, free_reduce, gcd_many,
-                    inverse, power, shortlex_key)
+from .words import (check_radius, commutator, concat, conjugate, free_reduce,
+                    gcd_many, inverse, power, reduced_words)
 
 MAX_EXPONENT = 100_000
 
@@ -21,37 +20,25 @@ MAX_EXPONENT = 100_000
 # -- ball enumeration -------------------------------------------------------
 
 
-def ball(spec, radius, dedupe=True):
+def ball(spec, radius):
     """Freely reduced words of length <= radius over the displayed
-    generators, in shortlex order, deduplicated through the group's
-    canonical form when one exists.  The identity is omitted."""
-    _check_radius(radius)
-    n = num_generators(spec)
-    letters = [l for g in range(1, n + 1) for l in (g, -g)]
+    generators, in shortlex order, one per element through the group's
+    canonical form.  The identity is omitted."""
+    words = reduced_words(num_generators(spec), radius)
+    # reduced_words lists the identity first
+    return _distinct(words, lambda w: canonical_key(w, spec))[1:]
+
+
+def _distinct(words, key):
+    """The words whose key has not occurred earlier in the list."""
+    seen = set()
     out = []
-    seen = {canonical_key((), spec)} if dedupe else set()
-    frontier = [()]
-    for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            for l in letters:
-                if w and w[-1] == -l:
-                    continue
-                nxt.append(w + (l,))
-        for w in nxt:
-            if dedupe:
-                key = canonical_key(w, spec)
-                if key in seen:
-                    continue
-                seen.add(key)
+    for w in words:
+        k = key(w)
+        if k not in seen:
+            seen.add(k)
             out.append(w)
-        frontier = nxt
     return out
-
-
-def _check_radius(radius):
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
 
 
 # -- CSA / CT falsifiers ----------------------------------------------------
@@ -71,19 +58,13 @@ class CtWitness:
 
 
 def _search_context(elements, spec):
-    """Indexed commutation tests over a fixed element list.  HNN and
-    amalgam specs reduce each commutator as a stream of pre-reduced
-    TWords, sharing one pinch memo for the whole search."""
-    if isinstance(spec, (HnnSpec, AmalgamSpec)):
-        if isinstance(spec, HnnSpec):
-            P, t = spec.pres, spec.t_letter
-
-            def to_tword(w):
-                return TWord.from_word(w, t)
-        else:
-            P, to_tword = spec.pres.extension, spec.pres.embed
+    """Indexed commutation tests over a fixed element list.  Britton
+    specs reduce each commutator as a stream of pre-reduced TWords,
+    sharing one pinch memo for the whole search."""
+    if isinstance(spec, BrittonSpec):
+        P = spec.ext
         memo = {}
-        tws = [britton_reduce(to_tword(w), P, memo=memo) for w in elements]
+        tws = [britton_reduce(spec.tword(w), P, memo=memo) for w in elements]
         invs = [tw.inv() for tw in tws]
 
         def commutes_idx(i, j):
@@ -138,7 +119,7 @@ def verify_ct_witness(w: CtWitness, spec) -> bool:
 def falsify_csa(spec, radius=3) -> Optional[CsaWitness]:
     """First pair (a, v) in shortlex order with a != 1, [a, a^v] = 1 and
     [a, v] != 1.  A hit disproves CSA; a miss proves nothing."""
-    elements = [w for w in ball(spec, radius) if not is_trivial(w, spec)]
+    elements = ball(spec, radius)
     commutes_idx, conj_commutes = _search_context(elements, spec)
     comm = _cached_pairwise(commutes_idx)
     index = {w: i for i, w in enumerate(elements)}
@@ -160,7 +141,7 @@ def falsify_csa(spec, radius=3) -> Optional[CsaWitness]:
 
 def falsify_ct(spec, radius=3) -> Optional[CtWitness]:
     """First triple with [a,b] = 1, [b,c] = 1 but [a,c] != 1."""
-    elements = [w for w in ball(spec, radius) if not is_trivial(w, spec)]
+    elements = ball(spec, radius)
     commutes_idx, _ = _search_context(elements, spec)
     comm = _cached_pairwise(commutes_idx)
     pairs = {i: [j for j in range(len(elements))
@@ -203,22 +184,12 @@ def _obstacle_ball(kind, radius, n=None):
                 g = 3 - g
         return out
     if kind == OBSTACLE_CALB:
-        out = []
-        seen = set()
-        for w in _raw_ball(3, radius):
-            f2 = free_reduce([l for l in w if abs(l) != 3])
+        def key(w):
             m = sum(1 if l == 3 else -1 for l in w if abs(l) == 3)
-            key = (f2, m)
-            if key not in seen:
-                seen.add(key)
-                out.append(w)
-        return out
+            return free_reduce([l for l in w if abs(l) != 3]), m
+        return _distinct(reduced_words(3, radius), key)
     if kind == OBSTACLE_B1N:
-        if n is None or n == 0:
-            raise ValueError("b1n obstacle needs a nonzero n")
-        out = []
-        seen = set()
-        for w in _raw_ball(2, radius):
+        def key(w):
             q, k = Fraction(0), 0
             for l in w:
                 if abs(l) == 2:
@@ -226,28 +197,9 @@ def _obstacle_ball(kind, radius, n=None):
                 else:
                     # y^k x y^-k acts as adding n^k
                     q += (1 if l > 0 else -1) * Fraction(n) ** k
-            key = (q, k)
-            if key not in seen:
-                seen.add(key)
-                out.append(w)
-        return out
+            return q, k
+        return _distinct(reduced_words(2, radius), key)
     raise ValueError(f"unknown obstacle kind {kind!r}")
-
-
-def _raw_ball(num_gens, radius):
-    letters = [l for g in range(1, num_gens + 1) for l in (g, -g)]
-    out = [()]
-    frontier = [()]
-    for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            for l in letters:
-                if w and w[-1] == -l:
-                    continue
-                nxt.append(w + (l,))
-        out.extend(nxt)
-        frontier = nxt
-    return out
 
 
 def _obstacle_relators(kind, n=None):
@@ -274,22 +226,15 @@ def verify_obstacle(witness: ObstacleWitness, host) -> bool:
     """Check (i) every obstacle relator maps to 1 in the host and (ii)
     distinct obstacle elements of length <= radius stay distinct.
     Bounded-radius evidence of an embedding, not a proof."""
-    _check_radius(witness.radius)
+    check_radius(witness.radius)
     images = witness.images
     for rel in _obstacle_relators(witness.kind, witness.n):
         if not is_trivial(_map_word(rel, images), host):
             return False
     ball_words = _obstacle_ball(witness.kind, witness.radius, witness.n)
     host_images = [_map_word(w, images) for w in ball_words]
-    keys = [canonical_key(w, host) for w in host_images]
-    if all(k is not None for k in keys):
-        return len(set(keys)) == len(keys)
-    for i in range(len(host_images)):
-        for j in range(i + 1, len(host_images)):
-            if is_trivial(concat(host_images[i], inverse(host_images[j])),
-                          host):
-                return False
-    return True
+    keys = {canonical_key(w, host) for w in host_images}
+    return len(keys) == len(host_images)
 
 
 # -- Baumslag-Solitar arithmetic -------------------------------------------

@@ -9,8 +9,6 @@ are TWords g0 t^e1 g1 ... t^en gn with base words between stable letters.
 from dataclasses import dataclass
 from typing import Optional
 
-from . import stallings, words
-from .errors import UnsupportedBaseError
 from .stallings import fold, conj_intersection_trivial, malnormal_closure
 from .words import (concat, conjugating_element, free_reduce, inverse,
                     is_proper_power, cyclic_reduce)

@@ -9,7 +9,7 @@ abstract alphabet 1..k indexing the input generator list.
 from collections import deque
 
 from . import words
-from .words import concat, conjugate, free_reduce, inverse, shortlex_key
+from .words import concat, free_reduce, inverse, shortlex_key
 
 
 class _Edge:
@@ -38,10 +38,6 @@ class CoreGraph:
         self._tree_paths = None
 
     # -- basic automaton queries -------------------------------------------
-
-    def transition(self, v, letter):
-        hit = self.succ.get((v, letter))
-        return None if hit is None else hit[0]
 
     def walk(self, word, start=0):
         """Follow word from start; returns end vertex or None."""
@@ -209,36 +205,21 @@ def fold(generators, rank):
                     live_ids.add(id(e))
             incident[v] = live
             for e in live:
+                # the edge's ends at v: (out-label, far vertex, tag)
+                ends = []
                 if e.src == v:
-                    key = e.letter
-                    out = (e.dst, e.tag)
+                    ends.append((e.letter, e.dst, e.tag))
+                if e.dst == v:
+                    ends.append((-e.letter, e.src, inverse(e.tag)))
+                for key, far, tag in ends:
                     if key in by_label:
-                        first = by_label[key]
-                        _merge_pair(first, out, e, find, absorb,
-                                    work, queued, v)
+                        _merge_pair(by_label[key], (far, tag), e, find,
+                                    absorb, work, queued, v)
                         dirty = True
                         break
-                    by_label[key] = (out, e)
-                if e.dst == v and e.src != v:
-                    key = -e.letter
-                    out = (e.src, inverse(e.tag))
-                    if key in by_label:
-                        first = by_label[key]
-                        _merge_pair(first, out, e, find, absorb,
-                                    work, queued, v)
-                        dirty = True
-                        break
-                    by_label[key] = (out, e)
-                elif e.dst == v and e.src == v:
-                    key = -e.letter
-                    out = (e.src, inverse(e.tag))
-                    if key in by_label:
-                        first = by_label[key]
-                        _merge_pair(first, out, e, find, absorb,
-                                    work, queued, v)
-                        dirty = True
-                        break
-                    by_label[key] = (out, e)
+                    by_label[key] = ((far, tag), e)
+                if dirty:
+                    break
 
     return _finish(parent, incident, find, rank, gens)
 

@@ -38,6 +38,24 @@ def free_reduce(letters, rank=None):
     return tuple(out)
 
 
+def check_radius(radius):
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
+
+
+def reduced_words(rank, radius):
+    """Freely reduced words of length <= radius over 1..rank in shortlex
+    order, the identity first."""
+    check_radius(radius)
+    letters = [l for g in range(1, rank + 1) for l in (g, -g)]
+    out, frontier = [()], [()]
+    for _ in range(radius):
+        frontier = [w + (l,) for w in frontier for l in letters
+                    if not (w and w[-1] == -l)]
+        out.extend(frontier)
+    return out
+
+
 def inverse(w):
     return tuple(-l for l in reversed(w))
 
@@ -84,10 +102,6 @@ def cyclic_reduce(w):
         i += 1
         j -= 1
     return w[i:j], w[:i]
-
-
-def is_cyclically_reduced(w):
-    return len(w) < 2 or w[0] != -w[-1]
 
 
 def primitive_root(c):

@@ -1,4 +1,5 @@
-"""Word-problem dispatch over the supported group classes.
+"""The word problem of each supported group class behind one interface,
+``GroupSpec``.
 
 Element expressions are words (tuples of nonzero ints) over a group's
 displayed generators:
@@ -14,54 +15,95 @@ from dataclasses import dataclass
 
 from . import hnn as hnn_mod
 from .errors import UnsupportedBaseError
-from .words import commutator, concat, free_reduce, inverse
+from .words import commutator, concat, free_reduce, inverse, power
 
 FBC_X, FBC_Y, FBC_D = 1, 2, 3
 # fiber alphabet of the free-by-cyclic group: d = 1, x = 2
 FIB_D, FIB_X = 1, 2
 
 
+class GroupSpec:
+    """The word problem of one group class.
+
+    ``rank`` is the number of displayed generators; ``key(word)`` is a
+    hashable normal form, equal for two words exactly when they are equal
+    elements; ``normal_word(word)`` writes that normal form back as a word
+    over the displayed generators (an amalgam adds its stable letter,
+    rank + 1)."""
+
+    def is_trivial(self, word):
+        return self.key(word) == self.key(())
+
+
 @dataclass(frozen=True)
-class FreeSpec:
+class FreeSpec(GroupSpec):
     rank: int
 
+    def key(self, word):
+        return free_reduce(word, self.rank)
+
+    normal_word = key
+
 
 @dataclass(frozen=True)
-class FreeProductCyclicsSpec:
+class FreeProductCyclicsSpec(GroupSpec):
     orders: tuple  # per-generator order, 0 = infinite
 
-
-class HnnSpec:
-    def __init__(self, pres: "hnn_mod.HnnPresentation"):
-        self.pres = pres
-
     @property
-    def t_letter(self):
-        return self.pres.base_rank + 1
+    def rank(self):
+        return len(self.orders)
+
+    def key(self, word):
+        return fpc_normal_form(free_reduce(word, self.rank), self.orders)
+
+    def normal_word(self, word):
+        return tuple(l for (g, e) in self.key(word) for l in power((g,), e))
 
 
-class AmalgamSpec:
+class BrittonSpec(GroupSpec):
+    """A group whose word problem is Britton reduction in the HNN
+    extension ``ext`` of a free group; ``tword(word)`` maps a word over
+    the displayed generators into ``ext``."""
+
+    def key(self, word):
+        return hnn_mod.normal_form(self.tword(word), self.ext)
+
+    def is_trivial(self, word):
+        return hnn_mod.is_identity(self.tword(word), self.ext)
+
+    def normal_word(self, word):
+        return hnn_mod.TWord(*self.key(word)).flatten(self.ext.base_rank + 1)
+
+
+class HnnSpec(BrittonSpec):
+    def __init__(self, pres: "hnn_mod.HnnPresentation"):
+        self.pres = self.ext = pres
+        self.rank = pres.base_rank + 1
+
+    def tword(self, word):
+        return hnn_mod.TWord.from_word(free_reduce(word, self.rank), self.rank)
+
+
+class AmalgamSpec(BrittonSpec):
     def __init__(self, pres):
         self.pres = pres  # amalgam.AmalgamPresentation
+        self.ext = pres.extension
+        self.rank = pres.free_product_rank
+        self.tword = pres.embed
 
 
 @dataclass(frozen=True)
-class FreeByCyclicSpec:
-    pass
+class FreeByCyclicSpec(GroupSpec):
+    rank = 3
 
+    def key(self, word):
+        return fc_normal_form(word)
 
-def num_generators(spec):
-    if isinstance(spec, FreeSpec):
-        return spec.rank
-    if isinstance(spec, FreeProductCyclicsSpec):
-        return len(spec.orders)
-    if isinstance(spec, HnnSpec):
-        return spec.pres.base_rank + 1
-    if isinstance(spec, AmalgamSpec):
-        return spec.pres.left_rank + spec.pres.right_rank
-    if isinstance(spec, FreeByCyclicSpec):
-        return 3
-    raise UnsupportedBaseError(f"unsupported group spec {spec!r}")
+    def normal_word(self, word):
+        fib, k = fc_normal_form(word)
+        disp = tuple((FBC_D if abs(l) == FIB_D else FBC_X) *
+                     (1 if l > 0 else -1) for l in fib)
+        return concat(disp, power((FBC_Y,), k))
 
 
 # -- free products of cyclic groups ----------------------------------------
@@ -154,68 +196,28 @@ def fc_normal_form(word):
     return acc
 
 
-# -- amalgams via the stable-letter embedding ------------------------------
+# -- the interface as functions ---------------------------------------------
 
 
-def amalgam_image(word, pres):
-    """Image of an amalgam word in the HNN extension of the free product:
-    left-factor letters go to their t-conjugates."""
-    rl = pres.left_rank
-    t = pres.free_product_rank + 1
-    out = []
-    for l in word:
-        if abs(l) <= rl:
-            out.extend((-t, l, t))
-        else:
-            out.append(l)
-    return free_reduce(out)
+def _spec(spec):
+    if not isinstance(spec, GroupSpec):
+        raise UnsupportedBaseError(f"unsupported group spec {spec!r}")
+    return spec
 
 
-# -- dispatch ---------------------------------------------------------------
+def num_generators(spec):
+    return _spec(spec).rank
 
 
 def is_trivial(word, spec):
     """True iff the element expression equals the identity."""
-    n = num_generators(spec)
-    word = free_reduce(word, n)
-    if isinstance(spec, FreeSpec):
-        return not word
-    if isinstance(spec, FreeProductCyclicsSpec):
-        return not fpc_normal_form(word, spec.orders)
-    if isinstance(spec, HnnSpec):
-        tw = hnn_mod.TWord.from_word(word, spec.t_letter)
-        return hnn_mod.is_identity(tw, spec.pres)
-    if isinstance(spec, AmalgamSpec):
-        pres = spec.pres
-        img = amalgam_image(word, pres)
-        ext = pres.extension
-        tw = hnn_mod.TWord.from_word(img, pres.free_product_rank + 1)
-        return hnn_mod.is_identity(tw, ext)
-    if isinstance(spec, FreeByCyclicSpec):
-        return fc_normal_form(word) == ((), 0)
-    raise UnsupportedBaseError(f"unsupported group spec {spec!r}")
+    return _spec(spec).is_trivial(word)
 
 
 def canonical_key(word, spec):
-    """Hashable key equal for words representing the same element, when a
-    normal form is available; None when only pairwise testing exists."""
-    n = num_generators(spec)
-    word = free_reduce(word, n)
-    if isinstance(spec, FreeSpec):
-        return word
-    if isinstance(spec, FreeProductCyclicsSpec):
-        return fpc_normal_form(word, spec.orders)
-    if isinstance(spec, HnnSpec):
-        tw = hnn_mod.TWord.from_word(word, spec.t_letter)
-        return hnn_mod.normal_form(tw, spec.pres)
-    if isinstance(spec, AmalgamSpec):
-        pres = spec.pres
-        img = amalgam_image(word, pres)
-        tw = hnn_mod.TWord.from_word(img, pres.free_product_rank + 1)
-        return hnn_mod.normal_form(tw, pres.extension)
-    if isinstance(spec, FreeByCyclicSpec):
-        return fc_normal_form(word)
-    return None
+    """Hashable key, equal exactly for words representing the same
+    element."""
+    return _spec(spec).key(word)
 
 
 def commutes(u, v, spec):

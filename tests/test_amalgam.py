@@ -7,15 +7,15 @@ from csakit.amalgam import (AmalgamPresentation, GogEdge, GraphOfGroups,
                             fundamental_group_presentation, gog_predicates,
                             malnormal_persistence_check)
 from csakit.errors import UnsupportedShapeError
-from csakit.hnn import britton_reduce, normal_form
+from csakit.hnn import britton_reduce, is_identity, normal_form
 from csakit.words import free_reduce, power
 
 
 def test_defining_relation_holds():
     P = AmalgamPresentation(2, 2, [(1,)], [(1, 1)])
     # a (left) equals its amalgamated image c^2 (right) in the extension
-    left = P.embed_left((1,))
-    right = P.embed_right((1, 1))
+    left = P.embed((1,))
+    right = P.embed((3, 3))
     diff = britton_reduce(left.mul(right.inv()), P.extension)
     assert diff.t_length == 0 and not diff.head
 
@@ -23,15 +23,15 @@ def test_defining_relation_holds():
 def test_alternating_word_nontrivial():
     P = AmalgamPresentation(2, 2, [(1,)], [(1, 1)])
     # g1 = b (not in A), h1 = d (not in B): t-length 2 after reduction
-    w = P.embed((2,)).mul(P.embed_right((2,)))
+    w = P.embed((2,)).mul(P.embed((4,)))
     r = britton_reduce(w, P.extension)
     assert r.t_length == 2
 
 
 def test_identity_maps_to_identity():
     P = AmalgamPresentation(2, 2, [(1,)], [(1, 1)])
-    assert P.is_identity(())
-    assert P.is_identity((1, -1))
+    assert is_identity(P.embed(()), P.extension)
+    assert is_identity(P.embed((1, -1)), P.extension)
 
 
 def test_embedding_injective_on_syllable_forms():

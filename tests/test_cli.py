@@ -176,6 +176,10 @@ def test_main_rejects_deep_nesting(capsys):
     # commutators count toward the depth like parentheses
     deep_commutator = "[" * 300 + "x, y" + "], y" * 299 + "]"
     assert main(["reduce", "< x, y >", "--word", deep_commutator]) == 2
+    # group constructors nest through parse_group
+    for opener in ("amalgam(", "hnn(", "gog { vertex u = "):
+        assert main(["falsify-csa", opener * 3000]) == 2
+        assert "groups nested deeper" in capsys.readouterr().err
 
 
 def test_reduce_long_power():

@@ -1,6 +1,8 @@
 import random
+from collections import deque
 
 from csakit.errors import CapExceededError
+from csakit.stallings import _Edge, _finish, _merge_pair
 from csakit.stallings import (conj_intersection_trivial, fold, is_malnormal,
                               malnormal_closure,
                               pointed_intersection_nontrivial)
@@ -144,3 +146,134 @@ def test_random_membership_against_products():
             prods |= frontier
         for p in prods:
             assert H.member(p)
+
+
+def three_branch_fold(generators, rank):
+    """fold before its merge branches became one loop over an edge's
+    ends: an out-edge, an in-edge and a self-loop each had their own
+    copy of the merge."""
+    gens = []
+    for g in generators:
+        r = free_reduce(g, rank)
+        if r:
+            gens.append(r)
+    gens = tuple(gens)
+
+    parent = [0]
+    incident = [[]]
+
+    def find(v):
+        root = v
+        while parent[root] != root:
+            root = parent[root]
+        while parent[v] != root:
+            parent[v], v = root, parent[v]
+        return root
+
+    def new_vertex():
+        parent.append(len(parent))
+        incident.append([])
+        return len(parent) - 1
+
+    def add_edge(src, letter, dst, tag):
+        if letter < 0:
+            src, dst = dst, src
+            letter = -letter
+            tag = inverse(tag)
+        e = _Edge(src, letter, dst, tag)
+        incident[src].append(e)
+        if dst != src:
+            incident[dst].append(e)
+        return e
+
+    for i, g in enumerate(gens):
+        v = 0
+        for j, l in enumerate(g):
+            nxt = 0 if j == len(g) - 1 else new_vertex()
+            tag = (i + 1,) if j == len(g) - 1 else ()
+            add_edge(v, l, nxt, tag)
+            v = nxt
+
+    def absorb(keep, gone, delta):
+        for e in incident[gone]:
+            if not e.alive:
+                continue
+            if e.src == gone and e.dst == gone:
+                e.tag = concat(delta, e.tag, inverse(delta))
+                e.src = e.dst = keep
+            elif e.src == gone:
+                e.tag = concat(delta, e.tag)
+                e.src = keep
+            else:
+                e.tag = concat(e.tag, inverse(delta))
+                e.dst = keep
+            incident[keep].append(e)
+        incident[gone] = []
+        parent[gone] = keep
+
+    work = deque(range(len(parent)))
+    queued = set(work)
+    while work:
+        v = work.popleft()
+        queued.discard(v)
+        if find(v) != v:
+            continue
+        by_label = {}
+        dirty = True
+        while dirty:
+            dirty = False
+            by_label.clear()
+            live = []
+            live_ids = set()
+            for e in incident[v]:
+                if e.alive and (e.src == v or e.dst == v) \
+                        and id(e) not in live_ids:
+                    live.append(e)
+                    live_ids.add(id(e))
+            incident[v] = live
+            for e in live:
+                if e.src == v:
+                    key = e.letter
+                    out = (e.dst, e.tag)
+                    if key in by_label:
+                        _merge_pair(by_label[key], out, e, find, absorb,
+                                    work, queued, v)
+                        dirty = True
+                        break
+                    by_label[key] = (out, e)
+                if e.dst == v and e.src != v:
+                    key = -e.letter
+                    out = (e.src, inverse(e.tag))
+                    if key in by_label:
+                        _merge_pair(by_label[key], out, e, find, absorb,
+                                    work, queued, v)
+                        dirty = True
+                        break
+                    by_label[key] = (out, e)
+                elif e.dst == v and e.src == v:
+                    key = -e.letter
+                    out = (e.src, inverse(e.tag))
+                    if key in by_label:
+                        _merge_pair(by_label[key], out, e, find, absorb,
+                                    work, queued, v)
+                        dirty = True
+                        break
+                    by_label[key] = (out, e)
+
+    return _finish(parent, incident, find, rank, gens)
+
+
+def test_fold_matches_three_branch_fold():
+    rng = random.Random(61)
+    for _ in range(2000):
+        rank = rng.randint(1, 4)
+        gens = [rand_word(rng, rank, max_len=rng.randint(1, 8))
+                for _ in range(rng.randint(1, 4))]
+        # proper powers and repeated generators give self-loops and
+        # multi-edges to merge
+        if rng.random() < 0.3:
+            gens.append(gens[0] * rng.randint(2, 3))
+        got, want = fold(gens, rank), three_branch_fold(gens, rank)
+        assert got.succ == want.succ
+        assert got.num_vertices == want.num_vertices
+        assert got.generators == want.generators
