@@ -12,7 +12,7 @@ from .hnn import HnnPresentation, TWord, britton_reduce
 from .stallings import (conj_intersection_trivial, fold, is_malnormal,
                         malnormal_closure, pointed_intersection_nontrivial)
 from .words import (concat, free_reduce, inverse, is_maximal_abelian_in_free,
-                    reduced_words, shortlex_key)
+                    reduced_words)
 
 
 def shift_word(word, offset):
@@ -106,7 +106,7 @@ class GogReport:
     per_edge: dict
 
 
-def _normal_in_closure(images_graph, closure, sub_gens, rank):
+def _normal_in_closure(images_graph, closure, sub_gens):
     for g in closure.generators:
         for b in sub_gens:
             if not images_graph.member(words.conjugate(b, g)):
@@ -129,7 +129,7 @@ def gog_predicates(gog: GraphOfGroups, cap=32) -> GogReport:
             closure = malnormal_closure(im, cap)
             normal = _normal_in_closure(im, closure,
                                         [free_reduce(w, r_dst)
-                                         for w in e.images], r_dst)
+                                         for w in e.images])
         except CapExceededError:
             normal = None
         separated = None
@@ -291,8 +291,8 @@ def malnormal_persistence_check(P: AmalgamPresentation, h_gens, radius=3):
             return False
         return H.member(shift_word(w, -P.left_rank))
 
-    # ball of H elements (as loops in its core graph)
-    h_ball = _loop_ball(H, 4)
+    # ball of H elements: the nontrivial ones of length <= 4
+    h_ball = [w for w in reduced_words(H.rank, 4)[1:] if H.member(w)]
     h_imgs = [P.embed(shift_word(h, P.left_rank)) for h in h_ball]
 
     # conjugator candidates: reduced words of length <= radius
@@ -309,25 +309,3 @@ def malnormal_persistence_check(P: AmalgamPresentation, h_gens, radius=3):
                 return False, (x, h)
     return True, None
 
-
-def _loop_ball(H, max_len):
-    """Nontrivial basepoint loops of length <= max_len, deduplicated."""
-    out = []
-    seen = set()
-    stack = [((), 0)]
-    while stack:
-        path, v = stack.pop()
-        if len(path) >= max_len:
-            continue
-        for l in sorted({l for (u, l) in H.succ if u == v},
-                        key=words.letter_key):
-            if path and l == -path[-1]:
-                continue
-            w = H.succ[(v, l)][0]
-            p2 = path + (l,)
-            if w == 0 and p2 not in seen:
-                seen.add(p2)
-                out.append(p2)
-            stack.append((p2, w))
-    out.sort(key=shortlex_key)
-    return out

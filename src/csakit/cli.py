@@ -32,6 +32,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from importlib import resources
 from math import gcd
 
@@ -46,11 +47,6 @@ from .hnn import HnnPresentation
 from .words import concat, free_reduce, inverse, power
 from .wpengine import (AmalgamSpec, FreeByCyclicSpec, FreeProductCyclicsSpec,
                        FreeSpec, HnnSpec)
-
-COMMANDS = ("reduce", "check-malnormal", "check-separated",
-            "check-strict-separated", "classify", "falsify-csa",
-            "falsify-ct", "verify-obstacle", "gog-check", "abelianize",
-            "resp-obstruction", "repro")
 
 DEFAULT_RADIUS = 3
 DEFAULT_CAP = 32
@@ -541,12 +537,6 @@ class Report:
 # -- command implementations -------------------------------------------------
 
 
-def _need(src, kinds, command):
-    if src.kind not in kinds:
-        raise UnsupportedShapeError(
-            f"{command} does not support a {src.kind} source")
-
-
 def _cmd_reduce(src, flags):
     if flags.get("word") is None:
         raise CsakitError("reduce needs --word")
@@ -554,8 +544,6 @@ def _cmd_reduce(src, flags):
     w = p.parse_word(src.name_map)
     if p.peek().kind != "end":
         raise ParseError("trailing input after word", p.peek().pos)
-    if src.spec is None:
-        raise UnsupportedShapeError("reduce does not support this source")
     # an amalgam's normal form also uses its extension's stable letter
     out = word_to_str(src.spec.normal_word(w), src.names + ["t"])
     return Report("reduce", out), 0
@@ -567,7 +555,6 @@ def _sep_witness(wit, names):
 
 
 def _cmd_check_malnormal(src, flags):
-    _need(src, ("free", "hnn"), "check-malnormal")
     if src.kind == "hnn":
         pres = src.spec.pres
         targets = {"A": pres.A, "B": pres.B}
@@ -594,11 +581,9 @@ def _cmd_check_malnormal(src, flags):
 
 
 def _cmd_check_separated(src, flags, strict=False):
-    _need(src, ("hnn",), "check-separated")
     pres = src.spec.pres
-    cap = flags.get("cap", DEFAULT_CAP)
     if strict:
-        rep = hnn_mod.is_strictly_separated(pres, cap)
+        rep = hnn_mod.is_strictly_separated(pres, flags["cap"])
         cmd = "check-strict-separated"
     else:
         rep = hnn_mod.is_separated(pres)
@@ -612,7 +597,6 @@ def _cmd_check_separated(src, flags, strict=False):
 
 
 def _cmd_classify(src, flags):
-    _need(src, ("hnn",), "classify")
     cls = hnn_mod.classify_abelian_hnn(src.spec.pres)
     cite = CASE_CITATIONS.get(cls.case)
     witnesses = []
@@ -625,7 +609,6 @@ def _cmd_classify(src, flags):
 
 
 def _cmd_falsify_csa(src, flags):
-    _need(src, ("free", "fpc", "hnn", "amalgam", "fbc"), "falsify-csa")
     wit = csa_mod.falsify_csa(src.spec, flags.get("radius", DEFAULT_RADIUS))
     if wit is None:
         return Report("falsify-csa", "no-witness"), 0
@@ -635,7 +618,6 @@ def _cmd_falsify_csa(src, flags):
 
 
 def _cmd_falsify_ct(src, flags):
-    _need(src, ("free", "fpc", "hnn", "amalgam", "fbc"), "falsify-ct")
     wit = csa_mod.falsify_ct(src.spec, flags.get("radius", DEFAULT_RADIUS))
     if wit is None:
         return Report("falsify-ct", "no-witness"), 0
@@ -644,7 +626,6 @@ def _cmd_falsify_ct(src, flags):
 
 
 def _cmd_verify_obstacle(src, flags):
-    _need(src, ("free", "fpc", "hnn", "amalgam", "fbc"), "verify-obstacle")
     kind = flags.get("obstacle")
     if kind not in OBSTACLE_CITATIONS:
         raise CsakitError("verify-obstacle needs --obstacle "
@@ -685,8 +666,7 @@ def _cmd_verify_obstacle(src, flags):
 
 
 def _cmd_gog_check(src, flags):
-    _need(src, ("gog", "amalgam"), "gog-check")
-    cap = flags.get("cap", DEFAULT_CAP)
+    cap = flags["cap"]
     if src.kind == "amalgam":
         pres = src.spec.pres
         verdict, cite = amalgam_mod.amalgam_csa_verdict_abelian(pres)
@@ -716,7 +696,6 @@ def _cmd_gog_check(src, flags):
 
 
 def _cmd_abelianize(src, flags):
-    _need(src, ("free", "fpc", "hnn", "pres"), "abelianize")
     if len(src.relators) != 1:
         raise UnsupportedShapeError("abelianize needs exactly one relator")
     torsion, free_rank = csa_mod.abelianization_one_relator(
@@ -741,43 +720,6 @@ def _cmd_resp(flags):
     verdict = "obstructed" if blocked else "no-obstruction"
     return Report("resp-obstruction", verdict, [], ["Prop-res"],
                   details={"m": m, "n": n, "p": p}), 1 if blocked else 0
-
-
-def run(command, text, flags=None):
-    """Execute one command; returns (Report, exit_code)."""
-    flags = dict(flags or {})
-    flags.setdefault("cap", _default_cap())
-    t0 = time.monotonic()
-    if command == "resp-obstruction":
-        report, code = _cmd_resp(flags)
-    elif command == "repro":
-        report, code = _cmd_repro(flags)
-    else:
-        src = parse_source(text)
-        if command == "reduce":
-            report, code = _cmd_reduce(src, flags)
-        elif command == "check-malnormal":
-            report, code = _cmd_check_malnormal(src, flags)
-        elif command == "check-separated":
-            report, code = _cmd_check_separated(src, flags)
-        elif command == "check-strict-separated":
-            report, code = _cmd_check_separated(src, flags, strict=True)
-        elif command == "classify":
-            report, code = _cmd_classify(src, flags)
-        elif command == "falsify-csa":
-            report, code = _cmd_falsify_csa(src, flags)
-        elif command == "falsify-ct":
-            report, code = _cmd_falsify_ct(src, flags)
-        elif command == "verify-obstacle":
-            report, code = _cmd_verify_obstacle(src, flags)
-        elif command == "gog-check":
-            report, code = _cmd_gog_check(src, flags)
-        elif command == "abelianize":
-            report, code = _cmd_abelianize(src, flags)
-        else:
-            raise CsakitError(f"unknown command {command!r}")
-    report.timing = time.monotonic() - t0
-    return report, code
 
 
 # -- golden fixtures ---------------------------------------------------------
@@ -823,6 +765,50 @@ def _cmd_repro(flags):
     return Report("repro", f"{total}/{total} fixtures match"), 0
 
 
+# -- dispatch ----------------------------------------------------------------
+
+_GROUP_KINDS = ("free", "fpc", "hnn", "amalgam", "fbc")
+
+# command -> (implementation, the source kinds it accepts); None marks the
+# commands that read no source and take the flags alone
+COMMANDS = {
+    "reduce": (_cmd_reduce, _GROUP_KINDS),
+    "check-malnormal": (_cmd_check_malnormal, ("free", "hnn")),
+    "check-separated": (_cmd_check_separated, ("hnn",)),
+    "check-strict-separated": (partial(_cmd_check_separated, strict=True),
+                               ("hnn",)),
+    "classify": (_cmd_classify, ("hnn",)),
+    "falsify-csa": (_cmd_falsify_csa, _GROUP_KINDS),
+    "falsify-ct": (_cmd_falsify_ct, _GROUP_KINDS),
+    "verify-obstacle": (_cmd_verify_obstacle, _GROUP_KINDS),
+    "gog-check": (_cmd_gog_check, ("gog", "amalgam")),
+    "abelianize": (_cmd_abelianize, ("free", "fpc", "hnn", "pres")),
+    "resp-obstruction": (_cmd_resp, None),
+    "repro": (_cmd_repro, None),
+}
+
+
+def run(command, text, flags=None):
+    """Execute one command; returns (Report, exit_code)."""
+    if command not in COMMANDS:
+        raise CsakitError(f"unknown command {command!r}")
+    impl, kinds = COMMANDS[command]
+    flags = dict(flags or {})
+    if flags.get("cap") is None:
+        flags["cap"] = _default_cap()
+    t0 = time.monotonic()
+    if kinds is None:
+        report, code = impl(flags)
+    else:
+        src = parse_source(text)
+        if src.kind not in kinds:
+            raise UnsupportedShapeError(
+                f"{command} does not support a {src.kind} source")
+        report, code = impl(src, flags)
+    report.timing = time.monotonic() - t0
+    return report, code
+
+
 # -- entry point -------------------------------------------------------------
 
 
@@ -837,7 +823,7 @@ def _default_cap():
 
 
 def _read_source(arg, command):
-    if command in ("resp-obstruction", "repro"):
+    if COMMANDS[command][1] is None:
         return ""
     if arg is None:
         raise CsakitError(f"{command} needs a presentation source")
@@ -873,7 +859,7 @@ def main(argv=None):
     flags = {"radius": args.radius, "json": args.json,
              "word": args.word, "obstacle": args.obstacle,
              "images": args.images, "n": args.n, "m": args.m, "p": args.p,
-             "cap": args.cap if args.cap is not None else _default_cap()}
+             "cap": args.cap}
     try:
         text = _read_source(args.source, args.command)
         report, code = run(args.command, text, flags)

@@ -9,7 +9,8 @@ are TWords g0 t^e1 g1 ... t^en gn with base words between stable letters.
 from dataclasses import dataclass
 from typing import Optional
 
-from .stallings import fold, conj_intersection_trivial, malnormal_closure
+from .stallings import (SubgroupReport, conj_intersection_trivial, fold,
+                        malnormal_closure)
 from .words import (concat, conjugating_element, free_reduce, inverse,
                     is_proper_power, cyclic_reduce)
 
@@ -264,24 +265,13 @@ def hnn_cyclic_reduce(w: TWord, P: HnnPresentation):
     return c, conj
 
 
-@dataclass
-class SeparationReport:
-    verdict: bool
-    witness: Optional[tuple] = None  # (g, h) with 1 != h in A cap g^-1 B g
-
-    def __bool__(self):
-        return self.verdict
+def is_separated(P: HnnPresentation) -> SubgroupReport:
+    return SubgroupReport(*conj_intersection_trivial(P.A, P.B))
 
 
-def is_separated(P: HnnPresentation) -> SeparationReport:
-    ok, wit = conj_intersection_trivial(P.A, P.B)
-    return SeparationReport(ok, wit)
-
-
-def is_strictly_separated(P: HnnPresentation, cap=32) -> SeparationReport:
+def is_strictly_separated(P: HnnPresentation, cap=32) -> SubgroupReport:
     B1 = malnormal_closure(P.B, cap)
-    ok, wit = conj_intersection_trivial(P.A, B1)
-    return SeparationReport(ok, wit)
+    return SubgroupReport(*conj_intersection_trivial(P.A, B1))
 
 
 def separated_iff_strict_for_abelian(P: HnnPresentation, cap=32) -> bool:

@@ -7,6 +7,8 @@ abstract alphabet 1..k indexing the input generator list.
 """
 
 from collections import deque
+from dataclasses import dataclass
+from typing import Optional
 
 from . import words
 from .words import concat, free_reduce, inverse, shortlex_key
@@ -296,68 +298,57 @@ def _finish(parent, incident, find, rank, gens):
 # -- fiber products ---------------------------------------------------------
 
 
-def _components(A, B):
-    """Components of the unpointed fiber product of A and B.
+def _fiber_cycles(A, B, start, seen):
+    """Fundamental cycles of the component of start in the unpointed fiber
+    product of A and B.
 
-    Yields (vertices, edges) with vertices a sorted list of pairs and
-    edges a list of ((u1, v1), letter>0, (u2, v2))."""
-    pairs = [(u, v) for u in range(A.num_vertices)
-             for v in range(B.num_vertices)]
-    seen = set()
-    for start in pairs:
-        if start in seen:
-            continue
-        comp = []
-        comp_edges = []
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            (u, v) = queue.popleft()
-            comp.append((u, v))
-            for l in range(1, max(A.rank, B.rank) + 1):
-                for sl in (l, -l):
-                    a = A.succ.get((u, sl))
-                    b = B.succ.get((v, sl))
-                    if a is None or b is None:
-                        continue
-                    tgt = (a[0], b[0])
-                    if sl > 0:
-                        comp_edges.append(((u, v), sl, tgt))
-                    if tgt not in seen:
-                        seen.add(tgt)
-                        queue.append(tgt)
-        yield sorted(comp), comp_edges
-
-
-def _component_witnesses(A, B, comp, comp_edges):
-    """Witness words from a cycle-carrying fiber component.
-
-    Yields (g, h) with h != 1, h in A and g h g^-1 in B, one per
-    fundamental cycle of the component."""
-    root = comp[0]
-    tree = {root: ()}
-    queue = deque([root])
-    adj = {}
-    for (p, l, q) in comp_edges:
-        adj.setdefault(p, []).append((l, q))
-        adj.setdefault(q, []).append((-l, p))
+    One BFS from start, trying letters in letter_key order, records each
+    pair's tree path as it discovers the pair and adds the pair to seen.
+    Each positive edge to a pair discovered earlier, other than the tree
+    edge back to the parent, closes a cycle; it is yielded as the loop
+    word at start, which is already freely reduced."""
+    letters = [sl for l in range(1, max(A.rank, B.rank) + 1)
+               for sl in (l, -l)]
+    tree = {start: ()}
+    seen.add(start)
+    queue = deque([start])
     while queue:
         p = queue.popleft()
-        for (l, q) in sorted(adj.get(p, ()), key=lambda x: words.letter_key(x[0])):
+        u, v = p
+        path = tree[p]
+        for sl in letters:
+            a = A.succ.get((u, sl))
+            b = B.succ.get((v, sl))
+            if a is None or b is None:
+                continue
+            q = (a[0], b[0])
             if q not in tree:
-                tree[q] = tree[p] + (l,)
+                tree[q] = path + (sl,)
+                seen.add(q)
                 queue.append(q)
+            elif sl > 0 and not (path and path[-1] == -sl):
+                yield path + (sl,) + inverse(tree[q])
+
+
+def _witnesses(A, B, seen):
+    """Witness words from the fiber components whose pairs are not in seen.
+
+    Yields (g, h) with h != 1, h in A and g h g^-1 in B, one per
+    fundamental cycle; each component is rooted at its least pair."""
     pa = A.tree_paths()
     pb = B.tree_paths()
-    for (p, l, q) in comp_edges:
-        cyc = free_reduce(tree[p] + (l,) + inverse(tree[q]))
-        if not cyc:
-            continue  # tree edge
-        u, v = root
-        h = concat(pa[u], cyc, inverse(pa[u]))
-        g = concat(pb[v], inverse(pa[u]))
-        if h:
-            yield (g, h)
+    for u in range(A.num_vertices):
+        for v in range(B.num_vertices):
+            if (u, v) in seen:
+                continue
+            for cyc in _fiber_cycles(A, B, (u, v), seen):
+                yield (concat(pb[v], inverse(pa[u])),
+                       concat(pa[u], cyc, inverse(pa[u])))
+
+
+def _witness_key(witness):
+    g, h = witness
+    return shortlex_key(h), shortlex_key(g)
 
 
 def conj_intersection_trivial(A, B):
@@ -366,50 +357,35 @@ def conj_intersection_trivial(A, B):
     1 != h in A cap g^-1 B g (equivalently g h g^-1 in B)."""
     if A.is_trivial or B.is_trivial:
         return True, None
-    best = None
-    for comp, comp_edges in _components(A, B):
-        for (g, h) in _component_witnesses(A, B, comp, comp_edges):
-            # h in A and g h g^-1 in B, so h in A cap B^g with B^g = g^-1 B g
-            key = (shortlex_key(h), shortlex_key(g))
-            if best is None or key < best[0]:
-                best = (key, (g, h))
-    if best is None:
-        return True, None
-    return False, best[1]
+    best = min(_witnesses(A, B, set()), key=_witness_key, default=None)
+    return best is None, best
 
 
-class MalnormalityReport:
-    def __init__(self, verdict, witness=None):
-        self.verdict = verdict
-        self.witness = witness  # (g, h): h in H, g^-1 h g in H, g not in H
+@dataclass
+class SubgroupReport:
+    """Verdict of a malnormality or separation check.
+
+    For is_malnormal the witness (g, h) has h in H, g^-1 h g in H and g
+    not in H; for separation, 1 != h in A cap g^-1 B g."""
+    verdict: bool
+    witness: Optional[tuple] = None
 
     def __bool__(self):
         return self.verdict
-
-    def __repr__(self):
-        return f"MalnormalityReport({self.verdict}, {self.witness})"
 
 
 def is_malnormal(H):
     """H cap H^g = 1 for every g outside H, via the self fiber product
     with the diagonal component ignored."""
     if H.is_trivial:
-        return MalnormalityReport(True)
-    best = None
-    for comp, comp_edges in _components(H, H):
-        if comp[0][0] == comp[0][1]:
-            continue  # the diagonal is a full component
-        for (g, h) in _component_witnesses(H, H, comp, comp_edges):
-            gp = words.inverse(g)
-            if H.member(gp):
-                continue
-            key = (shortlex_key(h), shortlex_key(gp))
-            if best is None or key < best[0]:
-                best = (key, (gp, h))
-    if best is None:
-        return MalnormalityReport(True)
-    g, h = best[1]
-    return MalnormalityReport(False, (g, h))
+        return SubgroupReport(True)
+    # the diagonal pairs (w, w) form one component, so marking them seen
+    # skips it
+    diagonal = {(w, w) for w in range(H.num_vertices)}
+    found = ((inverse(g), h) for g, h in _witnesses(H, H, diagonal)
+             if not H.member(inverse(g)))
+    best = min(found, key=_witness_key, default=None)
+    return SubgroupReport(best is None, best)
 
 
 def malnormal_closure(H, cap=32):
@@ -436,10 +412,4 @@ def pointed_intersection_nontrivial(A, B):
     cycle)."""
     if A.is_trivial or B.is_trivial:
         return False
-    for comp, comp_edges in _components(A, B):
-        if (0, 0) not in comp:
-            continue
-        nv = len(comp)
-        ne = len(comp_edges)
-        return ne - nv + 1 >= 1
-    return False
+    return next(_fiber_cycles(A, B, (0, 0), set()), None) is not None

@@ -2,11 +2,12 @@ import random
 from collections import deque
 
 from csakit.errors import CapExceededError
-from csakit.stallings import _Edge, _finish, _merge_pair
+from csakit.stallings import _Edge, _finish, _merge_pair, _witnesses
 from csakit.stallings import (conj_intersection_trivial, fold, is_malnormal,
                               malnormal_closure,
                               pointed_intersection_nontrivial)
-from csakit.words import concat, conjugate, free_reduce, inverse, power
+from csakit.words import (concat, conjugate, free_reduce, inverse, letter_key,
+                          power, shortlex_key)
 
 
 def rand_word(rng, rank=3, max_len=4):
@@ -277,3 +278,148 @@ def test_fold_matches_three_branch_fold():
         assert got.succ == want.succ
         assert got.num_vertices == want.num_vertices
         assert got.generators == want.generators
+
+
+def two_pass_components(A, B):
+    """The fiber-product components before the spanning tree was recorded
+    during the one BFS: (sorted pairs, positive edges) per component."""
+    pairs = [(u, v) for u in range(A.num_vertices)
+             for v in range(B.num_vertices)]
+    seen = set()
+    for start in pairs:
+        if start in seen:
+            continue
+        comp = []
+        comp_edges = []
+        queue = deque([start])
+        seen.add(start)
+        while queue:
+            (u, v) = queue.popleft()
+            comp.append((u, v))
+            for l in range(1, max(A.rank, B.rank) + 1):
+                for sl in (l, -l):
+                    a = A.succ.get((u, sl))
+                    b = B.succ.get((v, sl))
+                    if a is None or b is None:
+                        continue
+                    tgt = (a[0], b[0])
+                    if sl > 0:
+                        comp_edges.append(((u, v), sl, tgt))
+                    if tgt not in seen:
+                        seen.add(tgt)
+                        queue.append(tgt)
+        yield sorted(comp), comp_edges
+
+
+def two_pass_witnesses(A, B, comp, comp_edges):
+    """The second BFS over a component's edges, rebuilding the same tree,
+    and a free reduction per edge to tell tree edges apart."""
+    root = comp[0]
+    tree = {root: ()}
+    queue = deque([root])
+    adj = {}
+    for (p, l, q) in comp_edges:
+        adj.setdefault(p, []).append((l, q))
+        adj.setdefault(q, []).append((-l, p))
+    while queue:
+        p = queue.popleft()
+        for (l, q) in sorted(adj.get(p, ()), key=lambda x: letter_key(x[0])):
+            if q not in tree:
+                tree[q] = tree[p] + (l,)
+                queue.append(q)
+    pa = A.tree_paths()
+    pb = B.tree_paths()
+    for (p, l, q) in comp_edges:
+        cyc = free_reduce(tree[p] + (l,) + inverse(tree[q]))
+        if not cyc:
+            continue  # tree edge
+        u, v = root
+        h = concat(pa[u], cyc, inverse(pa[u]))
+        g = concat(pb[v], inverse(pa[u]))
+        if h:
+            yield (g, h)
+
+
+def two_pass_conj(A, B):
+    if A.is_trivial or B.is_trivial:
+        return True, None
+    best = None
+    for comp, comp_edges in two_pass_components(A, B):
+        for (g, h) in two_pass_witnesses(A, B, comp, comp_edges):
+            key = (shortlex_key(h), shortlex_key(g))
+            if best is None or key < best[0]:
+                best = (key, (g, h))
+    if best is None:
+        return True, None
+    return False, best[1]
+
+
+def two_pass_malnormal(H):
+    if H.is_trivial:
+        return True, None
+    best = None
+    for comp, comp_edges in two_pass_components(H, H):
+        if comp[0][0] == comp[0][1]:
+            continue  # the diagonal is a full component
+        for (g, h) in two_pass_witnesses(H, H, comp, comp_edges):
+            gp = inverse(g)
+            if H.member(gp):
+                continue
+            key = (shortlex_key(h), shortlex_key(gp))
+            if best is None or key < best[0]:
+                best = (key, (gp, h))
+    if best is None:
+        return True, None
+    return False, best[1]
+
+
+def two_pass_pointed(A, B):
+    if A.is_trivial or B.is_trivial:
+        return False
+    for comp, comp_edges in two_pass_components(A, B):
+        if (0, 0) in comp:
+            return len(comp_edges) - len(comp) + 1 >= 1
+    return False
+
+
+def assert_matches_two_pass(A, B):
+    # every fundamental cycle, in order, not just the least witness
+    assert list(_witnesses(A, B, set())) == [
+        w for comp, comp_edges in two_pass_components(A, B)
+        for w in two_pass_witnesses(A, B, comp, comp_edges)]
+    rep = is_malnormal(A)
+    assert (rep.verdict, rep.witness) == two_pass_malnormal(A)
+    assert conj_intersection_trivial(A, B) == two_pass_conj(A, B)
+    assert pointed_intersection_nontrivial(A, B) == two_pass_pointed(A, B)
+
+
+def long_word(rng, rank, length):
+    """A freely reduced word of exactly the given length."""
+    w = []
+    while len(w) < length:
+        l = rng.choice([g * s for g in range(1, rank + 1) for s in (1, -1)])
+        if not (w and w[-1] == -l):
+            w.append(l)
+    return tuple(w)
+
+
+def test_fiber_products_match_two_pass_bfs():
+    rng = random.Random(83)
+    witnesses = 0
+    for _ in range(1500):
+        rank = rng.randint(1, 4)
+        gens = [[rand_word(rng, rank, max_len=rng.randint(1, 6))
+                 for _ in range(rng.randint(1, 3))] for _ in range(2)]
+        # a squared generator makes malnormality fail
+        if rng.random() < 0.4:
+            gens[0].append(gens[0][0] * 2)
+        A, B = fold(gens[0], rank), fold(gens[1], rank)
+        assert_matches_two_pass(A, B)
+        witnesses += not is_malnormal(A).verdict
+    assert witnesses > 200
+    big = fold([long_word(rng, 3, 40) for _ in range(4)] + [(1, 2) * 2], 3)
+    other = fold([long_word(rng, 3, 30) for _ in range(3)] + [(1, 2)], 3)
+    assert big.num_vertices > 100
+    assert not is_malnormal(big).verdict
+    assert not conj_intersection_trivial(big, other)[0]
+    assert_matches_two_pass(big, other)
