@@ -40,15 +40,22 @@ class AmalgamPresentation:
         """Word over the amalgam's displayed generators (left 1..rl, then
         right) into the extension <G*H, t | t^-1 a t = phi(a)>: left-factor
         letters map to their t-conjugates, right-factor letters to
-        themselves."""
-        t = self.free_product_rank + 1
-        out = []
+        themselves.  The word is freely reduced, so each maximal run of
+        left letters becomes one syllable t^-1 run t and no segment needs
+        reducing again."""
+        head = []
+        tail = []
+        cur = head
+        in_left = False
         for l in free_reduce(word, self.free_product_rank):
-            if abs(l) <= self.left_rank:
-                out.extend((-t, l, t))
-            else:
-                out.append(l)
-        return TWord.from_word(free_reduce(out), t)
+            if (-self.left_rank <= l <= self.left_rank) != in_left:
+                in_left = not in_left
+                cur = []
+                tail.append((-1 if in_left else 1, cur))
+            cur.append(l)
+        if in_left:
+            tail.append((1, []))
+        return TWord(tuple(head), tuple((e, tuple(g)) for (e, g) in tail))
 
 
 def amalgam_csa_verdict_abelian(P: AmalgamPresentation):

@@ -15,6 +15,8 @@ from .words import (check_radius, commutator, concat, conjugate, free_reduce,
                     gcd_many, inverse, power, reduced_words)
 
 MAX_EXPONENT = 100_000
+# the most reduced words a falsifier ball may hold, the identity included
+MAX_BALL_WORDS = 5000
 
 
 # -- ball enumeration -------------------------------------------------------
@@ -23,10 +25,33 @@ MAX_EXPONENT = 100_000
 def ball(spec, radius):
     """Freely reduced words of length <= radius over the displayed
     generators, in shortlex order, one per element through the group's
-    canonical form.  The identity is omitted."""
-    words = reduced_words(num_generators(spec), radius)
+    canonical form.  The identity is omitted.  Raises ValueError before
+    enumerating when there are more than MAX_BALL_WORDS reduced words."""
+    rank = num_generators(spec)
+    _check_ball_size(rank, radius)
+    words = reduced_words(rank, radius)
     # reduced_words lists the identity first
     return _distinct(words, lambda w: canonical_key(w, spec))[1:]
+
+
+def _check_ball_size(rank, radius):
+    """Count the reduced words of length <= radius over rank generators
+    in closed form, 1 + 2r((2r-1)^R - 1)/(2r - 2) or 1 + 2R for r = 1,
+    and raise ValueError above MAX_BALL_WORDS."""
+    check_radius(radius)
+    if rank == 0:
+        return
+    if 2 * radius >= MAX_BALL_WORDS:
+        # at least 1 + 2R words; the closed form would be a huge integer
+        count = f"more than {MAX_BALL_WORDS}"
+    else:
+        count = 1 + 2 * radius if rank == 1 else \
+            1 + rank * ((2 * rank - 1) ** radius - 1) // (rank - 1)
+        if count <= MAX_BALL_WORDS:
+            return
+    raise ValueError(
+        f"the ball of radius {radius} over {rank} generators has {count} "
+        f"reduced words, over the limit of {MAX_BALL_WORDS}; lower --radius")
 
 
 def _distinct(words, key):

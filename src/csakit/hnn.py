@@ -51,22 +51,28 @@ class HnnPresentation:
     def pinch(self, e, g):
         """Image of the base word g across the pinch t^e g t^-e: phi(g)
         for e = -1, phi^-1(g) for e = 1; None when g lies outside A
-        (e = -1) or B (e = 1), so that there is no pinch."""
-        expr = (self.A if e < 0 else self.B).express(g)
+        (e = -1) or B (e = 1), so that there is no pinch.  g must be
+        freely reduced over the base letters; it is not checked."""
+        expr = (self.A if e < 0 else self.B)._express(g)
         if expr is None:
             return None
+        return self._image(e, expr)
+
+    def _image(self, e, expr):
+        """The word that an expression over the basis of A (e = -1) or
+        B (e = 1) maps to across the stable letter."""
         images = self._images[e]
         return concat(*[images[i] for i in expr])
 
     def phi(self, a):
         """Image of a in B; a must lie in A."""
-        b = self.pinch(-1, a)
+        b = self.pinch(-1, free_reduce(a, self.base_rank))
         if b is None:
             raise ValueError(f"{a} is not in the associated subgroup A")
         return b
 
     def phi_inv(self, b):
-        a = self.pinch(1, b)
+        a = self.pinch(1, free_reduce(b, self.base_rank))
         if a is None:
             raise ValueError(f"{b} is not in the associated subgroup B")
         return a
@@ -131,18 +137,26 @@ class TWord:
 
     @staticmethod
     def from_word(word, t_letter):
-        """Split a word over base letters plus +-t_letter into a TWord."""
+        """Split a word over base letters plus +-t_letter into a TWord,
+        freely reducing each base segment."""
+        w = TWord._split_reduced(word, t_letter)
+        return TWord(free_reduce(w.head),
+                     tuple((e, free_reduce(g)) for (e, g) in w.tail))
+
+    @staticmethod
+    def _split_reduced(word, t_letter):
+        """from_word for a freely reduced word, whose segments are
+        freely reduced already: one pass, no segment is reduced again."""
         head = []
         tail = []
         cur = head
         for l in word:
             if abs(l) == t_letter:
-                tail.append([1 if l > 0 else -1, []])
-                cur = tail[-1][1]
+                cur = []
+                tail.append((1 if l > 0 else -1, cur))
             else:
                 cur.append(l)
-        return TWord(free_reduce(head),
-                     tuple((e, free_reduce(g)) for (e, g) in tail))
+        return TWord(tuple(head), tuple((e, tuple(g)) for (e, g) in tail))
 
 
 _UNSEEN = object()
@@ -220,14 +234,11 @@ def normal_form(w: TWord, P: HnnPresentation) -> tuple:
     tail = list(r.tail)
     for i in range(len(tail) - 1, -1, -1):
         e, g = tail[i]
-        # t * b = phi^-1(b) * t ; t^-1 * a = phi(a) * t^-1
-        if e == 1:
-            rep = P.B.coset_rep(g)
-            hop = P.phi_inv(concat(g, inverse(rep)))
-        else:
-            rep = P.A.coset_rep(g)
-            hop = P.phi(concat(g, inverse(rep)))
+        # t * b = phi^-1(b) * t ; t^-1 * a = phi(a) * t^-1, with b = g rep^-1
+        # in B or a = g rep^-1 in A, both from one walk along g
+        rep, expr = (P.A if e < 0 else P.B)._coset_split(g)
         tail[i] = (e, rep)
+        hop = P._image(e, expr)
         if i == 0:
             head = concat(head, hop)
         else:

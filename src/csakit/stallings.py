@@ -38,6 +38,7 @@ class CoreGraph:
         self.succ = succ
         self.generators = generators  # input generator words (reduced, nontrivial)
         self._tree_paths = None
+        self._tree_back_exprs = None
 
     # -- basic automaton queries -------------------------------------------
 
@@ -58,7 +59,10 @@ class CoreGraph:
     def express(self, word):
         """Rewrite a basepoint loop as a word over the generator alphabet
         (1..len(generators)); None if word is not in the subgroup."""
-        word = free_reduce(word, self.rank)
+        return self._express(free_reduce(word, self.rank))
+
+    def _express(self, word):
+        """express for a freely reduced word over 1..rank, unchecked."""
         v = 0
         expr = []
         for l in word:
@@ -107,6 +111,22 @@ class CoreGraph:
             self._tree_paths = paths
         return self._tree_paths
 
+    def _tree_back(self):
+        """For each vertex, the expression of its tree path inverted:
+        the tags read from the vertex back to the basepoint along the
+        tree (cached like tree_paths)."""
+        if self._tree_back_exprs is None:
+            back = {}
+            # tree_paths lists each vertex after its tree parent
+            for v, path in self.tree_paths().items():
+                if path:
+                    u, tag = self.succ[(v, -path[-1])]
+                    back[v] = concat(tag, back[u])
+                else:
+                    back[v] = ()
+            self._tree_back_exprs = back
+        return self._tree_back_exprs
+
     def coset_rep(self, word):
         """Canonical representative of the right coset H*word.
 
@@ -121,6 +141,31 @@ class CoreGraph:
                 return concat(self.tree_paths()[v], word[i:])
             v = hit[0]
         return self.tree_paths()[v]
+
+    def _coset_split(self, word):
+        """(coset_rep(word), express(word * rep^-1)) from one walk, for a
+        freely reduced word over 1..rank, unchecked.
+
+        The walk reads word up to the vertex v where it leaves the graph
+        (or ends); word * rep^-1 is that read prefix followed by v's tree
+        path backwards, so its expression is the tags read so far followed
+        by v's inverted tree-path expression."""
+        v = 0
+        expr = []
+        rest = ()
+        for i, l in enumerate(word):
+            hit = self.succ.get((v, l))
+            if hit is None:
+                rest = word[i:]
+                break
+            v, tag = hit
+            for t in tag:
+                if expr and expr[-1] == -t:
+                    expr.pop()
+                else:
+                    expr.append(t)
+        return (concat(self.tree_paths()[v], rest),
+                concat(expr, self._tree_back()[v]))
 
 
 def fold(generators, rank):

@@ -81,7 +81,8 @@ class HnnSpec(BrittonSpec):
         self.rank = pres.base_rank + 1
 
     def tword(self, word):
-        return hnn_mod.TWord.from_word(free_reduce(word, self.rank), self.rank)
+        return hnn_mod.TWord._split_reduced(free_reduce(word, self.rank),
+                                            self.rank)
 
 
 class AmalgamSpec(BrittonSpec):
@@ -145,32 +146,33 @@ def _fbc_twist(w, k):
     if k == 0:
         return w
     out = []
-    push = out.append
     for l in w:
-        if l == FIB_X:
-            push(FIB_X)
-            _push_power(out, FIB_D, -k)
-        elif l == -FIB_X:
-            _push_power(out, FIB_D, k)
-            if out and out[-1] == FIB_X:
-                out.pop()
-            else:
-                push(-FIB_X)
-        else:
-            if out and out[-1] == -l:
-                out.pop()
-            else:
-                push(l)
-    return free_reduce(out)
+        _push_twisted(out, l, k)
+    return tuple(out)
+
+
+def _push_twisted(out, l, k):
+    """Push the image of the fiber letter l under the k-th power of the
+    automorphism (x -> x d^-k, x^-1 -> d^k x^-1, d -> d) onto the
+    freely reduced stack out."""
+    if l == FIB_X:
+        _push_power(out, FIB_X, 1)
+        _push_power(out, FIB_D, -k)
+    elif l == -FIB_X:
+        _push_power(out, FIB_D, k)
+        _push_power(out, FIB_X, -1)
+    else:
+        _push_power(out, l, 1)
 
 
 def _push_power(out, letter, k):
+    """Push letter^k onto the freely reduced stack out."""
     step = letter if k > 0 else -letter
-    for _ in range(abs(k)):
-        if out and out[-1] == -step:
-            out.pop()
-        else:
-            out.append(step)
+    n = abs(k)
+    while n and out and out[-1] == -step:
+        out.pop()
+        n -= 1
+    out.extend([step] * n)
 
 
 def fc_mul(a, b):
@@ -180,20 +182,28 @@ def fc_mul(a, b):
     return (concat(w1, _fbc_twist(w2, k1)), k1 + k2)
 
 
+# displayed letter -> fiber letter
+_FIBER = {FBC_X: FIB_X, -FBC_X: -FIB_X, FBC_D: FIB_D, -FBC_D: -FIB_D}
+
+
 def fc_normal_form(word):
     """Unique (fiber word over {d=1, x=2}, y-exponent) for a word over
-    the displayed generators x, y, d."""
-    acc = ((), 0)
+    the displayed generators x, y, d.
+
+    One pass keeps the running y-exponent k and a freely reduced stack
+    of fiber letters: y^k f = twist^k(f) y^k, so each fiber letter f is
+    pushed twisted by the y-exponent read before it.  The cost is linear
+    in the input plus the d-runs the twists push."""
+    out = []
+    k = 0
     for l in free_reduce(word, 3):
-        g = abs(l)
-        s = 1 if l > 0 else -1
-        if g == FBC_X:
-            acc = fc_mul(acc, ((s * FIB_X,), 0))
-        elif g == FBC_D:
-            acc = fc_mul(acc, ((s * FIB_D,), 0))
+        if l == FBC_Y:
+            k += 1
+        elif l == -FBC_Y:
+            k -= 1
         else:
-            acc = fc_mul(acc, ((), s))
-    return acc
+            _push_twisted(out, _FIBER[l], k)
+    return tuple(out), k
 
 
 # -- the interface as functions ---------------------------------------------

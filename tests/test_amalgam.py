@@ -7,7 +7,7 @@ from csakit.amalgam import (AmalgamPresentation, GogEdge, GraphOfGroups,
                             fundamental_group_presentation, gog_predicates,
                             malnormal_persistence_check)
 from csakit.errors import UnsupportedShapeError
-from csakit.hnn import britton_reduce, is_identity, normal_form
+from csakit.hnn import TWord, britton_reduce, is_identity, normal_form
 from csakit.words import free_reduce, power
 
 
@@ -32,6 +32,23 @@ def test_identity_maps_to_identity():
     P = AmalgamPresentation(2, 2, [(1,)], [(1, 1)])
     assert is_identity(P.embed(()), P.extension)
     assert is_identity(P.embed((1, -1)), P.extension)
+
+
+def test_embed_matches_letterwise_conjugates():
+    """embed against its definition: every left letter l becomes
+    t^-1 l t, then the whole word is reduced and split at t."""
+    rng = random.Random(29)
+    for left, right in ((1, 1), (2, 2), (2, 1), (1, 3)):
+        P = AmalgamPresentation(left, right, [(1,)], [(1,)])
+        n, t = left + right, left + right + 1
+        for _ in range(500):
+            word = tuple(rng.choice([s * k for k in range(1, n + 1)
+                                     for s in (1, -1)])
+                         for _ in range(rng.randrange(15)))
+            out = []
+            for l in free_reduce(word, n):
+                out.extend((-t, l, t) if abs(l) <= left else (l,))
+            assert P.embed(word) == TWord.from_word(free_reduce(out), t)
 
 
 def test_embedding_injective_on_syllable_forms():

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -164,6 +165,19 @@ def test_main_rejects_negative_radius(capsys):
     assert main(["verify-obstacle", "< x, y | x^2 >", "--obstacle", "dinf",
                  "--images", "x, y^-1 x y", "--radius", "-1"]) == 2
     assert "radius" in capsys.readouterr().err
+
+
+def test_main_rejects_a_ball_over_the_limit(capsys):
+    start = time.perf_counter()
+    assert main(["falsify-csa", "< a, b, c, d >", "--radius", "6"]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "156865" in err and str(csa.MAX_BALL_WORDS) in err
+    assert "--radius" in err
+    # radius 5 on 4 generators is over the limit, on 3 generators not
+    with pytest.raises(ValueError):
+        csa.ball(FreeSpec(4), 5)
+    assert len(csa.ball(FreeSpec(3), 5)) == 4686
 
 
 def test_main_rejects_deep_nesting(capsys):

@@ -1,5 +1,6 @@
 """The single-pass Britton kernel against the restart-scan reducer it
-replaced, and the falsifiers built on it against brute-force scans."""
+replaced, the one-walk normal form against the two-walk one, and the
+falsifiers built on it against brute-force scans."""
 
 import random
 
@@ -7,7 +8,9 @@ import pytest
 
 from csakit import csa
 from csakit.amalgam import AmalgamPresentation
-from csakit.hnn import HnnPresentation, TWord, britton_reduce
+from csakit.errors import MalformedWordError
+from csakit.hnn import HnnPresentation, TWord, britton_reduce, normal_form
+from csakit.stallings import fold
 from csakit.words import concat, conjugate, free_reduce, inverse
 from csakit.wpengine import AmalgamSpec, HnnSpec, commutes, is_trivial
 
@@ -211,3 +214,72 @@ def test_falsifiers_match_brute_force():
         ct_hits += want_ct is not None
     assert 5 <= csa_hits <= len(SEARCHES) - 5
     assert 3 <= ct_hits <= len(SEARCHES) - 5
+
+
+# -- the one-walk normal form ------------------------------------------------
+
+
+def two_walk_normal_form(w, P):
+    """normal_form before the one-walk split: coset_rep, then phi or
+    phi_inv of g rep^-1, a second walk."""
+    r = britton_reduce(w, P)
+    head = r.head
+    tail = list(r.tail)
+    for i in range(len(tail) - 1, -1, -1):
+        e, g = tail[i]
+        if e == 1:
+            rep = P.B.coset_rep(g)
+            hop = P.phi_inv(concat(g, inverse(rep)))
+        else:
+            rep = P.A.coset_rep(g)
+            hop = P.phi(concat(g, inverse(rep)))
+        tail[i] = (e, rep)
+        if i == 0:
+            head = concat(head, hop)
+        else:
+            pe, pg = tail[i - 1]
+            tail[i - 1] = (pe, concat(pg, hop))
+    return (head, tuple(tail))
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_one_walk_normal_form_matches_two_walks(name):
+    P = GROUPS[name]
+    rng = random.Random(f"normal:{name}")
+    hops = 0
+    for _ in range(300):
+        w = rand_tword(rng, P)
+        want = two_walk_normal_form(w, P)
+        assert normal_form(w, P) == want
+        hops += want[0] != britton_reduce(w, P).head
+    assert hops > 20
+
+
+def rand_letters(rng, rank, length):
+    return tuple(rng.choice([s * k for k in range(1, rank + 1)
+                             for s in (1, -1)]) for _ in range(length))
+
+
+def test_coset_split_matches_coset_rep_and_express():
+    rng = random.Random(97)
+    for rank in range(1, 5):
+        for _ in range(60):
+            gens = [free_reduce(rand_letters(rng, rank, rng.randint(1, 6)))
+                    for _ in range(rng.randint(1, 4))]
+            H = fold(gens, rank)
+            for _ in range(20):
+                w = free_reduce(rand_letters(rng, rank, rng.randint(0, 12)))
+                rep = H.coset_rep(w)
+                assert H._coset_split(w) == \
+                    (rep, H.express(concat(w, inverse(rep))))
+
+
+def test_public_graph_reads_check_their_input():
+    H = fold([(1, 2), (2, -1)], 2)
+    for bad in ((1, 3), (-3,), (1, 0)):
+        for read in (H.member, H.express, H.coset_rep):
+            with pytest.raises(MalformedWordError):
+                read(bad)
+    # unreduced input is reduced before the walk
+    assert H.member((1, 1, -1, 2)) and H.express((1, 1, -1, 2)) == (1,)
+    assert H.coset_rep((2, 2, -2)) == H.coset_rep((2,))

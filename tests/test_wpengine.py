@@ -2,15 +2,16 @@ import random
 
 import pytest
 
-from csakit.errors import UnsupportedBaseError
+from csakit.errors import MalformedWordError, UnsupportedBaseError
 from csakit.hnn import HnnPresentation
-from csakit.wpengine import (FBC_D, FBC_X, FBC_Y, AmalgamSpec,
+from csakit.wpengine import (FBC_D, FBC_X, FBC_Y, FIB_D, FIB_X, AmalgamSpec,
                              FreeByCyclicSpec, FreeProductCyclicsSpec,
                              FreeSpec, HnnSpec, canonical_key, commutes,
                              equal, fc_mul, fc_normal_form, fpc_normal_form,
                              is_trivial, num_generators)
 from csakit.amalgam import AmalgamPresentation
-from csakit.words import commutator, concat, conjugate, free_reduce, power
+from csakit.words import (commutator, concat, conjugate, free_reduce, inverse,
+                          power)
 
 
 def rand_word(rng, rank=2, max_len=6):
@@ -76,6 +77,64 @@ def test_fc_mul_is_homomorphic():
         lhs = fc_normal_form(tuple(w1) + tuple(w2))
         rhs = fc_mul(fc_normal_form(w1), fc_normal_form(w2))
         assert lhs == rhs
+
+
+def reference_twist(w, k):
+    """twist^k of a fiber word, letter by letter, kept apart from the
+    library's helpers so that it checks them independently."""
+    out = []
+    for l in w:
+        image = [l]
+        if abs(l) == FIB_X:
+            run = [FIB_D if k < 0 else -FIB_D] * abs(k)
+            image = [FIB_X] + run if l > 0 else \
+                [-d for d in reversed(run)] + [-FIB_X]
+        out = list(concat(out, image))
+    return tuple(out)
+
+
+def fold_fc_mul(word):
+    """The free-by-cyclic normal form as a fold of semidirect products,
+    one per letter: (w1, k1) * (w2, k2) = (w1 twist^k1(w2), k1 + k2)."""
+    w, k = (), 0
+    for l in free_reduce(word, 3):
+        g = abs(l)
+        s = 1 if l > 0 else -1
+        if g == FBC_Y:
+            k += s
+        else:
+            fib = FIB_X if g == FBC_X else FIB_D
+            w = concat(w, reference_twist((s * fib,), k))
+    return w, k
+
+
+def test_fc_normal_form_matches_fc_mul_fold():
+    rng = random.Random(41)
+    letters = (FBC_X, -FBC_X, FBC_D, -FBC_D)
+    reached = set()
+    for i in range(2400):
+        if i % 3 == 0:
+            # not freely reduced: letters drawn independently
+            word = rand_word(rng, 3, 40)
+        else:
+            # a y-run to a running exponent of up to +-50, fiber letters
+            # twisted by it, and a partial way back
+            k = rng.randint(-50, 50)
+            y = (FBC_Y,) if k > 0 else (-FBC_Y,)
+            word = (rand_word(rng, 3, 6) + y * abs(k) +
+                    tuple(rng.choice(letters)
+                          for _ in range(rng.randrange(12))) +
+                    inverse(y) * rng.randrange(abs(k) + 1) +
+                    rand_word(rng, 3, 6))
+            reached.add(k)
+        assert fc_normal_form(word) == fold_fc_mul(word), word
+    assert {50, -50} <= reached
+
+
+def test_fc_normal_form_rejects_letters_outside_rank():
+    for word in ((FBC_X, 4), (-4,), (FBC_Y, 0)):
+        with pytest.raises(MalformedWordError):
+            fc_normal_form(word)
 
 
 def test_canonical_key_matches_triviality():
