@@ -50,8 +50,8 @@ def _check_ball_size(rank, radius):
         if count <= MAX_BALL_WORDS:
             return
     raise ValueError(
-        f"the ball of radius {radius} over {rank} generators has {count} "
-        f"reduced words, over the limit of {MAX_BALL_WORDS}; lower --radius")
+        f"the ball of radius {radius} has {count} words, over the limit "
+        f"of {MAX_BALL_WORDS}; lower --radius")
 
 
 def _distinct(words, key):
@@ -83,35 +83,101 @@ class CtWitness:
 
 
 def _search_context(elements, spec):
-    """Indexed commutation tests over a fixed element list.  Britton
-    specs reduce each commutator as a stream of pre-reduced TWords,
-    sharing one pinch memo for the whole search."""
-    if isinstance(spec, BrittonSpec):
-        P = spec.ext
-        memo = {}
-        tws = [britton_reduce(spec.tword(w), P, memo=memo) for w in elements]
-        invs = [tw.inv() for tw in tws]
-
+    """The commutation tests of a search over a fixed element list:
+    comm(i, j) for [a, b] = 1, cached, and conj_commutes(i, j) for
+    [a, v^-1 a v] = 1.  Britton specs reduce each commutator as a stream
+    of pre-reduced TWords, built on first use and sharing one pinch memo
+    for the whole search."""
+    if not isinstance(spec, BrittonSpec):
         def commutes_idx(i, j):
-            return is_identity(tws[i], P, tws[j], invs[i], invs[j],
-                               memo=memo)
+            return commutes(elements[i], elements[j], spec)
 
         def conj_commutes(i, j):
-            # [a, v^-1 a v] streamed as a . v^-1 a v . a^-1 . v^-1 a^-1 v
-            a, a_inv, v, v_inv = tws[i], invs[i], tws[j], invs[j]
-            return is_identity(a, P, v_inv, a, v, a_inv, v_inv, a_inv, v,
-                               memo=memo)
+            return commutes(elements[i],
+                            conjugate(elements[i], elements[j]), spec)
 
-        return commutes_idx, conj_commutes
+        return _cached_pairwise(commutes_idx), conj_commutes
+
+    P = spec.ext
+    memo = {}
+    tws = [None] * len(elements)
+
+    def tword(i):
+        """The reduced TWord of element i and its inverse."""
+        r = tws[i]
+        if r is None:
+            w = britton_reduce(spec.tword(elements[i]), P, memo=memo)
+            r = tws[i] = (w, w.inv())
+        return r
 
     def commutes_idx(i, j):
-        return commutes(elements[i], elements[j], spec)
+        (a, a_inv), (b, b_inv) = tword(i), tword(j)
+        return is_identity(a, P, b, a_inv, b_inv, memo=memo)
 
     def conj_commutes(i, j):
-        return commutes(elements[i],
-                        conjugate(elements[i], elements[j]), spec)
+        # [a, v^-1 a v] streamed as a . v^-1 a v . a^-1 . v^-1 a^-1 v
+        (a, a_inv), (v, v_inv) = tword(i), tword(j)
+        return is_identity(a, P, v_inv, a, v, a_inv, v_inv, a_inv, v,
+                           memo=memo)
 
-    return commutes_idx, conj_commutes
+    return _quotient_filter(elements, spec, _cached_pairwise(commutes_idx),
+                            conj_commutes)
+
+
+def _quotient_filter(elements, spec, comm, conj_commutes):
+    """Put a permutation quotient rho of spec.ext in front of the two
+    tests: a pair with rho([a, b]) != 1, or rho([a, v^-1 a v]) != 1, is
+    answered False without calling the test.  Exact, since a
+    homomorphism sends a trivial commutator to 1; the tests alone when
+    no quotient was found.  Images are built on first use, each from
+    the image of its word's prefix."""
+    # imported on first use: only these searches need it, so a command
+    # that runs none of them does not pay for its import
+    from . import quotients
+    P = spec.ext
+    rho = quotients.permutation_quotients(P)
+    if rho is None:
+        return comm, conj_commutes
+    t = P.base_rank + 1
+    identity = bytes(range(len(rho[1])))
+    letters = {l: quotients.table(quotients.evaluate(
+        spec.tword((l,)).flatten(t), rho, identity))
+        for g in range(1, spec.rank + 1) for l in (g, -g)}
+    prefixes = {(): identity}
+
+    def word_image(w):
+        p = prefixes.get(w)
+        if p is None:
+            p = prefixes[w] = word_image(w[:-1]).translate(letters[w[-1]])
+        return p
+
+    images = [None] * len(elements)
+    inverses = [None] * len(elements)
+
+    def image(i):
+        """rho(a_i) and its translation table."""
+        r = images[i]
+        if r is None:
+            p = word_image(elements[i])
+            r = images[i] = (p, quotients.table(p))
+        return r
+
+    def filtered_comm(i, j):
+        a, ta = image(i)
+        b, tb = image(j)
+        return a.translate(tb) == b.translate(ta) and comm(i, j)
+
+    def filtered_conj_commutes(i, j):
+        a, ta = image(i)
+        v, tv = image(j)
+        v_inv = inverses[j]
+        if v_inv is None:
+            v_inv = inverses[j] = quotients.inv(v)
+        c = v_inv.translate(ta).translate(tv)
+        return a.translate(quotients.table(c)) == c.translate(ta) \
+            and conj_commutes(i, j)
+
+    return filtered_comm, filtered_conj_commutes
 
 
 def _cached_pairwise(commutes_idx):
@@ -145,8 +211,7 @@ def falsify_csa(spec, radius=3) -> Optional[CsaWitness]:
     """First pair (a, v) in shortlex order with a != 1, [a, a^v] = 1 and
     [a, v] != 1.  A hit disproves CSA; a miss proves nothing."""
     elements = ball(spec, radius)
-    commutes_idx, conj_commutes = _search_context(elements, spec)
-    comm = _cached_pairwise(commutes_idx)
+    comm, conj_commutes = _search_context(elements, spec)
     index = {w: i for i, w in enumerate(elements)}
     # (a, v) is a hit iff (a, v^-1) is, and iff (a^-1, v) is, while
     # (a, a^-1) never is: skip every v, and every row a, whose literal
@@ -167,14 +232,20 @@ def falsify_csa(spec, radius=3) -> Optional[CsaWitness]:
 def falsify_ct(spec, radius=3) -> Optional[CtWitness]:
     """First triple with [a,b] = 1, [b,c] = 1 but [a,c] != 1."""
     elements = ball(spec, radius)
-    commutes_idx, _ = _search_context(elements, spec)
-    comm = _cached_pairwise(commutes_idx)
-    pairs = {i: [j for j in range(len(elements))
-                 if j != i and comm(i, j)]
-             for i in range(len(elements))}
+    comm, _ = _search_context(elements, spec)
+    rows = {}
+
+    def row(i):
+        """The j != i with [a_i, a_j] = 1, listed on first use."""
+        r = rows.get(i)
+        if r is None:
+            r = rows[i] = [j for j in range(len(elements))
+                           if j != i and comm(i, j)]
+        return r
+
     for i, a in enumerate(elements):
-        for j in pairs[i]:
-            for k in pairs[j]:
+        for j in row(i):
+            for k in row(j):
                 if k != i and not comm(i, k):
                     return CtWitness(a, elements[j], elements[k])
     return None
@@ -187,6 +258,11 @@ OBSTACLE_CALB = "calb"     # F2 x Z, generators p=1, q=2, central z=3
 OBSTACLE_B1N = "b1n"       # <x,y | y x y^-1 = x^n>, x=1, y=2
 
 
+# rank whose reduced-word count is the size of the obstacle ball before
+# deduplication; dinf's alternating words count as words in one letter
+_OBSTACLE_RANKS = {OBSTACLE_DINF: 1, OBSTACLE_CALB: 3, OBSTACLE_B1N: 2}
+
+
 @dataclass
 class ObstacleWitness:
     kind: str
@@ -197,7 +273,11 @@ class ObstacleWitness:
 
 def _obstacle_ball(kind, radius, n=None):
     """Pairwise distinct obstacle elements (as words over obstacle
-    generators) of length <= radius, identity included."""
+    generators) of length <= radius, identity included.  Raises
+    ValueError before enumerating when there are more than
+    MAX_BALL_WORDS words: the 1 + 2R alternating words of dinf, the
+    reduced words over 3 (calb) or 2 (b1n) generators."""
+    _check_ball_size(_OBSTACLE_RANKS.get(kind, 0), radius)
     if kind == OBSTACLE_DINF:
         out = [()]
         for first in (1, 2):

@@ -1,5 +1,5 @@
-"""HNN extensions over free bases: Britton reduction, lengths, separation
-tests, and the classifier for cyclic associated subgroups.
+"""HNN extensions over free bases: Britton reduction, normal forms,
+separation tests, and the classifier for cyclic associated subgroups.
 
 An extension is <G, t | t^-1 a t = phi(a), a in A> with G free; A and B are
 given by generator words and phi by the generator correspondence.  Elements
@@ -115,18 +115,6 @@ class TWord:
         merged = self.tail[:-1] + ((last_e, concat(last_g, other.head)),)
         return TWord(self.head, merged + other.tail)
 
-    def conjugate(self, v):
-        """v^-1 * self * v."""
-        return v.inv().mul(self).mul(v)
-
-    def pow(self, n):
-        if n < 0:
-            return self.inv().pow(-n)
-        out = TWord(())
-        for _ in range(n):
-            out = out.mul(self)
-        return out
-
     def flatten(self, t_letter):
         """Back to a single word with the stable letter as t_letter."""
         out = list(self.head)
@@ -208,10 +196,6 @@ def britton_reduce(w: TWord, P: HnnPresentation, *factors, memo=None) -> TWord:
     return TWord(head, tuple(stack))
 
 
-def hnn_length(w: TWord, P: HnnPresentation) -> int:
-    return britton_reduce(w, P).t_length
-
-
 def is_identity(w: TWord, P: HnnPresentation, *factors, memo=None) -> bool:
     """True iff the product w * factors[0] * ... is trivial."""
     r = britton_reduce(w, P, *factors, memo=memo)
@@ -245,35 +229,6 @@ def normal_form(w: TWord, P: HnnPresentation) -> tuple:
             pe, pg = tail[i - 1]
             tail[i - 1] = (pe, concat(pg, hop))
     return (head, tuple(tail))
-
-
-def hnn_cyclic_reduce(w: TWord, P: HnnPresentation):
-    """Return (c, conj) with w = conj * c * conj^-1 and c cyclically
-    reduced in the HNN sense (no pinch across the wrap)."""
-    c = britton_reduce(w, P)
-    conj = TWord(())
-    while c.t_length >= 1:
-        e1 = c.tail[0][0]
-        en, gn = c.tail[-1]
-        wrap = concat(gn, c.head)
-        pinch = (en == -1 and e1 == 1 and P.A.member(wrap)) or \
-                (en == 1 and e1 == -1 and P.B.member(wrap))
-        if not pinch:
-            break
-        # conjugate by g0 t^{e1}: the wrap pinch becomes internal and cancels
-        u = TWord(c.head, ((e1, ()),))
-        c = britton_reduce(u.inv(), P, c, u)
-        conj = conj.mul(u)
-    if c.t_length == 0:
-        core, p = cyclic_reduce(c.head)
-        return TWord(core), conj.mul(TWord(p))
-    if c.head:
-        # absorb the leading base word into the conjugator
-        u = TWord(c.head)
-        c = TWord((), c.tail[:-1] + ((c.tail[-1][0],
-                                      concat(c.tail[-1][1], c.head)),))
-        conj = conj.mul(u)
-    return c, conj
 
 
 def is_separated(P: HnnPresentation) -> SubgroupReport:

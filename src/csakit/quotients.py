@@ -1,0 +1,193 @@
+"""Seeded homomorphisms from an HNN extension of a free group into
+finite symmetric groups.
+
+A homomorphism rho with rho([a, b]) != 1 proves [a, b] != 1, so the
+falsifiers in ``csa`` run Britton reduction only on the pairs that no
+such quotient separates (Sims, *Computation with Finitely Presented
+Groups*, CUP 1994).
+
+Permutations of {0, ..., d-1} are ``bytes`` of length d, acting on the
+right: the point x goes to p[x], and the product p q is "p, then q",
+which ``p.translate(table(q))`` computes in C.
+"""
+
+import random
+
+DEGREE = 10
+QUOTIENTS = 3
+SEED = 1996
+# draws tried per presentation before it gives up on more quotients
+MAX_DRAWS = 300
+
+_BYTES = bytes(range(256))
+_IDENTITY = _BYTES[:DEGREE]
+
+
+def table(p):
+    """The 256-byte translation table of p, for bytes.translate."""
+    return p + _BYTES[len(p):]
+
+
+def mul(p, q):
+    return p.translate(table(q))
+
+
+def inv(p):
+    return bytes(sorted(range(len(p)), key=p.__getitem__))
+
+
+def evaluate(word, images, identity):
+    """The image of a word under the letter images (both signs)."""
+    out = identity
+    for l in word:
+        out = out.translate(table(images[l]))
+    return out
+
+
+def permutation_quotients(P):
+    """One homomorphism from the HNN extension P into a product of up to
+    QUOTIENTS copies of Sym(DEGREE), acting on disjoint blocks of
+    points: a dict from each base letter +-1..+-rank and the stable
+    letter +-(rank + 1) to its image.  Every relation t^-1 a t = b of
+    P holds in the image.  None when no draw out of MAX_DRAWS found a
+    quotient."""
+    rng = random.Random(SEED)
+    found = []
+    for _ in range(MAX_DRAWS):
+        rho = _draw(P, rng)
+        if rho is not None:
+            found.append(rho)
+            if len(found) == QUOTIENTS:
+                break
+    if not found:
+        return None
+    images = {}
+    for g in range(1, P.base_rank + 2):
+        p = b"".join(bytes(x + DEGREE * k for x in rho[g])
+                     for k, rho in enumerate(found))
+        images[g] = p
+        images[-g] = inv(p)
+    return images
+
+
+def _draw(P, rng):
+    """A random homomorphism from P into Sym(DEGREE), as images of the
+    generators 1..rank + 1 (the last the stable letter), or None when
+    the draw does not satisfy every relation.
+
+    The relations t^-1 a_i t = b_i are solved one at a time.  A relation
+    with one side known and one unknown generator, occurring once, on
+    the other side gives that generator once T is drawn (EX1: X2 =
+    T^-1 X1 T, then X3 = X1^-1 T^-1 X2 T).  A relation with both sides
+    known gives T by matching their cycles, which fails unless they
+    have the same cycle type.  Otherwise the least unknown generator is
+    drawn at random."""
+    t = P.base_rank + 1
+    edges = list(zip(P.a_gens, P.b_gens))
+    X = {}
+
+    def value(word):
+        return evaluate(word, X, _IDENTITY)
+
+    while True:
+        base = [g for g in range(1, t) if g not in X]
+        if t in X:
+            if not base:
+                break
+            if _solve_one(edges, X, value, t):
+                continue
+        else:
+            full = [(a, b) for a, b in edges if _known(a + b, X)]
+            if full:
+                T = _conjugator(value(full[0][0]), value(full[0][1]), rng)
+                if T is None:
+                    return None
+                _assign(X, t, T)
+                continue
+            if not base or any(_solvable(a, b, X) or _solvable(b, a, X)
+                               for a, b in edges):
+                _assign(X, t, _random_perm(rng))
+                continue
+        _assign(X, base[0], _random_perm(rng))
+    if any(value((-t,) + a + (t,)) != value(b) for a, b in edges):
+        return None
+    return {g: X[g] for g in range(1, t + 1)}
+
+
+def _assign(X, g, p):
+    X[g] = p
+    X[-g] = inv(p)
+
+
+def _known(word, X):
+    return all(l in X for l in word)
+
+
+def _unknown_at(word, X):
+    """The index of the one letter of word outside X, or None when
+    there is not exactly one."""
+    unknown = [k for k, l in enumerate(word) if l not in X]
+    return unknown[0] if len(unknown) == 1 else None
+
+
+def _solvable(known, other, X):
+    return _known(known, X) and _unknown_at(other, X) is not None
+
+
+def _solve_one(edges, X, value, t):
+    """Solve one relation t^-1 a t = b for its one unknown generator;
+    False when none has that shape."""
+    for a, b in edges:
+        for known, other, conj in ((a, b, (-t,) + a + (t,)),
+                                   (b, a, (t,) + b + (-t,))):
+            if not _solvable(known, other, X):
+                continue
+            k = _unknown_at(other, X)
+            # other = L x R equals conj, so x = L^-1 conj R^-1
+            x = mul(mul(inv(value(other[:k])), value(conj)),
+                    inv(value(other[k + 1:])))
+            l = other[k]
+            _assign(X, abs(l), x if l > 0 else inv(x))
+            return True
+    return False
+
+
+def _cycles(p):
+    seen = set()
+    out = []
+    for x in range(len(p)):
+        if x not in seen:
+            cycle = []
+            while x not in seen:
+                seen.add(x)
+                cycle.append(x)
+                x = p[x]
+            out.append(cycle)
+    return out
+
+
+def _conjugator(A, B, rng):
+    """A random T with T^-1 A T = B, or None when A and B have different
+    cycle types.  Each cycle of A goes onto a cycle of B of the same
+    length, picked at random, at a random rotation."""
+    pools = {}
+    for cycle in _cycles(B):
+        pools.setdefault(len(cycle), []).append(cycle)
+    for pool in pools.values():
+        rng.shuffle(pool)
+    T = [0] * len(A)
+    for cycle in _cycles(A):
+        pool = pools.get(len(cycle))
+        if not pool:
+            return None
+        target = pool.pop()
+        r = rng.randrange(len(cycle))
+        for m, x in enumerate(cycle):
+            T[x] = target[(m + r) % len(cycle)]
+    return bytes(T)
+
+
+def _random_perm(rng):
+    p = list(range(DEGREE))
+    rng.shuffle(p)
+    return bytes(p)

@@ -180,6 +180,23 @@ def test_main_rejects_a_ball_over_the_limit(capsys):
     assert len(csa.ball(FreeSpec(3), 5)) == 4686
 
 
+def test_main_rejects_an_obstacle_ball_over_the_limit(capsys):
+    # the relator holds, so the ball is what is left to build: 1 + 2(3^9 - 1)
+    # reduced words over the two b1n generators
+    start = time.perf_counter()
+    assert main(["verify-obstacle", "< x, z | z^-1 x z = x^2 >",
+                 "--obstacle", "b1n", "--n", "2", "--images", "x, z^-1",
+                 "--radius", "9"]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "39365" in err and str(csa.MAX_BALL_WORDS) in err
+    assert "--radius" in err
+    # dinf counts its 1 + 2R alternating words
+    with pytest.raises(ValueError):
+        csa._obstacle_ball(csa.OBSTACLE_DINF, csa.MAX_BALL_WORDS // 2)
+    assert len(csa._obstacle_ball(csa.OBSTACLE_DINF, 4)) == 9
+
+
 def test_main_rejects_deep_nesting(capsys):
     deep = "(" * 5000 + "x" + ")" * 5000
     assert main(["reduce", "< x, y >", "--word", deep]) == 2

@@ -1,17 +1,18 @@
 """The single-pass Britton kernel against the restart-scan reducer it
-replaced, the one-walk normal form against the two-walk one, and the
-falsifiers built on it against brute-force scans."""
+replaced, the one-walk normal form against the two-walk one, the
+falsifiers built on it against brute-force scans, and the permutation
+quotients that filter their pairs."""
 
 import random
 
 import pytest
 
-from csakit import csa
+from csakit import csa, quotients
 from csakit.amalgam import AmalgamPresentation
 from csakit.errors import MalformedWordError
 from csakit.hnn import HnnPresentation, TWord, britton_reduce, normal_form
 from csakit.stallings import fold
-from csakit.words import concat, conjugate, free_reduce, inverse
+from csakit.words import concat, conjugate, free_reduce, inverse, power
 from csakit.wpengine import AmalgamSpec, HnnSpec, commutes, is_trivial
 
 AMALGAM = AmalgamPresentation(2, 2, [(1,)], [(1, 1)])
@@ -214,6 +215,140 @@ def test_falsifiers_match_brute_force():
         ct_hits += want_ct is not None
     assert 5 <= csa_hits <= len(SEARCHES) - 5
     assert 3 <= ct_hits <= len(SEARCHES) - 5
+
+
+# -- the permutation-quotient prefilter --------------------------------------
+
+QUADRANT_SPECS = [HnnSpec(GROUPS[name])
+                  for name in ("case1", "case2", "case3", "case4")]
+# the searches of the benchmark's fixed queries, at radius 3
+EXACTNESS = [(name, spec, radius) for name, spec, radius in SEARCHES] + \
+    [(f"quadrant{k}", spec, 3) for k, spec in enumerate(QUADRANT_SPECS, 1)] \
+    + [("ex1-r3", HnnSpec(GROUPS["ex1"]), 3),
+       ("amalgam-r3", AmalgamSpec(AMALGAM), 3)]
+# F2 x Z: t commutes with both base letters; T is drawn to commute with
+# the image of x1, so only the relator check keeps out a draw whose T
+# does not commute with that of x2
+CENTRAL = HnnPresentation(2, [(1,), (2,)], [(1,), (2,)])
+# y -> x^2 is solved on its A side: y = T x^2 T^-1
+QUOTIENT_GROUPS = dict(GROUPS, central=CENTRAL,
+                       trefoil=AmalgamPresentation(1, 1, [(1, 1)],
+                                                   [(1, 1, 1)]).extension,
+                       y_xx=HnnPresentation(2, [(2,)], [(1, 1)]))
+
+
+def _witnesses(spec, radius):
+    hit_csa = csa.falsify_csa(spec, radius)
+    hit_ct = csa.falsify_ct(spec, radius)
+    return (None if hit_csa is None else (hit_csa.a, hit_csa.v),
+            None if hit_ct is None else (hit_ct.a, hit_ct.b, hit_ct.c))
+
+
+def test_filtered_searches_match_unfiltered(monkeypatch):
+    filtered = [_witnesses(spec, radius) for _, spec, radius in EXACTNESS]
+    monkeypatch.setattr(quotients, "permutation_quotients", lambda P: None)
+    for (name, spec, radius), got in zip(EXACTNESS, filtered):
+        assert got == _witnesses(spec, radius), name
+
+
+def _relator_images(P, rho):
+    t = P.base_rank + 1
+    identity = bytes(range(len(rho[1])))
+    return [quotients.evaluate((-t,) + a + (t,) + inverse(b), rho, identity)
+            for a, b in zip(P.a_gens, P.b_gens)], identity
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_GROUPS))
+def test_every_relator_maps_to_one(name):
+    P = QUOTIENT_GROUPS[name]
+    rho = quotients.permutation_quotients(P)
+    assert len(rho[1]) == quotients.QUOTIENTS * quotients.DEGREE
+    images, identity = _relator_images(P, rho)
+    assert images == [identity] * len(images)
+    # each generator's two signs are inverse permutations
+    for g in range(1, P.base_rank + 2):
+        assert quotients.mul(rho[g], rho[-g]) == identity
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_GROUPS))
+def test_quotient_is_a_homomorphism(name):
+    P = QUOTIENT_GROUPS[name]
+    rho = quotients.permutation_quotients(P)
+    t = P.base_rank + 1
+    identity = bytes(range(len(rho[1])))
+
+    def image(word):
+        return quotients.evaluate(word, rho, identity)
+
+    rng = random.Random(f"quotient:{name}")
+    moved = 0
+    for _ in range(100):
+        u, v = rand_tword(rng, P, 4), rand_tword(rng, P, 4)
+        fu, fv = u.flatten(t), v.flatten(t)
+        assert image(fu + fv) == quotients.mul(image(fu), image(fv))
+        # equal elements have equal images
+        assert image(fu) == image(britton_reduce(u, P).flatten(t))
+        assert image(fu) == image(TWord(*normal_form(u, P)).flatten(t))
+        moved += image(fu) != identity
+    assert moved > 80
+
+
+def test_rejected_pairs_do_not_commute():
+    rejected = total = 0
+    for name, spec, _ in SEARCHES:
+        elements = csa.ball(spec, 2)
+        comm, conj = csa._quotient_filter(elements, spec,
+                                          lambda i, j: True,
+                                          lambda i, j: True)
+        for i, a in enumerate(elements):
+            for j, b in enumerate(elements):
+                total += 2
+                if not comm(i, j):
+                    rejected += 1
+                    assert not commutes(a, b, spec), (name, a, b)
+                if not conj(i, j):
+                    rejected += 1
+                    assert not commutes(a, conjugate(a, b), spec), \
+                        (name, a, b)
+    # z2 and a~bb are abelian, so nothing there may be rejected; most
+    # pairs of the others are
+    assert rejected > 0.8 * total
+
+
+def test_no_quotient_falls_back_to_the_plain_scan():
+    # every cycle length 2..10 shares a factor with 210, so a power x^210
+    # of a permutation x != 1 of degree 10 has shorter cycles than x:
+    # x ~ x^210 forces x to 1, which no draw finds
+    spec = _hnn(1, (1,), power((1,), 210))
+    assert quotients.permutation_quotients(spec.ext) is None
+    elements = csa.ball(spec, 1)
+    comm, conj = csa._quotient_filter(elements, spec, "comm", "conj")
+    assert (comm, conj) == ("comm", "conj")
+    want_csa, want_ct = _brute_force(spec, 1)
+    assert _witnesses(spec, 1) == (want_csa, want_ct)
+    assert want_csa == ((1,), (2,))
+
+
+def test_ct_rows_are_listed_on_first_use(monkeypatch):
+    # the first triple lies in the first rows; a row of every element
+    # would make len(ball) * (len(ball) - 1) tests
+    spec = _hnn(2, (1,), (-1,))
+    n = len(csa.ball(spec, 3))
+    calls = [0]
+    context = csa._search_context
+
+    def counting(elements, spec):
+        comm, conj = context(elements, spec)
+
+        def counted(i, j):
+            calls[0] += 1
+            return comm(i, j)
+
+        return counted, conj
+
+    monkeypatch.setattr(csa, "_search_context", counting)
+    assert csa.falsify_ct(spec, 3) is not None
+    assert 0 < calls[0] < n * (n - 1) // 4
 
 
 # -- the one-walk normal form ------------------------------------------------
