@@ -3,16 +3,15 @@ embedding, plus the oriented graph-of-groups model with its
 quasi-malnormal / malnormal / separated predicates and CSA verdicts.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import words
 from .errors import CapExceededError, UnsupportedShapeError
-from .hnn import HnnPresentation, TWord, britton_reduce
+from .hnn import HnnPresentation, TWord
 from .stallings import (conj_intersection_trivial, fold, is_malnormal,
                         malnormal_closure, pointed_intersection_nontrivial)
-from .words import (concat, free_reduce, inverse, is_maximal_abelian_in_free,
-                    reduced_words)
+from .words import concat, free_reduce, inverse, is_maximal_abelian_in_free
 
 
 def shift_word(word, offset):
@@ -171,7 +170,6 @@ class TreePresentation:
     relators: list        # words over the combined alphabet
     csa: str              # "csa*", "not-csa" or "unknown"
     citation: Optional[str] = None
-    offsets: dict = field(default_factory=dict)
 
 
 def _underlying_is_tree(gog):
@@ -202,7 +200,7 @@ def _is_oriented_line(gog):
                for v in gog.vertices)
 
 
-def fundamental_group_presentation(gog: GraphOfGroups, cap=32):
+def fundamental_group_presentation(gog: GraphOfGroups):
     """Presentation of the fundamental group of a finite tree (or line) of
     free groups by iterated amalgamation, with a CSA verdict when all edge
     groups are cyclic."""
@@ -224,11 +222,11 @@ def fundamental_group_presentation(gog: GraphOfGroups, cap=32):
                                    inverse(shift_word(free_reduce(im),
                                                       offsets[e.dst]))))
 
-    csa, cite = _tree_csa_verdict(gog, cap)
-    return TreePresentation(gen_names, relators, csa, cite, offsets)
+    csa, cite = _tree_csa_verdict(gog)
+    return TreePresentation(gen_names, relators, csa, cite)
 
 
-def _tree_csa_verdict(gog, cap):
+def _tree_csa_verdict(gog):
     cyclic = all(len(e.gens) == 1 for e in gog.edges)
     if not cyclic:
         return "unknown", None
@@ -266,53 +264,3 @@ def _tree_csa_verdict(gog, cap):
             if pointed_intersection_nontrivial(u1, u2):
                 return "not-csa", "Prop-BadTree"
     return "unknown", None
-
-
-# -- persistence of malnormality through an amalgam -------------------------
-
-
-def malnormal_persistence_check(P: AmalgamPresentation, h_gens, radius=3):
-    """Search for a violation of malnormality of H <= right factor inside
-    the amalgam; a violation on valid inputs indicates a bug.
-
-    Preconditions (verified): A malnormal in the left factor, H malnormal
-    in the right factor.  Returns (True, None) or (False, witness).
-    """
-    A = fold(P.a_gens, P.left_rank)
-    if not is_malnormal(A).verdict:
-        raise ValueError("A is not malnormal in the left factor")
-    H = fold(h_gens, P.right_rank)
-    if not is_malnormal(H).verdict:
-        raise ValueError("H is not malnormal in the right factor")
-    if H.is_trivial:
-        return True, None
-
-    ext = P.extension
-
-    def in_H(tword):
-        r = britton_reduce(tword, ext)
-        if r.t_length:
-            return False
-        w = r.head
-        if any(abs(l) <= P.left_rank for l in w):
-            return False
-        return H.member(shift_word(w, -P.left_rank))
-
-    # ball of H elements: the nontrivial ones of length <= 4
-    h_ball = [w for w in reduced_words(H.rank, 4)[1:] if H.member(w)]
-    h_imgs = [P.embed(shift_word(h, P.left_rank)) for h in h_ball]
-
-    # conjugator candidates: reduced words of length <= radius
-    for x in reduced_words(P.free_product_rank, radius):
-        xt = P.embed(x)
-        if in_H(xt):
-            continue
-        xt_inv = xt.inv()
-        for h, ht in zip(h_ball, h_imgs):
-            z = britton_reduce(xt_inv, ext, ht, xt)
-            if z.t_length == 0 and not z.head:
-                continue
-            if in_H(z):
-                return False, (x, h)
-    return True, None
-

@@ -199,9 +199,9 @@ class Parser:
                 f"brackets nested deeper than {MAX_NESTING} levels "
                 f"(at position {tok.pos})")
 
-    def parse_word_list(self, name_map, sep=","):
+    def parse_word_list(self, name_map):
         out = [self.parse_word(name_map)]
-        while self.at_sym(sep):
+        while self.at_sym(","):
             self.advance()
             out.append(self.parse_word(name_map))
         return out
@@ -223,15 +223,19 @@ class Parser:
     def parse_angle(self):
         """'<' names ('|' relators)? '>' -> (names, relator words)."""
         self.expect("sym", "<")
-        names = [self.expect("name").value]
-        while self.at_sym(","):
+        names = []
+        while True:
+            tok = self.expect("name")
+            if tok.value in KEYWORDS:
+                raise ParseError(f"reserved generator name {tok.value!r}",
+                                 tok.pos)
+            if tok.value in names:
+                raise ParseError(f"duplicate generator name {tok.value!r}",
+                                 tok.pos)
+            names.append(tok.value)
+            if not self.at_sym(","):
+                break
             self.advance()
-            names.append(self.expect("name").value)
-        for nm in names:
-            if nm in KEYWORDS:
-                raise ParseError(f"reserved generator name {nm!r}", 0)
-        if len(set(names)) != len(names):
-            raise ParseError("duplicate generator name", 0)
         name_map = {nm: i + 1 for i, nm in enumerate(names)}
         relators = []
         if self.at_sym("|"):
@@ -521,10 +525,7 @@ class Report:
             return json.dumps(self.to_dict(), indent=2, sort_keys=True)
         lines = [f"command: {self.command}", f"verdict: {self.verdict}"]
         for w in self.witnesses:
-            if isinstance(w, dict):
-                body = ", ".join(f"{k} = {v}" for k, v in w.items())
-            else:
-                body = str(w)
+            body = ", ".join(f"{k} = {v}" for k, v in w.items())
             lines.append(f"witness: {body}")
         if self.citations:
             lines.append("citations: " + ", ".join(self.citations))
@@ -666,14 +667,13 @@ def _cmd_verify_obstacle(src, flags):
 
 
 def _cmd_gog_check(src, flags):
-    cap = flags["cap"]
     if src.kind == "amalgam":
         pres = src.spec.pres
         verdict, cite = amalgam_mod.amalgam_csa_verdict_abelian(pres)
         return Report("gog-check", verdict, [], [cite]), \
             1 if verdict == "not-csa" else 0
     gog = src.gog
-    rep = amalgam_mod.gog_predicates(gog, cap)
+    rep = amalgam_mod.gog_predicates(gog, flags["cap"])
     details = {
         "quasi-malnormal": rep.quasi_malnormal,
         "malnormal": rep.malnormal,
@@ -682,7 +682,7 @@ def _cmd_gog_check(src, flags):
     citations = []
     verdict = "unknown"
     try:
-        tree = amalgam_mod.fundamental_group_presentation(gog, cap)
+        tree = amalgam_mod.fundamental_group_presentation(gog)
         verdict = tree.csa
         if tree.citation:
             citations.append(tree.citation)
@@ -744,19 +744,12 @@ def _cmd_repro(flags):
         except CsakitError as exc:
             mismatches.append(f"{fx['name']}: error {exc}")
             continue
-        expect = fx["expect"]
-        if report.verdict != expect["verdict"]:
-            mismatches.append(f"{fx['name']}: verdict {report.verdict!r} "
-                              f"!= {expect['verdict']!r}")
-        if "witnesses" in expect and report.witnesses != expect["witnesses"]:
-            mismatches.append(f"{fx['name']}: witnesses {report.witnesses!r}"
-                              f" != {expect['witnesses']!r}")
-        if "citations" in expect and report.citations != expect["citations"]:
-            mismatches.append(f"{fx['name']}: citations {report.citations!r}"
-                              f" != {expect['citations']!r}")
-        if "exit" in expect and code != expect["exit"]:
-            mismatches.append(f"{fx['name']}: exit {code} "
-                              f"!= {expect['exit']}")
+        got = {"verdict": report.verdict, "witnesses": report.witnesses,
+               "citations": report.citations, "exit": code}
+        for key, want in fx["expect"].items():
+            if got[key] != want:
+                mismatches.append(
+                    f"{fx['name']}: {key} {got[key]!r} != {want!r}")
     total = len(fixtures)
     if mismatches:
         verdict = f"{total - len(mismatches)}/{total} fixtures match"
@@ -856,13 +849,9 @@ def main(argv=None):
     parser.add_argument("--p", type=int, default=None)
     args = parser.parse_args(argv)
 
-    flags = {"radius": args.radius, "json": args.json,
-             "word": args.word, "obstacle": args.obstacle,
-             "images": args.images, "n": args.n, "m": args.m, "p": args.p,
-             "cap": args.cap}
     try:
         text = _read_source(args.source, args.command)
-        report, code = run(args.command, text, flags)
+        report, code = run(args.command, text, vars(args))
     except (CsakitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

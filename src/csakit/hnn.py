@@ -124,17 +124,10 @@ class TWord:
         return free_reduce(out)
 
     @staticmethod
-    def from_word(word, t_letter):
-        """Split a word over base letters plus +-t_letter into a TWord,
-        freely reducing each base segment."""
-        w = TWord._split_reduced(word, t_letter)
-        return TWord(free_reduce(w.head),
-                     tuple((e, free_reduce(g)) for (e, g) in w.tail))
-
-    @staticmethod
     def _split_reduced(word, t_letter):
-        """from_word for a freely reduced word, whose segments are
-        freely reduced already: one pass, no segment is reduced again."""
+        """Split a freely reduced word over base letters plus +-t_letter
+        into a TWord; its segments are freely reduced already, so one
+        pass reduces none of them again."""
         head = []
         tail = []
         cur = head
@@ -202,10 +195,6 @@ def is_identity(w: TWord, P: HnnPresentation, *factors, memo=None) -> bool:
     return r.t_length == 0 and not r.head
 
 
-def equal(u: TWord, v: TWord, P: HnnPresentation) -> bool:
-    return is_identity(u, P, v.inv())
-
-
 def normal_form(w: TWord, P: HnnPresentation) -> tuple:
     """Canonical form: after Britton reduction, replace each base segment
     (right to left) by its canonical coset representative, hopping the
@@ -238,18 +227,6 @@ def is_separated(P: HnnPresentation) -> SubgroupReport:
 def is_strictly_separated(P: HnnPresentation, cap=32) -> SubgroupReport:
     B1 = malnormal_closure(P.B, cap)
     return SubgroupReport(*conj_intersection_trivial(P.A, B1))
-
-
-def separated_iff_strict_for_abelian(P: HnnPresentation, cap=32) -> bool:
-    if len(P.a_gens) != 1 or len(P.b_gens) != 1:
-        raise ValueError("associated subgroups must be cyclic")
-    sep = is_separated(P).verdict
-    strict = is_strictly_separated(P, cap).verdict
-    if sep != strict:
-        raise AssertionError(
-            "separated and strictly separated verdicts disagree on "
-            "abelian associated subgroups")
-    return sep
 
 
 CASE1_SEPARATED = "CASE1-SEPARATED"

@@ -42,9 +42,9 @@ class CoreGraph:
 
     # -- basic automaton queries -------------------------------------------
 
-    def walk(self, word, start=0):
-        """Follow word from start; returns end vertex or None."""
-        v = start
+    def walk(self, word):
+        """Follow word from the basepoint; returns end vertex or None."""
+        v = 0
         for l in word:
             hit = self.succ.get((v, l))
             if hit is None:
@@ -83,8 +83,6 @@ class CoreGraph:
 
     @property
     def free_rank(self):
-        if self.num_vertices == 0:
-            return 0
         return self.num_edges - self.num_vertices + 1
 
     @property
@@ -268,7 +266,7 @@ def fold(generators, rank):
                 if dirty:
                     break
 
-    return _finish(parent, incident, find, rank, gens)
+    return _finish(incident, find, rank, gens)
 
 
 def _merge_pair(first, second, second_edge, find, absorb, work, queued, v):
@@ -292,7 +290,7 @@ def _merge_pair(first, second, second_edge, find, absorb, work, queued, v):
                 queued.add(u)
 
 
-def _finish(parent, incident, find, rank, gens):
+def _finish(incident, find, rank, gens):
     # collect live edges with canonical endpoints
     edges = []
     seen = set()
@@ -302,24 +300,14 @@ def _finish(parent, incident, find, rank, gens):
                 seen.add(id(e))
                 edges.append((find(e.src), e.letter, find(e.dst), e.tag))
 
-    # trim non-basepoint vertices of degree <= 1
-    base = find(0)
-    while True:
-        deg = {}
-        for (a, _l, b, _t) in edges:
-            deg[a] = deg.get(a, 0) + 1
-            deg[b] = deg.get(b, 0) + 1
-        removable = {v for v, d in deg.items() if d <= 1 and v != base}
-        if not removable:
-            break
-        edges = [e for e in edges
-                 if e[0] not in removable and e[2] not in removable]
-
     # canonical BFS renumbering from the basepoint
     adj = {}
     for (a, l, b, t) in edges:
         adj.setdefault(a, {})[l] = (b, t)
         adj.setdefault(b, {})[-l] = (a, inverse(t))
+    # nothing to trim: every vertex but the basepoint lies on a reduced
+    # loop at the basepoint (the folded image of a petal), so has degree >= 2
+    base = find(0)
     order = {base: 0}
     queue = deque([base])
     while queue:
@@ -332,12 +320,9 @@ def _finish(parent, incident, find, rank, gens):
 
     succ = {}
     for (a, l, b, t) in edges:
-        if a not in order or b not in order:
-            continue  # disconnected junk cannot occur for flowers; belt and braces
         succ[(order[a], l)] = (order[b], t)
         succ[(order[b], -l)] = (order[a], inverse(t))
-    n = len(order) if order else 1
-    return CoreGraph(rank, n, succ, gens)
+    return CoreGraph(rank, len(order), succ, gens)
 
 
 # -- fiber products ---------------------------------------------------------

@@ -138,17 +138,6 @@ def is_maximal_abelian_in_free(w):
     return not is_proper_power(c)
 
 
-def rotations_equal(c1, c2):
-    """True iff the cyclically reduced words c1, c2 are rotations of each
-    other, i.e. conjugate in the free group."""
-    if len(c1) != len(c2):
-        return False
-    if not c1:
-        return True
-    n = len(c1)
-    return any(c2 == c1[r:] + c1[:r] for r in range(n))
-
-
 def conjugating_element(u, v):
     """Return s with s^-1 u s = v, or None if u and v are not conjugate."""
     cu, pu = cyclic_reduce(u)

@@ -121,34 +121,17 @@ def fpc_normal_form(word, orders):
             syll[-1][1] += e
         else:
             syll.append([g, e])
-        while syll:
-            g0, e0 = syll[-1]
-            order = orders[g0 - 1]
-            if order:
-                e0 %= order
-                syll[-1][1] = e0
-            if e0 == 0:
-                syll.pop()
-                if len(syll) >= 2 and syll[-1][0] == syll[-2][0]:
-                    g1, e1 = syll.pop()
-                    syll[-1][1] += e1
-                    continue
-            break
+        # adjacent syllables never share a generator, so a syllable that
+        # cancels leaves nothing to merge
+        order = orders[g - 1]
+        if order:
+            syll[-1][1] %= order
+        if syll[-1][1] == 0:
+            syll.pop()
     return tuple((g, e) for (g, e) in syll)
 
 
 # -- the fixed free-by-cyclic group ----------------------------------------
-
-
-def _fbc_twist(w, k):
-    """Apply the k-th power of the defining automorphism (x -> x d^-1,
-    d -> d) to a fiber word."""
-    if k == 0:
-        return w
-    out = []
-    for l in w:
-        _push_twisted(out, l, k)
-    return tuple(out)
 
 
 def _push_twisted(out, l, k):
@@ -173,13 +156,6 @@ def _push_power(out, letter, k):
         out.pop()
         n -= 1
     out.extend([step] * n)
-
-
-def fc_mul(a, b):
-    """Semidirect multiplication (w1, k1) * (w2, k2) =
-    (w1 * twist^k1(w2), k1 + k2)."""
-    (w1, k1), (w2, k2) = a, b
-    return (concat(w1, _fbc_twist(w2, k1)), k1 + k2)
 
 
 # displayed letter -> fiber letter

@@ -5,10 +5,58 @@ import pytest
 from csakit.amalgam import (AmalgamPresentation, GogEdge, GraphOfGroups,
                             amalgam_csa_verdict_abelian,
                             fundamental_group_presentation, gog_predicates,
-                            malnormal_persistence_check)
+                            shift_word)
 from csakit.errors import UnsupportedShapeError
-from csakit.hnn import TWord, britton_reduce, is_identity, normal_form
-from csakit.words import free_reduce, power
+from csakit.hnn import britton_reduce, is_identity, normal_form
+from csakit.stallings import fold, is_malnormal
+from csakit.words import free_reduce, power, reduced_words
+from test_hnn import tword_from_word
+
+
+def malnormal_persistence_check(P: AmalgamPresentation, h_gens, radius=3):
+    """Search for a violation of malnormality of H <= right factor inside
+    the amalgam; a violation on valid inputs indicates a bug.
+
+    Preconditions (verified): A malnormal in the left factor, H malnormal
+    in the right factor.  Returns (True, None) or (False, witness).
+    """
+    A = fold(P.a_gens, P.left_rank)
+    if not is_malnormal(A).verdict:
+        raise ValueError("A is not malnormal in the left factor")
+    H = fold(h_gens, P.right_rank)
+    if not is_malnormal(H).verdict:
+        raise ValueError("H is not malnormal in the right factor")
+    if H.is_trivial:
+        return True, None
+
+    ext = P.extension
+
+    def in_H(tword):
+        r = britton_reduce(tword, ext)
+        if r.t_length:
+            return False
+        w = r.head
+        if any(abs(l) <= P.left_rank for l in w):
+            return False
+        return H.member(shift_word(w, -P.left_rank))
+
+    # ball of H elements: the nontrivial ones of length <= 4
+    h_ball = [w for w in reduced_words(H.rank, 4)[1:] if H.member(w)]
+    h_imgs = [P.embed(shift_word(h, P.left_rank)) for h in h_ball]
+
+    # conjugator candidates: reduced words of length <= radius
+    for x in reduced_words(P.free_product_rank, radius):
+        xt = P.embed(x)
+        if in_H(xt):
+            continue
+        xt_inv = xt.inv()
+        for h, ht in zip(h_ball, h_imgs):
+            z = britton_reduce(xt_inv, ext, ht, xt)
+            if z.t_length == 0 and not z.head:
+                continue
+            if in_H(z):
+                return False, (x, h)
+    return True, None
 
 
 def test_defining_relation_holds():
@@ -48,7 +96,7 @@ def test_embed_matches_letterwise_conjugates():
             out = []
             for l in free_reduce(word, n):
                 out.extend((-t, l, t) if abs(l) <= left else (l,))
-            assert P.embed(word) == TWord.from_word(free_reduce(out), t)
+            assert P.embed(word) == tword_from_word(free_reduce(out), t)
 
 
 def test_embedding_injective_on_syllable_forms():

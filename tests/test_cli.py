@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from csakit import csa
+from csakit import cli, csa
 from csakit.cli import (Parser, main, parse_source, render_source, run,
                         word_to_str)
 from csakit.errors import CsakitError, ParseError
@@ -50,6 +50,15 @@ def test_parse_errors_are_positioned():
         parse_source("")
     with pytest.raises(ParseError):
         parse_source("< x > < y >")
+    # a bad generator name is reported at its own token
+    with pytest.raises(ParseError) as exc:
+        parse_source("< x, y, x >")
+    assert exc.value.pos == 8
+    assert "duplicate generator name 'x'" in str(exc.value)
+    with pytest.raises(ParseError) as exc:
+        parse_source("< x, sub | x^2 >")
+    assert exc.value.pos == 5
+    assert "reserved generator name 'sub'" in str(exc.value)
 
 
 def test_hnn_constructor_matches_presentation():
@@ -150,6 +159,50 @@ def test_json_report_schema(capsys):
                         "timing", "details"}
     assert out["verdict"] == "CASE4 not-csa"
     assert out["citations"] == ["Prop-TFObstacles"]
+
+
+def test_check_malnormal_on_sub_blocks(capsys):
+    text = "< x, y > sub H = { x, y^-1 x y } sub K = { x }"
+    rep, code = run("check-malnormal", text, {})
+    assert (rep.verdict, code) == ("not-malnormal", 1)
+    assert rep.witnesses == [{"h": "x", "g": "y", "subgroup": "H"}]
+    assert rep.details == {"H": "not-malnormal", "K": "malnormal"}
+    assert main(["check-malnormal", text]) == 1
+    assert main(["check-malnormal", "< x, y >"]) == 2
+    assert "needs sub blocks" in capsys.readouterr().err
+
+
+def test_text_report_prints_witnesses(capsys):
+    code = main(["falsify-ct", "< x, y, t | t^-1 x t = x, t^-1 y t = y >",
+                 "--radius", "1"])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["command: falsify-ct", "verdict: witness-found",
+                         "witness: a = x, b = t, c = y"]
+
+
+def test_repro_reports_each_mismatch(monkeypatch):
+    expect = {"verdict": "CASE4 not-csa", "witnesses": [],
+              "citations": ["Prop-TFObstacles"], "exit": 1}
+    wrong = {"verdict": "CASE1-SEPARATED csa*", "witnesses": [{"s": "x"}],
+             "citations": ["Thm-SepExt"], "exit": 0}
+    fixtures = [{"name": "good", "command": "classify", "source": B12,
+                 "expect": expect}]
+    for key, value in wrong.items():
+        fixtures.append({"name": f"wrong-{key}", "command": "classify",
+                         "source": B12, "expect": {**expect, key: value}})
+    fixtures.append({"name": "raises", "command": "classify",
+                     "source": "< x, y >", "expect": expect})
+    monkeypatch.setattr(cli, "load_goldens", lambda: fixtures)
+    rep, code = run("repro", "", {})
+    assert (rep.verdict, code) == ("1/6 fixtures match", 1)
+    assert rep.details["mismatches"] == [
+        "wrong-verdict: verdict 'CASE4 not-csa' != 'CASE1-SEPARATED csa*'",
+        "wrong-witnesses: witnesses [] != [{'s': 'x'}]",
+        "wrong-citations: citations ['Prop-TFObstacles'] != ['Thm-SepExt']",
+        "wrong-exit: exit 1 != 0",
+        "raises: error classify does not support a free source",
+    ]
 
 
 def test_main_error_paths(capsys):

@@ -4,9 +4,8 @@ import pytest
 
 from csakit.hnn import (CASE1_SEPARATED, CASE2_CENTRALIZER_EXT, CASE3, CASE4,
                         FREE_PRODUCT, NOT_MAXIMAL_A, HnnPresentation, TWord,
-                        britton_reduce, classify_abelian_hnn, equal,
-                        is_identity, is_separated, is_strictly_separated,
-                        normal_form, separated_iff_strict_for_abelian)
+                        britton_reduce, classify_abelian_hnn, is_identity,
+                        is_separated, is_strictly_separated, normal_form)
 from csakit.words import (concat, conjugate, cyclic_reduce, free_reduce,
                           inverse)
 
@@ -27,6 +26,30 @@ def hnn_length(w, P):
 def tword_conjugate(w, v):
     """v^-1 * w * v."""
     return v.inv().mul(w).mul(v)
+
+
+def tword_from_word(word, t_letter):
+    """Split a word over base letters plus +-t_letter into a TWord,
+    freely reducing each base segment."""
+    w = TWord._split_reduced(word, t_letter)
+    return TWord(free_reduce(w.head),
+                 tuple((e, free_reduce(g)) for (e, g) in w.tail))
+
+
+def equal(u: TWord, v: TWord, P: HnnPresentation) -> bool:
+    return is_identity(u, P, v.inv())
+
+
+def separated_iff_strict_for_abelian(P: HnnPresentation, cap=32) -> bool:
+    if len(P.a_gens) != 1 or len(P.b_gens) != 1:
+        raise ValueError("associated subgroups must be cyclic")
+    sep = is_separated(P).verdict
+    strict = is_strictly_separated(P, cap).verdict
+    if sep != strict:
+        raise AssertionError(
+            "separated and strictly separated verdicts disagree on "
+            "abelian associated subgroups")
+    return sep
 
 
 def tword_pow(w, n):
@@ -106,7 +129,7 @@ def test_tword_roundtrip():
     for _ in range(100):
         w = rand_tword(rng, 3)
         t = 4
-        assert TWord.from_word(w.flatten(t), t).flatten(t) == w.flatten(t)
+        assert tword_from_word(w.flatten(t), t).flatten(t) == w.flatten(t)
 
 
 def test_tword_group_laws():

@@ -2,12 +2,12 @@ import random
 from collections import deque
 
 from csakit.errors import CapExceededError
-from csakit.stallings import _Edge, _finish, _merge_pair, _witnesses
+from csakit.stallings import CoreGraph, _Edge, _merge_pair, _witnesses
 from csakit.stallings import (conj_intersection_trivial, fold, is_malnormal,
                               malnormal_closure,
                               pointed_intersection_nontrivial)
 from csakit.words import (concat, conjugate, free_reduce, inverse, letter_key,
-                          power, shortlex_key)
+                          shortlex_key)
 
 
 def rand_word(rng, rank=3, max_len=4):
@@ -149,10 +149,60 @@ def test_random_membership_against_products():
             assert H.member(p)
 
 
+def trimming_finish(incident, find, rank, gens):
+    """fold's last step while it still trimmed vertices of degree <= 1,
+    which no folded flower has."""
+    # collect live edges with canonical endpoints
+    edges = []
+    seen = set()
+    for lst in incident:
+        for e in lst:
+            if e.alive and id(e) not in seen:
+                seen.add(id(e))
+                edges.append((find(e.src), e.letter, find(e.dst), e.tag))
+
+    # trim non-basepoint vertices of degree <= 1
+    base = find(0)
+    while True:
+        deg = {}
+        for (a, _l, b, _t) in edges:
+            deg[a] = deg.get(a, 0) + 1
+            deg[b] = deg.get(b, 0) + 1
+        removable = {v for v, d in deg.items() if d <= 1 and v != base}
+        if not removable:
+            break
+        edges = [e for e in edges
+                 if e[0] not in removable and e[2] not in removable]
+
+    # canonical BFS renumbering from the basepoint
+    adj = {}
+    for (a, l, b, t) in edges:
+        adj.setdefault(a, {})[l] = (b, t)
+        adj.setdefault(b, {})[-l] = (a, inverse(t))
+    order = {base: 0}
+    queue = deque([base])
+    while queue:
+        v = queue.popleft()
+        for l in sorted(adj.get(v, ()), key=letter_key):
+            w = adj[v][l][0]
+            if w not in order:
+                order[w] = len(order)
+                queue.append(w)
+
+    succ = {}
+    for (a, l, b, t) in edges:
+        if a not in order or b not in order:
+            continue  # disconnected junk cannot occur for flowers
+        succ[(order[a], l)] = (order[b], t)
+        succ[(order[b], -l)] = (order[a], inverse(t))
+    n = len(order) if order else 1
+    return CoreGraph(rank, n, succ, gens)
+
+
 def three_branch_fold(generators, rank):
     """fold before its merge branches became one loop over an edge's
     ends: an out-edge, an in-edge and a self-loop each had their own
-    copy of the merge."""
+    copy of the merge; it also still trimmed."""
     gens = []
     for g in generators:
         r = free_reduce(g, rank)
@@ -261,12 +311,14 @@ def three_branch_fold(generators, rank):
                         break
                     by_label[key] = (out, e)
 
-    return _finish(parent, incident, find, rank, gens)
+    return trimming_finish(incident, find, rank, gens)
 
 
-def test_fold_matches_three_branch_fold():
-    rng = random.Random(61)
-    for _ in range(2000):
+def seeded_fold_sets(seed, count):
+    """(generators, rank) of random flowers with self-loops and
+    multi-edges to merge."""
+    rng = random.Random(seed)
+    for _ in range(count):
         rank = rng.randint(1, 4)
         gens = [rand_word(rng, rank, max_len=rng.randint(1, 8))
                 for _ in range(rng.randint(1, 4))]
@@ -274,10 +326,32 @@ def test_fold_matches_three_branch_fold():
         # multi-edges to merge
         if rng.random() < 0.3:
             gens.append(gens[0] * rng.randint(2, 3))
+        yield gens, rank
+
+
+def test_fold_matches_three_branch_fold():
+    for gens, rank in seeded_fold_sets(61, 2000):
         got, want = fold(gens, rank), three_branch_fold(gens, rank)
         assert got.succ == want.succ
         assert got.num_vertices == want.num_vertices
         assert got.generators == want.generators
+
+
+def test_fold_leaves_no_vertex_to_trim():
+    """Every vertex but the basepoint has degree >= 2 (a self-loop counts
+    twice), so the trimming that fold used to run removes nothing."""
+    checked = 0
+    for seed in (61, 62, 63):
+        for gens, rank in seeded_fold_sets(seed, 2000):
+            H = fold(gens, rank)
+            degree = [0] * H.num_vertices
+            for (v, _l), (w, _t) in H.succ.items():
+                assert 0 <= w < H.num_vertices
+                degree[v] += 1
+            assert all(d >= 2 for d in degree[1:]), gens
+            assert H.free_rank == len(H.succ) // 2 - H.num_vertices + 1
+            checked += H.num_vertices > 1
+    assert checked > 2000
 
 
 def two_pass_components(A, B):

@@ -1,4 +1,5 @@
 import random
+from itertools import groupby
 
 import pytest
 
@@ -6,8 +7,8 @@ from csakit.errors import MalformedWordError, UnsupportedBaseError
 from csakit.hnn import HnnPresentation
 from csakit.wpengine import (FBC_D, FBC_X, FBC_Y, FIB_D, FIB_X, AmalgamSpec,
                              FreeByCyclicSpec, FreeProductCyclicsSpec,
-                             FreeSpec, HnnSpec, canonical_key, commutes,
-                             equal, fc_mul, fc_normal_form, fpc_normal_form,
+                             FreeSpec, HnnSpec, _push_twisted, canonical_key,
+                             commutes, equal, fc_normal_form, fpc_normal_form,
                              is_trivial, num_generators)
 from csakit.amalgam import AmalgamPresentation
 from csakit.words import (commutator, concat, conjugate, free_reduce, inverse,
@@ -20,6 +21,51 @@ def rand_word(rng, rank=2, max_len=6):
         w.append(rng.choice([g * s for g in range(1, rank + 1)
                              for s in (1, -1)]))
     return tuple(w)
+
+
+def _fbc_twist(w, k):
+    """Apply the k-th power of the defining automorphism (x -> x d^-1,
+    d -> d) to a fiber word."""
+    if k == 0:
+        return w
+    out = []
+    for l in w:
+        _push_twisted(out, l, k)
+    return tuple(out)
+
+
+def fc_mul(a, b):
+    """Semidirect multiplication (w1, k1) * (w2, k2) =
+    (w1 * twist^k1(w2), k1 + k2)."""
+    (w1, k1), (w2, k2) = a, b
+    return (concat(w1, _fbc_twist(w2, k1)), k1 + k2)
+
+
+def remerging_fpc_normal_form(word, orders):
+    """fpc_normal_form while it still re-merged the syllables on both
+    sides of one that cancelled."""
+    syll = []
+    for l in word:
+        g = abs(l)
+        e = 1 if l > 0 else -1
+        if syll and syll[-1][0] == g:
+            syll[-1][1] += e
+        else:
+            syll.append([g, e])
+        while syll:
+            g0, e0 = syll[-1]
+            order = orders[g0 - 1]
+            if order:
+                e0 %= order
+                syll[-1][1] = e0
+            if e0 == 0:
+                syll.pop()
+                if len(syll) >= 2 and syll[-1][0] == syll[-2][0]:
+                    g1, e1 = syll.pop()
+                    syll[-1][1] += e1
+                    continue
+            break
+    return tuple((g, e) for (g, e) in syll)
 
 
 def test_num_generators():
@@ -37,6 +83,30 @@ def test_fpc_normal_form():
     assert fpc_normal_form((2, 2, 2), orders) == ((2, 3),)
     assert fpc_normal_form((2, 1, 1, 2), orders) == ((2, 2),)
     assert fpc_normal_form((1, 2, -2, 1), orders) == ()
+
+
+def test_fpc_normal_form_matches_remerging_form():
+    rng = random.Random(53)
+    cancelled = 0
+    for _ in range(20000):
+        rank = rng.randint(1, 4)
+        orders = tuple(rng.choice((0, 2, 3, 5)) for _ in range(rank))
+        # half the words freely reduced, as FreeProductCyclicsSpec.key
+        # passes them; runs of one letter reach the orders
+        word = []
+        for _ in range(rng.randrange(12)):
+            word += [rng.choice((1, -1)) * rng.randint(1, rank)] * \
+                rng.randint(1, 6)
+        if rng.random() < 0.5:
+            word = free_reduce(word, rank)
+        assert fpc_normal_form(word, orders) == \
+            remerging_fpc_normal_form(word, orders), (word, orders)
+        # a run that cancels between two others is where the re-merge ran
+        runs = [(g, sum(1 if l > 0 else -1 for l in run))
+                for g, run in groupby(word, key=abs)]
+        cancelled += any(orders[g - 1] and e % orders[g - 1] == 0
+                         for g, e in runs[1:-1])
+    assert cancelled > 4000
 
 
 def test_fpc_is_trivial():
