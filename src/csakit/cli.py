@@ -54,6 +54,10 @@ DEFAULT_CAP = 32
 # brackets a word may nest, well inside the interpreter's recursion limit
 MAX_NESTING = 200
 
+# the errors that mean rejected input: main exits 2 on them and repro
+# records them as a fixture's mismatch
+INPUT_ERRORS = (CsakitError, ValueError, OSError)
+
 KEYWORDS = {"sub", "hnn", "amalgam", "fbc", "gog", "vertex", "edge", "via"}
 
 CASE_CITATIONS = {
@@ -737,25 +741,25 @@ def load_goldens():
 def _cmd_repro(flags):
     fixtures = load_goldens()
     mismatches = []
+    matched = 0
     for fx in fixtures:
         try:
             report, code = run(fx["command"], fx.get("source", ""),
                                fx.get("flags", {}))
-        except CsakitError as exc:
+        except INPUT_ERRORS as exc:
             mismatches.append(f"{fx['name']}: error {exc}")
             continue
         got = {"verdict": report.verdict, "witnesses": report.witnesses,
                "citations": report.citations, "exit": code}
-        for key, want in fx["expect"].items():
-            if got[key] != want:
-                mismatches.append(
-                    f"{fx['name']}: {key} {got[key]!r} != {want!r}")
-    total = len(fixtures)
+        bad = [f"{fx['name']}: {key} {got[key]!r} != {want!r}"
+               for key, want in fx["expect"].items() if got[key] != want]
+        mismatches.extend(bad)
+        matched += not bad
+    verdict = f"{matched}/{len(fixtures)} fixtures match"
     if mismatches:
-        verdict = f"{total - len(mismatches)}/{total} fixtures match"
         return Report("repro", verdict,
                       details={"mismatches": mismatches}), 1
-    return Report("repro", f"{total}/{total} fixtures match"), 0
+    return Report("repro", verdict), 0
 
 
 # -- dispatch ----------------------------------------------------------------
@@ -852,10 +856,16 @@ def main(argv=None):
     try:
         text = _read_source(args.source, args.command)
         report, code = run(args.command, text, vars(args))
-    except (CsakitError, ValueError, OSError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(report.render(as_json=args.json))
+    try:
+        print(report.render(as_json=args.json))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early; send what is left to devnull so the
+        # interpreter's flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -14,17 +14,6 @@ from . import words
 from .words import concat, free_reduce, inverse, shortlex_key
 
 
-class _Edge:
-    __slots__ = ("src", "letter", "dst", "tag", "alive")
-
-    def __init__(self, src, letter, dst, tag):
-        self.src = src          # vertex id
-        self.letter = letter    # positive generator index
-        self.dst = dst
-        self.tag = tag          # expression word contributed by src->dst traversal
-        self.alive = True
-
-
 class CoreGraph:
     """Folded, trimmed Stallings automaton with basepoint 0.
 
@@ -167,161 +156,109 @@ class CoreGraph:
 
 
 def fold(generators, rank):
-    """Fold the flower on the given generator words into a core graph."""
-    gens = []
-    for g in generators:
-        r = free_reduce(g, rank)
-        if r:
-            gens.append(r)
-    gens = tuple(gens)
+    """Fold the flower on the given generator words into a core graph.
 
-    parent = [0]
-    incident = [[]]  # per vertex: list of _Edge
-
-    def find(v):
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    def new_vertex():
-        parent.append(len(parent))
-        incident.append([])
-        return len(parent) - 1
-
-    def add_edge(src, letter, dst, tag):
-        if letter < 0:
-            src, dst = dst, src
-            letter = -letter
-            tag = inverse(tag)
-        e = _Edge(src, letter, dst, tag)
-        incident[src].append(e)
-        if dst != src:
-            incident[dst].append(e)
-        return e
+    One edge table maps an edge id to [src, positive letter, dst, tag];
+    each vertex has an insertion-ordered dict of its incident edge ids,
+    or None once it is merged away.  Merges happen in a fixed order:
+    vertices are scanned from a work queue, each scan stops at the first
+    two edge ends with the same out-label in incident order, and the
+    higher-numbered far vertex is merged into the lower one, re-tagging
+    each of its edges once.
+    """
+    gens = tuple(w for w in (free_reduce(g, rank) for g in generators) if w)
+    edges = {}
+    incident = [{}]
 
     for i, g in enumerate(gens):
         v = 0
         for j, l in enumerate(g):
-            nxt = 0 if j == len(g) - 1 else new_vertex()
-            tag = (i + 1,) if j == len(g) - 1 else ()
-            add_edge(v, l, nxt, tag)
+            if j == len(g) - 1:
+                nxt, tag = 0, (i + 1,)
+            else:
+                nxt, tag = len(incident), ()
+                incident.append({})
+            eid = len(edges)
+            edges[eid] = ([v, l, nxt, tag] if l > 0
+                          else [nxt, -l, v, inverse(tag)])
+            incident[v][eid] = incident[nxt][eid] = None
             v = nxt
+
+    def first_collision(v):
+        """The first two edge ends at v with the same out-label, in
+        incident order: ((far, tag), (far, tag), the second's edge id),
+        or None when v is folded."""
+        by_label = {}
+        for eid in incident[v]:
+            src, letter, dst, tag = edges[eid]
+            ends = []
+            if src == v:
+                ends.append((letter, dst, tag))
+            if dst == v:
+                ends.append((-letter, src, inverse(tag)))
+            for key, far, t in ends:
+                if key in by_label:
+                    return by_label[key], (far, t), eid
+                by_label[key] = (far, t)
+        return None
 
     def absorb(keep, gone, delta):
         """Merge vertex gone into keep; out-edge tags of gone are
         premultiplied by delta."""
-        for e in incident[gone]:
-            if not e.alive:
-                continue
-            if e.src == gone and e.dst == gone:
-                e.tag = concat(delta, e.tag, inverse(delta))
-                e.src = e.dst = keep
-            elif e.src == gone:
-                e.tag = concat(delta, e.tag)
-                e.src = keep
-            else:
-                e.tag = concat(e.tag, inverse(delta))
-                e.dst = keep
-            incident[keep].append(e)
-        incident[gone] = []
-        parent[gone] = keep
+        for eid in incident[gone]:
+            e = edges[eid]
+            if e[0] == gone:
+                e[0] = keep
+                e[3] = concat(delta, e[3])
+            if e[2] == gone:
+                e[2] = keep
+                e[3] = concat(e[3], inverse(delta))
+            incident[keep][eid] = None
+        incident[gone] = None
 
-    work = deque(range(len(parent)))
+    work = deque(range(len(incident)))
     queued = set(work)
     while work:
         v = work.popleft()
         queued.discard(v)
-        if find(v) != v:
-            continue
-        # group live incident edges by out-label at v
-        by_label = {}
-        dirty = True
-        while dirty:
-            dirty = False
-            by_label.clear()
-            live = []
-            live_ids = set()
-            for e in incident[v]:
-                if e.alive and (e.src == v or e.dst == v) and id(e) not in live_ids:
-                    live.append(e)
-                    live_ids.add(id(e))
-            incident[v] = live
-            for e in live:
-                # the edge's ends at v: (out-label, far vertex, tag)
-                ends = []
-                if e.src == v:
-                    ends.append((e.letter, e.dst, e.tag))
-                if e.dst == v:
-                    ends.append((-e.letter, e.src, inverse(e.tag)))
-                for key, far, tag in ends:
-                    if key in by_label:
-                        _merge_pair(by_label[key], (far, tag), e, find,
-                                    absorb, work, queued, v)
-                        dirty = True
-                        break
-                    by_label[key] = ((far, tag), e)
-                if dirty:
-                    break
+        while incident[v] is not None:
+            hit = first_collision(v)
+            if hit is None:
+                break
+            (w1, t1), (w2, t2), eid = hit
+            # drop the second edge; paths through it route through the first
+            src, _, dst, _ = edges.pop(eid)
+            incident[src].pop(eid)
+            incident[dst].pop(eid, None)
+            if w1 == w2:
+                continue
+            delta = concat(inverse(t1), t2)
+            if w2 < w1:
+                w1, w2, delta = w2, w1, inverse(delta)
+            absorb(w1, w2, delta)
+            for u in (v, w1):
+                if u not in queued:
+                    work.append(u)
+                    queued.add(u)
 
-    return _finish(incident, find, rank, gens)
-
-
-def _merge_pair(first, second, second_edge, find, absorb, work, queued, v):
-    (w1, t1), _e1 = first
-    (w2, t2) = second
-    w1, w2 = find(w1), find(w2)
-    if w1 == w2:
-        second_edge.alive = False
-    else:
-        delta = concat(inverse(t1), t2)
-        if w2 == 0 or (w1 != 0 and w2 < w1):
-            w1, w2 = w2, w1
-            delta = inverse(delta)
-        second_edge.alive = False
-        # re-add the second edge's contribution through the kept edge:
-        # nothing to add; paths now route through e1 with corrected tags.
-        absorb(w1, w2, delta)
-        for u in (v, w1):
-            if u not in queued:
-                work.append(u)
-                queued.add(u)
-
-
-def _finish(incident, find, rank, gens):
-    # collect live edges with canonical endpoints
-    edges = []
-    seen = set()
-    for lst in incident:
-        for e in lst:
-            if e.alive and id(e) not in seen:
-                seen.add(id(e))
-                edges.append((find(e.src), e.letter, find(e.dst), e.tag))
-
-    # canonical BFS renumbering from the basepoint
-    adj = {}
-    for (a, l, b, t) in edges:
-        adj.setdefault(a, {})[l] = (b, t)
-        adj.setdefault(b, {})[-l] = (a, inverse(t))
-    # nothing to trim: every vertex but the basepoint lies on a reduced
-    # loop at the basepoint (the folded image of a petal), so has degree >= 2
-    base = find(0)
-    order = {base: 0}
-    queue = deque([base])
+    # canonical BFS renumbering from the basepoint, which is never merged
+    # away; nothing to trim: every other vertex lies on a reduced loop at
+    # the basepoint (the folded image of a petal), so has degree >= 2
+    succ = {}
+    for src, letter, dst, tag in edges.values():
+        succ[(src, letter)] = (dst, tag)
+        succ[(dst, -letter)] = (src, inverse(tag))
+    letters = sorted({l for (_, l) in succ}, key=words.letter_key)
+    order = {0: 0}
+    queue = deque([0])
     while queue:
         v = queue.popleft()
-        for l in sorted(adj.get(v, ()), key=words.letter_key):
-            w = adj[v][l][0]
-            if w not in order:
-                order[w] = len(order)
-                queue.append(w)
-
-    succ = {}
-    for (a, l, b, t) in edges:
-        succ[(order[a], l)] = (order[b], t)
-        succ[(order[b], -l)] = (order[a], inverse(t))
+        for l in letters:
+            hit = succ.get((v, l))
+            if hit is not None and hit[0] not in order:
+                order[hit[0]] = len(order)
+                queue.append(hit[0])
+    succ = {(order[v], l): (order[w], t) for (v, l), (w, t) in succ.items()}
     return CoreGraph(rank, len(order), succ, gens)
 
 

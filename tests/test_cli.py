@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -124,6 +127,9 @@ def test_run_reduce():
     assert rep2.verdict == "x y"
     rep3, _ = run("reduce", "fbc()", {"word": "y^-1 x y"})
     assert rep3.verdict == "x d"
+    rep4, _ = run("reduce", "< x, y, z, t | t^-1 y^-1 x y t = x, "
+                  "t^-1 y t = z >", {"word": "t^-1 x t"})
+    assert rep4.verdict == "z x z^-1"
 
 
 def test_run_exit_codes():
@@ -203,6 +209,49 @@ def test_repro_reports_each_mismatch(monkeypatch):
         "wrong-exit: exit 1 != 0",
         "raises: error classify does not support a free source",
     ]
+
+
+def test_repro_counts_fixtures_not_mismatches(monkeypatch):
+    fixtures = [{"name": "twice-wrong", "command": "classify",
+                 "source": B12,
+                 "expect": {"verdict": "CASE1-SEPARATED csa*", "exit": 0}}]
+    monkeypatch.setattr(cli, "load_goldens", lambda: fixtures)
+    rep, code = run("repro", "", {})
+    assert (rep.verdict, code) == ("0/1 fixtures match", 1)
+    assert len(rep.details["mismatches"]) == 2
+
+
+def test_repro_records_every_input_error(monkeypatch):
+    fixtures = [{"name": "good", "command": "classify", "source": B12,
+                 "expect": {"verdict": "CASE4 not-csa", "exit": 1}},
+                {"name": "big-ball", "command": "falsify-csa",
+                 "source": "< a, b, c, d >", "flags": {"radius": 6},
+                 "expect": {"exit": 0}}]
+    monkeypatch.setattr(cli, "load_goldens", lambda: fixtures)
+    rep, code = run("repro", "", {})
+    assert (rep.verdict, code) == ("1/2 fixtures match", 1)
+    [mismatch] = rep.details["mismatches"]
+    assert mismatch.startswith("big-ball: error ")
+    assert str(csa.MAX_BALL_WORDS) in mismatch
+
+
+def test_main_survives_a_closed_stdout():
+    # exit 1 means a witness was found, so a closed pipe must neither
+    # traceback nor change the verdict's exit code
+    src_dir = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "csakit.cli", "classify",
+             "< a, b, t | t^-1 a t = b >"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
 
 
 def test_main_error_paths(capsys):

@@ -124,6 +124,14 @@ def test_phi_examples():
         EX1.phi((3,))
 
 
+def test_phi_through_a_merged_self_loop():
+    # folding A = <y^-1 x y, y> merges a vertex that carries a self-loop;
+    # its tag must be re-tagged once, so x = y (y^-1 x y) y^-1 maps to
+    # z x z^-1
+    P = HnnPresentation(3, [(-2, 1, 2), (2,)], [(1,), (3,)])
+    assert P.phi((1,)) == (3, 1, -3)
+
+
 def test_tword_roundtrip():
     rng = random.Random(2)
     for _ in range(100):

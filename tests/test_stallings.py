@@ -2,7 +2,7 @@ import random
 from collections import deque
 
 from csakit.errors import CapExceededError
-from csakit.stallings import CoreGraph, _Edge, _merge_pair, _witnesses
+from csakit.stallings import CoreGraph, _witnesses
 from csakit.stallings import (conj_intersection_trivial, fold, is_malnormal,
                               malnormal_closure,
                               pointed_intersection_nontrivial)
@@ -35,6 +35,17 @@ def test_fold_rank():
     assert fold([], 2).is_trivial
 
 
+def substitute(expr, basis):
+    """The word an expression over 1..len(basis) stands for."""
+    return concat(*(basis[i - 1] if i > 0 else inverse(basis[-i - 1])
+                    for i in expr))
+
+
+def expresses_back(H, word):
+    expr = H.express(word)
+    return expr is not None and substitute(expr, H.generators) == word
+
+
 def test_express_substitutes_back():
     rng = random.Random(5)
     for _ in range(50):
@@ -45,15 +56,8 @@ def test_express_substitutes_back():
         for _ in range(rng.randrange(5)):
             g = rng.choice(gens)
             word = concat(word, g if rng.random() < 0.5 else inverse(g))
-        expr = H.express(word)
-        assert expr is not None
         # expression indices refer to the graph's nontrivial generators
-        basis = H.generators
-        back = ()
-        for i in expr:
-            back = concat(back, basis[i - 1] if i > 0
-                          else inverse(basis[-i - 1]))
-        assert back == word
+        assert expresses_back(H, word)
 
 
 def test_express_rejects_non_members():
@@ -147,6 +151,38 @@ def test_random_membership_against_products():
             prods |= frontier
         for p in prods:
             assert H.member(p)
+
+
+class _Edge:
+    __slots__ = ("src", "letter", "dst", "tag", "alive")
+
+    def __init__(self, src, letter, dst, tag):
+        self.src = src          # vertex id
+        self.letter = letter    # positive generator index
+        self.dst = dst
+        self.tag = tag          # expression word contributed by src->dst traversal
+        self.alive = True
+
+
+def _merge_pair(first, second, second_edge, find, absorb, work, queued, v):
+    (w1, t1), _e1 = first
+    (w2, t2) = second
+    w1, w2 = find(w1), find(w2)
+    if w1 == w2:
+        second_edge.alive = False
+    else:
+        delta = concat(inverse(t1), t2)
+        if w2 == 0 or (w1 != 0 and w2 < w1):
+            w1, w2 = w2, w1
+            delta = inverse(delta)
+        second_edge.alive = False
+        # re-add the second edge's contribution through the kept edge:
+        # nothing to add; paths now route through e1 with corrected tags.
+        absorb(w1, w2, delta)
+        for u in (v, w1):
+            if u not in queued:
+                work.append(u)
+                queued.add(u)
 
 
 def trimming_finish(incident, find, rank, gens):
@@ -329,12 +365,43 @@ def seeded_fold_sets(seed, count):
         yield gens, rank
 
 
+def test_express_substitutes_back_on_seeded_flowers():
+    """Every generator, and seeded random products of them, expresses
+    back; flowers whose folds merge a vertex carrying a self-loop are
+    among them."""
+    rng = random.Random(64)
+    for seed in (61, 62, 63):
+        for gens, rank in seeded_fold_sets(seed, 2000):
+            H = fold(gens, rank)
+            basis = H.generators
+            for g in basis:
+                assert expresses_back(H, g), gens
+            for _ in range(5):
+                expr = [rng.choice((1, -1)) * rng.randint(1, len(basis))
+                        for _ in range(rng.randint(1, 6))] if basis else []
+                assert expresses_back(H, substitute(expr, basis)), gens
+
+
+def tag_free(H):
+    return {key: w for key, (w, _t) in H.succ.items()}
+
+
 def test_fold_matches_three_branch_fold():
+    """The reference re-tags a self-loop twice when the vertex carrying
+    it is merged away while listed twice, so its tags are wrong on a few
+    flowers; there fold agrees with it up to tags and expresses back."""
+    wrong = 0
     for gens, rank in seeded_fold_sets(61, 2000):
         got, want = fold(gens, rank), three_branch_fold(gens, rank)
-        assert got.succ == want.succ
         assert got.num_vertices == want.num_vertices
         assert got.generators == want.generators
+        if all(expresses_back(want, g) for g in want.generators):
+            assert got.succ == want.succ
+        else:
+            wrong += 1
+            assert tag_free(got) == tag_free(want)
+            assert all(expresses_back(got, g) for g in got.generators)
+    assert wrong == 7
 
 
 def test_fold_leaves_no_vertex_to_trim():
