@@ -4,13 +4,14 @@ reports, and the bundled golden-fixture suite.
 Grammar (ASCII, whitespace insensitive)::
 
     group    := '<' gens ('|' relators)? '>'
-              | 'hnn' '(' group ';' NAME '->' NAME 'via' word '->' word
+              | 'hnn' '(' free ';' NAME '->' NAME 'via' word '->' word
                           (',' word '->' word)* ')'
-              | 'amalgam' '(' group ',' group ';' word '~' word
+              | 'amalgam' '(' free ',' free ';' word '~' word
                           (',' word '~' word)* ')'
               | 'fbc' '(' ')'
               | 'gog' '{' (vertex | edge)* '}'
-    vertex   := 'vertex' NAME '=' group ';'
+    free     := '<' gens '>'
+    vertex   := 'vertex' NAME '=' free ';'
     edge     := 'edge' NAME '->' NAME ':' word '~' word
                           (',' word '~' word)* ';'
     relator  := word ('=' word)?
@@ -31,9 +32,10 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from importlib import resources
+from itertools import chain, count
 from math import gcd
 
 from . import amalgam as amalgam_mod
@@ -44,7 +46,7 @@ from .amalgam import AmalgamPresentation, GogEdge, GraphOfGroups
 from .errors import (CsakitError, MalformedWordError, ParseError,
                      UnsupportedBaseError, UnsupportedShapeError)
 from .hnn import HnnPresentation
-from .words import concat, free_reduce, inverse, power
+from .words import concat, cyclic_reduce, free_reduce, inverse, power
 from .wpengine import (AmalgamSpec, FreeByCyclicSpec, FreeProductCyclicsSpec,
                        FreeSpec, HnnSpec)
 
@@ -53,6 +55,8 @@ DEFAULT_CAP = 32
 
 # brackets a word may nest, well inside the interpreter's recursion limit
 MAX_NESTING = 200
+# letters a word, power or commutator may write out before free reduction
+MAX_WORD_LETTERS = 10 ** 6
 
 # the errors that mean rejected input: main exits 2 on them and repro
 # records them as a fixture's mismatch
@@ -66,12 +70,6 @@ CASE_CITATIONS = {
     hnn_mod.CASE3: "Prop-TFObstacles",
     hnn_mod.CASE4: "Prop-TFObstacles",
     hnn_mod.NOT_MAXIMAL_A: "Prop-MustMax",
-}
-
-OBSTACLE_CITATIONS = {
-    csa_mod.OBSTACLE_DINF: "Prop-TObstacles",
-    csa_mod.OBSTACLE_CALB: "Prop-OneRelNotCSA",
-    csa_mod.OBSTACLE_B1N: "Prop-TFObstacles",
 }
 
 
@@ -124,14 +122,24 @@ class ParsedSource:
 
     @property
     def name_map(self):
-        return {nm: i + 1 for i, nm in enumerate(self.names)}
+        return letters_of(self.names)
+
+
+def letters_of(names):
+    """Generator name -> letter, 1 for the first name."""
+    return {nm: i + 1 for i, nm in enumerate(names)}
+
+
+def _check_letters(n):
+    if n > MAX_WORD_LETTERS:
+        raise MalformedWordError(f"a word of {n} letters is over the limit "
+                                 f"of {MAX_WORD_LETTERS}")
 
 
 class Parser:
     def __init__(self, text):
         self.tokens = tokenize(text)
         self.i = 0
-        self.groups_open = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -179,6 +187,7 @@ class Parser:
                 self.expect("sym", ",")
                 v = self.parse_word(name_map, depth + 1)
                 self.expect("sym", "]")
+                _check_letters(2 * (len(u) + len(v)))
                 atom = concat(inverse(u), inverse(v), u, v)
             elif tok.kind == "sym" and tok.value == "(":
                 self._open_bracket(depth)
@@ -189,7 +198,10 @@ class Parser:
             if self.at_sym("^"):
                 self.advance()
                 e = int(self.expect("int").value)
+                c = cyclic_reduce(atom)[0]
+                _check_letters(len(atom) - len(c) + len(c) * abs(e))
                 atom = power(atom, e)
+            _check_letters(len(letters) + len(atom))
             letters.extend(atom)
             consumed = True
         if not consumed:
@@ -240,7 +252,7 @@ class Parser:
             if not self.at_sym(","):
                 break
             self.advance()
-        name_map = {nm: i + 1 for i, nm in enumerate(names)}
+        name_map = letters_of(names)
         relators = []
         if self.at_sym("|"):
             self.advance()
@@ -259,16 +271,16 @@ class Parser:
         self.expect("sym", ">")
         return names, relators
 
-    def parse_group(self):
-        if self.groups_open >= MAX_NESTING:
-            raise ParseError(f"groups nested deeper than {MAX_NESTING} "
-                             "levels", self.peek().pos)
-        self.groups_open += 1
-        group = self._parse_group()
-        self.groups_open -= 1
-        return group
+    def parse_free(self, what):
+        """'<' names '>' -> names; any other group raises
+        UnsupportedBaseError naming what must be free."""
+        if self.at_sym("<"):
+            names, relators = self.parse_angle()
+            if not relators:
+                return names
+        raise UnsupportedBaseError(f"{what} must be free")
 
-    def _parse_group(self):
+    def parse_group(self):
         if self.at_sym("<"):
             names, relators = self.parse_angle()
             return resolve_presentation(names, relators)
@@ -290,9 +302,7 @@ class Parser:
     def parse_hnn(self):
         self.advance()
         self.expect("sym", "(")
-        base = self.parse_group()
-        if base.kind != "free":
-            raise UnsupportedBaseError("hnn base must be free")
+        base = self.parse_free("hnn base")
         self.expect("sym", ";")
         a_name = self.expect("name").value
         self.expect("arrow")
@@ -300,16 +310,17 @@ class Parser:
         if not self.at_keyword("via"):
             raise ParseError("expected 'via'", self.peek().pos)
         self.advance()
-        name_map = base.name_map
+        name_map = letters_of(base)
         a_gens, b_gens = self.parse_pairs(name_map, name_map, "arrow")
         self.expect("sym", ")")
-        stable = next(nm for nm in ("t", "s", "u", "t1", "t2")
+        stable = next(nm for nm in chain(("t", "s", "u"),
+                                         (f"t{i}" for i in count(1)))
                       if nm not in name_map)
         src = ParsedSource(
-            "hnn", HnnSpec(HnnPresentation(len(base.names), a_gens, b_gens)),
-            base.names + [stable])
+            "hnn", HnnSpec(HnnPresentation(len(base), a_gens, b_gens)),
+            base + [stable])
         src.subs = {a_name: list(a_gens), b_name: list(b_gens)}
-        t = len(base.names) + 1
+        t = len(base) + 1
         src.relators = [concat((-t,), a, (t,), inverse(b))
                         for a, b in zip(a_gens, b_gens)]
         return src
@@ -317,40 +328,35 @@ class Parser:
     def parse_amalgam(self):
         self.advance()
         self.expect("sym", "(")
-        left = self.parse_group()
+        left = self.parse_free("amalgam factors")
         self.expect("sym", ",")
-        right = self.parse_group()
-        if left.kind != "free" or right.kind != "free":
-            raise UnsupportedBaseError("amalgam factors must be free")
+        right = self.parse_free("amalgam factors")
         self.expect("sym", ";")
-        a_gens, b_gens = self.parse_pairs(left.name_map, right.name_map,
+        a_gens, b_gens = self.parse_pairs(letters_of(left), letters_of(right),
                                           "sym", "~")
         self.expect("sym", ")")
-        pres = AmalgamPresentation(len(left.names), len(right.names),
-                                   a_gens, b_gens)
-        names = list(left.names)
-        for nm in right.names:
+        pres = AmalgamPresentation(len(left), len(right), a_gens, b_gens)
+        names = list(left)
+        for nm in right:
             while nm in names:
                 nm += "_"
             names.append(nm)
-        src = ParsedSource("amalgam", AmalgamSpec(pres), names)
-        src.factor_names = (list(left.names), list(right.names))
-        return src
+        return ParsedSource("amalgam", AmalgamSpec(pres), names,
+                            factor_names=(left, right))
 
     def parse_gog(self):
         self.advance()
         self.expect("sym", "{")
-        vertices, vertex_names, edges = {}, {}, []
+        vertex_names, edges = {}, []
         while not self.at_sym("}"):
             if self.at_keyword("vertex"):
                 self.advance()
-                vname = self.expect("name").value
+                tok = self.expect("name")
+                if tok.value in vertex_names:
+                    raise ParseError(
+                        f"duplicate vertex name {tok.value!r}", tok.pos)
                 self.expect("sym", "=")
-                g = self.parse_group()
-                if g.kind != "free":
-                    raise UnsupportedBaseError("vertex groups must be free")
-                vertices[vname] = len(g.names)
-                vertex_names[vname] = g.names
+                vertex_names[tok.value] = self.parse_free("vertex groups")
                 self.expect("sym", ";")
             elif self.at_keyword("edge"):
                 self.advance()
@@ -361,11 +367,9 @@ class Parser:
                 if src_v not in vertex_names or dst_v not in vertex_names:
                     raise ParseError("edge references an unknown vertex",
                                      self.peek().pos)
-                src_map = {nm: i + 1
-                           for i, nm in enumerate(vertex_names[src_v])}
-                dst_map = {nm: i + 1
-                           for i, nm in enumerate(vertex_names[dst_v])}
-                gens, images = self.parse_pairs(src_map, dst_map, "sym", "~")
+                gens, images = self.parse_pairs(
+                    letters_of(vertex_names[src_v]),
+                    letters_of(vertex_names[dst_v]), "sym", "~")
                 edges.append(GogEdge(src_v, dst_v, tuple(gens),
                                      tuple(images)))
                 self.expect("sym", ";")
@@ -375,9 +379,9 @@ class Parser:
                     f"expected 'vertex' or 'edge', found {tok.value!r}",
                     tok.pos)
         self.expect("sym", "}")
-        src = ParsedSource("gog", gog=GraphOfGroups(vertices, edges))
-        src.vertex_names = vertex_names
-        return src
+        vertices = {v: len(names) for v, names in vertex_names.items()}
+        return ParsedSource("gog", gog=GraphOfGroups(vertices, edges),
+                            vertex_names=vertex_names)
 
 
 def resolve_presentation(names, relators):
@@ -512,12 +516,14 @@ def render_source(src: ParsedSource):
 
 @dataclass
 class Report:
-    command: str
     verdict: str
     witnesses: list = field(default_factory=list)
     citations: list = field(default_factory=list)
-    timing: float = 0.0
     details: dict = field(default_factory=dict)
+    # a violation witness or a failed check: run exits 1 on it; not printed
+    violation: bool = False
+    command: str = ""       # filled in by run
+    timing: float = 0.0     # filled in by run
 
     def to_dict(self):
         return {"command": self.command, "verdict": self.verdict,
@@ -543,15 +549,12 @@ class Report:
 
 
 def _cmd_reduce(src, flags):
-    if flags.get("word") is None:
-        raise CsakitError("reduce needs --word")
     p = Parser(flags["word"])
     w = p.parse_word(src.name_map)
     if p.peek().kind != "end":
         raise ParseError("trailing input after word", p.peek().pos)
     # an amalgam's normal form also uses its extension's stable letter
-    out = word_to_str(src.spec.normal_word(w), src.names + ["t"])
-    return Report("reduce", out), 0
+    return Report(word_to_str(src.spec.normal_word(w), src.names + ["t"]))
 
 
 def _sep_witness(wit, names):
@@ -580,25 +583,20 @@ def _cmd_check_malnormal(src, flags):
             w["subgroup"] = nm
             witnesses.append(w)
     ok = all(v == "malnormal" for v in details.values())
-    verdict = "malnormal" if ok else "not-malnormal"
-    return Report("check-malnormal", verdict, witnesses, [],
-                  details=details), 0 if ok else 1
+    return Report("malnormal" if ok else "not-malnormal", witnesses,
+                  details=details, violation=not ok)
 
 
 def _cmd_check_separated(src, flags, strict=False):
     pres = src.spec.pres
-    if strict:
-        rep = hnn_mod.is_strictly_separated(pres, flags["cap"])
-        cmd = "check-strict-separated"
-    else:
-        rep = hnn_mod.is_separated(pres)
-        cmd = "check-separated"
+    rep = hnn_mod.is_strictly_separated(pres, flags["cap"]) if strict \
+        else hnn_mod.is_separated(pres)
     witnesses = []
     if rep.witness is not None:
         witnesses.append(_sep_witness(rep.witness, src.names[:-1]))
     verdict = "separated" if rep.verdict else "not-separated"
-    return Report(cmd, verdict, witnesses, ["Thm-SepExt"]), \
-        0 if rep.verdict else 1
+    return Report(verdict, witnesses, ["Thm-SepExt"],
+                  violation=not rep.verdict)
 
 
 def _cmd_classify(src, flags):
@@ -607,82 +605,56 @@ def _cmd_classify(src, flags):
     witnesses = []
     if cls.conjugator is not None:
         witnesses.append({"s": word_to_str(cls.conjugator, src.names[:-1])})
-    return Report("classify", f"{cls.case} {cls.csa}", witnesses,
-                  [cite] if cite else [],
-                  details={"case": cls.case, "csa": cls.csa}), \
-        1 if cls.csa == "not-csa" else 0
+    return Report(f"{cls.case} {cls.csa}", witnesses, [cite] if cite else [],
+                  details={"case": cls.case, "csa": cls.csa},
+                  violation=cls.csa == "not-csa")
 
 
-def _cmd_falsify_csa(src, flags):
-    wit = csa_mod.falsify_csa(src.spec, flags.get("radius", DEFAULT_RADIUS))
+def _cmd_falsify(src, flags, search):
+    # looked up at call time, so a wrapper installed on csa is the one run
+    wit = getattr(csa_mod, search)(src.spec,
+                                   flags.get("radius", DEFAULT_RADIUS))
     if wit is None:
-        return Report("falsify-csa", "no-witness"), 0
-    w = {"a": word_to_str(wit.a, src.names),
-         "v": word_to_str(wit.v, src.names)}
-    return Report("falsify-csa", "witness-found", [w]), 1
-
-
-def _cmd_falsify_ct(src, flags):
-    wit = csa_mod.falsify_ct(src.spec, flags.get("radius", DEFAULT_RADIUS))
-    if wit is None:
-        return Report("falsify-ct", "no-witness"), 0
-    w = {k: word_to_str(getattr(wit, k), src.names) for k in "abc"}
-    return Report("falsify-ct", "witness-found", [w]), 1
+        return Report("no-witness")
+    w = {f.name: word_to_str(getattr(wit, f.name), src.names)
+         for f in fields(wit)}
+    return Report("witness-found", [w], violation=True)
 
 
 def _cmd_verify_obstacle(src, flags):
-    kind = flags.get("obstacle")
-    if kind not in OBSTACLE_CITATIONS:
-        raise CsakitError("verify-obstacle needs --obstacle "
-                          "dinf | calb | b1n")
-    if not flags.get("images"):
-        raise CsakitError("verify-obstacle needs --images")
+    kind = flags["obstacle"]
     p = Parser(flags["images"])
     images = p.parse_word_list(src.name_map)
     if p.peek().kind != "end":
         raise ParseError("trailing input after images", p.peek().pos)
-    expected = {csa_mod.OBSTACLE_DINF: 2, csa_mod.OBSTACLE_CALB: 3,
-                csa_mod.OBSTACLE_B1N: 2}[kind]
-    if len(images) != expected:
-        raise CsakitError(f"{kind} obstacle needs {expected} images")
     witness = csa_mod.ObstacleWitness(
-        kind, {i + 1: img for i, img in enumerate(images)},
+        kind, dict(enumerate(images, 1)),
         radius=flags.get("radius", DEFAULT_RADIUS), n=flags.get("n"))
     ok = csa_mod.verify_obstacle(witness, src.spec)
     details = {}
     if kind == csa_mod.OBSTACLE_CALB and src.kind == "fbc":
-        fibers = []
-        for img in images[:2]:
-            fib, k = wpengine.fc_normal_form(img)
-            if k != 0:
-                fibers = None
-                break
-            fibers.append(fib)
-        if fibers is not None:
-            rank = stallings.fold(fibers, 2).free_rank
+        # two free images in the fiber F2 must generate a rank-2 subgroup
+        forms = [wpengine.fc_normal_form(img) for img in images[:2]]
+        if all(k == 0 for _, k in forms):
+            rank = stallings.fold([fib for fib, _ in forms], 2).free_rank
             details["fiber-rank"] = rank
             ok = ok and rank == 2
-    verdict = "verified" if ok else "not-verified"
     wit_out = [{"images": ", ".join(word_to_str(w, src.names)
                                     for w in images)}]
-    return Report("verify-obstacle", verdict, wit_out,
-                  [OBSTACLE_CITATIONS[kind]], details=details), \
-        0 if ok else 1
+    return Report("verified" if ok else "not-verified", wit_out,
+                  [csa_mod.OBSTACLE_CITATIONS[kind]], details=details,
+                  violation=not ok)
 
 
 def _cmd_gog_check(src, flags):
     if src.kind == "amalgam":
         pres = src.spec.pres
         verdict, cite = amalgam_mod.amalgam_csa_verdict_abelian(pres)
-        return Report("gog-check", verdict, [], [cite]), \
-            1 if verdict == "not-csa" else 0
+        return Report(verdict, [], [cite], violation=verdict == "not-csa")
     gog = src.gog
     rep = amalgam_mod.gog_predicates(gog, flags["cap"])
-    details = {
-        "quasi-malnormal": rep.quasi_malnormal,
-        "malnormal": rep.malnormal,
-        "separated": rep.separated,
-    }
+    details = {"quasi-malnormal": rep.quasi_malnormal,
+               "malnormal": rep.malnormal, "separated": rep.separated}
     citations = []
     verdict = "unknown"
     try:
@@ -695,8 +667,8 @@ def _cmd_gog_check(src, flags):
             word_to_str(r, tree.generator_names) for r in tree.relators)
     except UnsupportedShapeError:
         details["shape"] = "not a tree; csa verdict unavailable"
-    return Report("gog-check", verdict, [], citations, details=details), \
-        1 if verdict == "not-csa" else 0
+    return Report(verdict, [], citations, details,
+                  violation=verdict == "not-csa")
 
 
 def _cmd_abelianize(src, flags):
@@ -710,20 +682,15 @@ def _cmd_abelianize(src, flags):
     elif free_rank > 1:
         parts.append(f"Z^{free_rank}")
     parts.extend(f"Z/{d}" for d in torsion)
-    verdict = " + ".join(parts) if parts else "0"
-    return Report("abelianize", verdict,
-                  details={"free-rank": free_rank,
-                           "torsion": list(torsion)}), 0
+    return Report(" + ".join(parts) if parts else "0",
+                  details={"free-rank": free_rank, "torsion": list(torsion)})
 
 
 def _cmd_resp(flags):
-    m, n, p = flags.get("m"), flags.get("n"), flags.get("p")
-    if m is None or n is None or p is None:
-        raise CsakitError("resp-obstruction needs --m, --n and --p")
+    m, n, p = flags["m"], flags["n"], flags["p"]
     blocked = csa_mod.residually_p_obstruction(m, n, p)
-    verdict = "obstructed" if blocked else "no-obstruction"
-    return Report("resp-obstruction", verdict, [], ["Prop-res"],
-                  details={"m": m, "n": n, "p": p}), 1 if blocked else 0
+    return Report("obstructed" if blocked else "no-obstruction", [],
+                  ["Prop-res"], {"m": m, "n": n, "p": p}, violation=blocked)
 
 
 # -- golden fixtures ---------------------------------------------------------
@@ -755,55 +722,64 @@ def _cmd_repro(flags):
                for key, want in fx["expect"].items() if got[key] != want]
         mismatches.extend(bad)
         matched += not bad
-    verdict = f"{matched}/{len(fixtures)} fixtures match"
-    if mismatches:
-        return Report("repro", verdict,
-                      details={"mismatches": mismatches}), 1
-    return Report("repro", verdict), 0
+    return Report(f"{matched}/{len(fixtures)} fixtures match",
+                  details={"mismatches": mismatches} if mismatches else {},
+                  violation=bool(mismatches))
 
 
 # -- dispatch ----------------------------------------------------------------
 
 _GROUP_KINDS = ("free", "fpc", "hnn", "amalgam", "fbc")
 
-# command -> (implementation, the source kinds it accepts); None marks the
-# commands that read no source and take the flags alone
+# command -> (implementation, the source kinds it accepts, the flags it
+# needs); kinds None marks the commands that read no source and take the
+# flags alone
 COMMANDS = {
-    "reduce": (_cmd_reduce, _GROUP_KINDS),
-    "check-malnormal": (_cmd_check_malnormal, ("free", "hnn")),
-    "check-separated": (_cmd_check_separated, ("hnn",)),
+    "reduce": (_cmd_reduce, _GROUP_KINDS, ("word",)),
+    "check-malnormal": (_cmd_check_malnormal, ("free", "hnn"), ()),
+    "check-separated": (_cmd_check_separated, ("hnn",), ()),
     "check-strict-separated": (partial(_cmd_check_separated, strict=True),
-                               ("hnn",)),
-    "classify": (_cmd_classify, ("hnn",)),
-    "falsify-csa": (_cmd_falsify_csa, _GROUP_KINDS),
-    "falsify-ct": (_cmd_falsify_ct, _GROUP_KINDS),
-    "verify-obstacle": (_cmd_verify_obstacle, _GROUP_KINDS),
-    "gog-check": (_cmd_gog_check, ("gog", "amalgam")),
-    "abelianize": (_cmd_abelianize, ("free", "fpc", "hnn", "pres")),
-    "resp-obstruction": (_cmd_resp, None),
-    "repro": (_cmd_repro, None),
+                               ("hnn",), ()),
+    "classify": (_cmd_classify, ("hnn",), ()),
+    "falsify-csa": (partial(_cmd_falsify, search="falsify_csa"),
+                    _GROUP_KINDS, ()),
+    "falsify-ct": (partial(_cmd_falsify, search="falsify_ct"),
+                   _GROUP_KINDS, ()),
+    "verify-obstacle": (_cmd_verify_obstacle, _GROUP_KINDS,
+                        ("obstacle", "images")),
+    "gog-check": (_cmd_gog_check, ("gog", "amalgam"), ()),
+    "abelianize": (_cmd_abelianize, ("free", "fpc", "hnn", "pres"), ()),
+    "resp-obstruction": (_cmd_resp, None, ("m", "n", "p")),
+    "repro": (_cmd_repro, None, ()),
 }
 
 
 def run(command, text, flags=None):
-    """Execute one command; returns (Report, exit_code)."""
+    """Execute one command; returns (Report, exit_code), the code 1 when
+    the report holds a violation and 0 otherwise."""
     if command not in COMMANDS:
         raise CsakitError(f"unknown command {command!r}")
-    impl, kinds = COMMANDS[command]
+    impl, kinds, needs = COMMANDS[command]
     flags = dict(flags or {})
+    if any(flags.get(f) is None for f in needs):
+        names = [f"--{f}" for f in needs]
+        listed = f"{', '.join(names[:-1])} and {names[-1]}" \
+            if len(names) > 1 else names[0]
+        raise CsakitError(f"{command} needs {listed}")
     if flags.get("cap") is None:
         flags["cap"] = _default_cap()
     t0 = time.monotonic()
     if kinds is None:
-        report, code = impl(flags)
+        report = impl(flags)
     else:
         src = parse_source(text)
         if src.kind not in kinds:
             raise UnsupportedShapeError(
                 f"{command} does not support a {src.kind} source")
-        report, code = impl(src, flags)
+        report = impl(src, flags)
+    report.command = command
     report.timing = time.monotonic() - t0
-    return report, code
+    return report, int(report.violation)
 
 
 # -- entry point -------------------------------------------------------------
@@ -845,7 +821,7 @@ def main(argv=None):
     parser.add_argument("--radius", type=int, default=DEFAULT_RADIUS)
     parser.add_argument("--cap", type=int, default=None)
     parser.add_argument("--json", action="store_true")
-    parser.add_argument("--obstacle", choices=("dinf", "calb", "b1n"))
+    parser.add_argument("--obstacle", choices=csa_mod.OBSTACLE_CITATIONS)
     parser.add_argument("--images", help="comma-separated obstacle "
                                          "generator images")
     parser.add_argument("--n", type=int, default=None)

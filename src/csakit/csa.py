@@ -261,6 +261,11 @@ OBSTACLE_B1N = "b1n"       # <x,y | y x y^-1 = x^n>, x=1, y=2
 # rank whose reduced-word count is the size of the obstacle ball before
 # deduplication; dinf's alternating words count as words in one letter
 _OBSTACLE_RANKS = {OBSTACLE_DINF: 1, OBSTACLE_CALB: 3, OBSTACLE_B1N: 2}
+# generators of each obstacle group, one host image each in a witness
+OBSTACLE_GENERATORS = {OBSTACLE_DINF: 2, OBSTACLE_CALB: 3, OBSTACLE_B1N: 2}
+OBSTACLE_CITATIONS = {OBSTACLE_DINF: "Prop-TObstacles",
+                      OBSTACLE_CALB: "Prop-OneRelNotCSA",
+                      OBSTACLE_B1N: "Prop-TFObstacles"}
 
 
 @dataclass
@@ -277,7 +282,7 @@ def _obstacle_ball(kind, radius, n=None):
     ValueError before enumerating when there are more than
     MAX_BALL_WORDS words: the 1 + 2R alternating words of dinf, the
     reduced words over 3 (calb) or 2 (b1n) generators."""
-    _check_ball_size(_OBSTACLE_RANKS.get(kind, 0), radius)
+    _check_ball_size(_OBSTACLE_RANKS[kind], radius)
     if kind == OBSTACLE_DINF:
         out = [()]
         for first in (1, 2):
@@ -293,18 +298,17 @@ def _obstacle_ball(kind, radius, n=None):
             m = sum(1 if l == 3 else -1 for l in w if abs(l) == 3)
             return free_reduce([l for l in w if abs(l) != 3]), m
         return _distinct(reduced_words(3, radius), key)
-    if kind == OBSTACLE_B1N:
-        def key(w):
-            q, k = Fraction(0), 0
-            for l in w:
-                if abs(l) == 2:
-                    k += 1 if l > 0 else -1
-                else:
-                    # y^k x y^-k acts as adding n^k
-                    q += (1 if l > 0 else -1) * Fraction(n) ** k
-            return q, k
-        return _distinct(reduced_words(2, radius), key)
-    raise ValueError(f"unknown obstacle kind {kind!r}")
+
+    def key(w):     # b1n
+        q, k = Fraction(0), 0
+        for l in w:
+            if abs(l) == 2:
+                k += 1 if l > 0 else -1
+            else:
+                # y^k x y^-k acts as adding n^k
+                q += (1 if l > 0 else -1) * Fraction(n) ** k
+        return q, k
+    return _distinct(reduced_words(2, radius), key)
 
 
 def _obstacle_relators(kind, n=None):
@@ -312,11 +316,9 @@ def _obstacle_relators(kind, n=None):
         return [(1, 1), (2, 2)]
     if kind == OBSTACLE_CALB:
         return [commutator((3,), (1,)), commutator((3,), (2,))]
-    if kind == OBSTACLE_B1N:
-        if n is None or n == 0:
-            raise ValueError("b1n obstacle needs a nonzero n")
-        return [concat((2,), (1,), (-2,), power((1,), -n))]
-    raise ValueError(f"unknown obstacle kind {kind!r}")
+    if n is None or n == 0:     # b1n
+        raise ValueError("b1n obstacle needs a nonzero n")
+    return [concat((2,), (1,), (-2,), power((1,), -n))]
 
 
 def _map_word(word, images):
@@ -330,9 +332,16 @@ def _map_word(word, images):
 def verify_obstacle(witness: ObstacleWitness, host) -> bool:
     """Check (i) every obstacle relator maps to 1 in the host and (ii)
     distinct obstacle elements of length <= radius stay distinct.
-    Bounded-radius evidence of an embedding, not a proof."""
+    Bounded-radius evidence of an embedding, not a proof.  Raises
+    ValueError unless the images are exactly those of generators 1..k
+    of the obstacle group."""
     check_radius(witness.radius)
+    count = OBSTACLE_GENERATORS.get(witness.kind)
+    if count is None:
+        raise ValueError(f"unknown obstacle kind {witness.kind!r}")
     images = witness.images
+    if sorted(images) != list(range(1, count + 1)):
+        raise ValueError(f"{witness.kind} obstacle needs {count} images")
     for rel in _obstacle_relators(witness.kind, witness.n):
         if not is_trivial(_map_word(rel, images), host):
             return False

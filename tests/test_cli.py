@@ -10,7 +10,8 @@ import pytest
 from csakit import cli, csa
 from csakit.cli import (Parser, main, parse_source, render_source, run,
                         word_to_str)
-from csakit.errors import CsakitError, ParseError
+from csakit.errors import (CsakitError, MalformedWordError, ParseError,
+                           UnsupportedBaseError)
 from csakit.wpengine import (FreeByCyclicSpec, FreeProductCyclicsSpec,
                              FreeSpec, HnnSpec)
 
@@ -62,6 +63,35 @@ def test_parse_errors_are_positioned():
         parse_source("< x, sub | x^2 >")
     assert exc.value.pos == 5
     assert "reserved generator name 'sub'" in str(exc.value)
+    # a second vertex of the same name is reported at its name
+    text = ("gog { vertex u = < a, b >; vertex v = < c >; "
+            "edge u -> v : b ~ c; vertex u = < a >; }")
+    with pytest.raises(ParseError) as exc:
+        parse_source(text)
+    assert exc.value.pos == text.rindex("u = < a >")
+    assert "duplicate vertex name 'u'" in str(exc.value)
+
+
+def test_hnn_stable_letter_never_runs_out(capsys):
+    assert main(["classify", "hnn(< t, s, u, t1, t2 >; A -> B via t -> s)"]) \
+        == 0
+    assert "verdict: CASE1-SEPARATED csa*" in capsys.readouterr().out
+    assert parse_source("hnn(< t, s, u, t1, t2 >; A -> B via t -> s)").names \
+        == ["t", "s", "u", "t1", "t2", "t3"]
+    rep, code = run("classify", "< t, s, u, t1, t2, t3 | t3^-1 t t3 = s >")
+    assert (rep.verdict, code) == ("CASE1-SEPARATED csa*", 0)
+    # the first free name of the old list is kept
+    assert parse_source("hnn(< t, s >; A -> B via t -> s)").names[-1] == "u"
+
+
+def test_constructor_operands_must_be_free():
+    for text in ("hnn(< x | x^2 >; A -> B via x -> x)",
+                 "hnn(fbc(); A -> B via x -> x)",
+                 "amalgam(< a >, < c | c^2 >; a ~ c)",
+                 "amalgam(< a >, hnn(< c >; A -> B via c -> c); a ~ c)",
+                 "gog { vertex u = fbc(); }"):
+        with pytest.raises(UnsupportedBaseError, match="must be free"):
+            parse_source(text)
 
 
 def test_hnn_constructor_matches_presentation():
@@ -309,15 +339,38 @@ def test_main_rejects_deep_nesting(capsys):
     # commutators count toward the depth like parentheses
     deep_commutator = "[" * 300 + "x, y" + "], y" * 299 + "]"
     assert main(["reduce", "< x, y >", "--word", deep_commutator]) == 2
-    # group constructors nest through parse_group
+    # group constructors take only free operands, so they cannot nest
     for opener in ("amalgam(", "hnn(", "gog { vertex u = "):
+        start = time.perf_counter()
         assert main(["falsify-csa", opener * 3000]) == 2
-        assert "groups nested deeper" in capsys.readouterr().err
+        assert time.perf_counter() - start < 1
+        assert "must be free" in capsys.readouterr().err
 
 
 def test_reduce_long_power():
     rep, code = run("reduce", "< x, y >", {"word": "x^50000"})
     assert (rep.verdict, code) == ("x^50000", 0)
+    rep, code = run("reduce", "< x1, x2 >", {"word": "x1^4000"})
+    assert (rep.verdict, code) == ("x1^4000", 0)
+
+
+def test_word_letter_limit(capsys):
+    limit = cli.MAX_WORD_LETTERS
+    start = time.perf_counter()
+    assert main(["reduce", "< x, y >", "--word", "x^300000000"]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "300000000" in err and str(limit) in err
+    # the limit counts the letters written out: a conjugated power writes
+    # its conjugator twice, and a commutator writes both words twice
+    assert run("reduce", "< x, y >",
+               {"word": f"(y x y^-1)^{limit - 2}"})[0].verdict == \
+        f"y x^{limit - 2} y^-1"
+    for word in (f"x^{limit + 1}", f"(x y)^{limit // 2 + 1}",
+                 f"x^{limit // 2} x^{limit // 2} x",
+                 "[" * 20 + "x, y" + "], y" * 19 + "]"):
+        with pytest.raises(MalformedWordError):
+            run("reduce", "< x, y >", {"word": word})
 
 
 def test_main_stdin(monkeypatch):
@@ -356,3 +409,23 @@ def test_verify_obstacle_command():
     assert rep2.verdict == "not-verified" and code2 == 1
     with pytest.raises(CsakitError):
         run("verify-obstacle", "< x, y | x^2 >", {})
+    # dinf has two generators: a wrong image count is rejected input
+    for images in ("x", "x, y^-1 x y, y"):
+        assert main(["verify-obstacle", "< x, y | x^2 >", "--obstacle",
+                     "dinf", "--images", images]) == 2
+
+
+def test_run_names_each_missing_flag():
+    cases = [("reduce", EX1, {}, "reduce needs --word"),
+             ("resp-obstruction", "", {"m": 2, "n": 3},
+              "resp-obstruction needs --m, --n and --p"),
+             ("resp-obstruction", "", {},
+              "resp-obstruction needs --m, --n and --p"),
+             ("verify-obstacle", B12, {"images": "x"},
+              "verify-obstacle needs --obstacle and --images"),
+             ("verify-obstacle", B12, {"obstacle": "dinf"},
+              "verify-obstacle needs --obstacle and --images")]
+    for command, text, flags, message in cases:
+        with pytest.raises(CsakitError) as exc:
+            run(command, text, flags)
+        assert str(exc.value) == message

@@ -66,6 +66,13 @@ def test_obstacle_dinf():
     bad2 = csa.ObstacleWitness(csa.OBSTACLE_DINF,
                                {1: (1,), 2: (2,)}, radius=2)
     assert not csa.verify_obstacle(bad2, host)
+    # one image per generator of Z/2 * Z/2, no fewer and no more
+    for images in ({1: (1,)}, {1: (1,), 2: (-2, 1, 2), 3: (2,)}):
+        with pytest.raises(ValueError, match="dinf obstacle needs 2 images"):
+            csa.verify_obstacle(csa.ObstacleWitness(csa.OBSTACLE_DINF,
+                                                    images), host)
+    with pytest.raises(ValueError, match="unknown obstacle kind"):
+        csa.verify_obstacle(csa.ObstacleWitness("d8", {1: (1,)}), host)
 
 
 def test_obstacle_calb():
