@@ -44,7 +44,7 @@ from . import hnn as hnn_mod
 from . import stallings, wpengine
 from .amalgam import AmalgamPresentation, GogEdge, GraphOfGroups
 from .errors import (CsakitError, MalformedWordError, ParseError,
-                     UnsupportedBaseError, UnsupportedShapeError)
+                     UnsupportedShapeError)
 from .hnn import HnnPresentation
 from .words import concat, cyclic_reduce, free_reduce, inverse, power
 from .wpengine import (AmalgamSpec, FreeByCyclicSpec, FreeProductCyclicsSpec,
@@ -128,6 +128,14 @@ class ParsedSource:
 def letters_of(names):
     """Generator name -> letter, 1 for the first name."""
     return {nm: i + 1 for i, nm in enumerate(names)}
+
+
+def stable_name(names):
+    """The name of a stable letter added to the generator names: the
+    first of t, s, u, t1, t2, ... that is not one of them."""
+    return next(nm for nm in chain(("t", "s", "u"),
+                                   (f"t{i}" for i in count(1)))
+                if nm not in names)
 
 
 def _check_letters(n):
@@ -272,13 +280,14 @@ class Parser:
         return names, relators
 
     def parse_free(self, what):
-        """'<' names '>' -> names; any other group raises
-        UnsupportedBaseError naming what must be free."""
+        """'<' names '>' -> names; any other group raises a ParseError at
+        its first token naming what must be free."""
+        pos = self.peek().pos
         if self.at_sym("<"):
             names, relators = self.parse_angle()
             if not relators:
                 return names
-        raise UnsupportedBaseError(f"{what} must be free")
+        raise ParseError(f"{what} must be free", pos)
 
     def parse_group(self):
         if self.at_sym("<"):
@@ -313,12 +322,9 @@ class Parser:
         name_map = letters_of(base)
         a_gens, b_gens = self.parse_pairs(name_map, name_map, "arrow")
         self.expect("sym", ")")
-        stable = next(nm for nm in chain(("t", "s", "u"),
-                                         (f"t{i}" for i in count(1)))
-                      if nm not in name_map)
         src = ParsedSource(
             "hnn", HnnSpec(HnnPresentation(len(base), a_gens, b_gens)),
-            base + [stable])
+            base + [stable_name(base)])
         src.subs = {a_name: list(a_gens), b_name: list(b_gens)}
         t = len(base) + 1
         src.relators = [concat((-t,), a, (t,), inverse(b))
@@ -554,7 +560,8 @@ def _cmd_reduce(src, flags):
     if p.peek().kind != "end":
         raise ParseError("trailing input after word", p.peek().pos)
     # an amalgam's normal form also uses its extension's stable letter
-    return Report(word_to_str(src.spec.normal_word(w), src.names + ["t"]))
+    names = src.names + [stable_name(src.names)]
+    return Report(word_to_str(src.spec.normal_word(w), names))
 
 
 def _sep_witness(wit, names):

@@ -22,16 +22,19 @@ MAX_BALL_WORDS = 5000
 # -- ball enumeration -------------------------------------------------------
 
 
-def ball(spec, radius):
+def ball(spec, radius, *, _image=None):
     """Freely reduced words of length <= radius over the displayed
     generators, in shortlex order, one per element through the group's
     canonical form.  The identity is omitted.  Raises ValueError before
-    enumerating when there are more than MAX_BALL_WORDS reduced words."""
+    enumerating when there are more than MAX_BALL_WORDS reduced words.
+    The falsifiers pass _image, a word's image under a homomorphism,
+    so that canonical forms are computed only for words whose image an
+    earlier word shares; the list is the same."""
     rank = num_generators(spec)
     _check_ball_size(rank, radius)
     words = reduced_words(rank, radius)
     # reduced_words lists the identity first
-    return _distinct(words, lambda w: canonical_key(w, spec))[1:]
+    return _distinct(words, lambda w: canonical_key(w, spec), _image)[1:]
 
 
 def _check_ball_size(rank, radius):
@@ -54,14 +57,27 @@ def _check_ball_size(rank, radius):
         f"of {MAX_BALL_WORDS}; lower --radius")
 
 
-def _distinct(words, key):
-    """The words whose key has not occurred earlier in the list."""
-    seen = set()
+def _distinct(words, key, coarse=None):
+    """The words whose key has not occurred earlier in the list.  coarse,
+    when given, is a cheaper key that every two words of equal key
+    share: a word whose coarse key is new is kept with no key computed,
+    and keys are computed only among the words of one coarse key, the
+    first of them once a second one arrives."""
+    firsts = {}     # coarse key -> the first word with it
+    seen = {}       # coarse key -> the keys of its words, once two share it
     out = []
     for w in words:
+        c = None if coarse is None else coarse(w)
+        if c not in firsts:
+            firsts[c] = w
+            out.append(w)
+            continue
+        keys = seen.get(c)
+        if keys is None:
+            keys = seen[c] = {key(firsts[c])}
         k = key(w)
-        if k not in seen:
-            seen.add(k)
+        if k not in keys:
+            keys.add(k)
             out.append(w)
     return out
 
@@ -82,13 +98,16 @@ class CtWitness:
     c: tuple
 
 
-def _search_context(elements, spec):
-    """The commutation tests of a search over a fixed element list:
-    comm(i, j) for [a, b] = 1, cached, and conj_commutes(i, j) for
-    [a, v^-1 a v] = 1.  Britton specs reduce each commutator as a stream
-    of pre-reduced TWords, built on first use and sharing one pinch memo
-    for the whole search."""
+def _search_context(spec, radius):
+    """The ball of a search and its commutation tests over it: comm(i, j)
+    for [a, b] = 1, cached, and conj_commutes(i, j) for [a, v^-1 a v] =
+    1.  Britton specs reduce each commutator as a stream of pre-reduced
+    TWords, built on first use and sharing one pinch memo for the whole
+    search; the word images of one permutation quotient of spec.ext,
+    when there is one, deduplicate the ball and filter the pairs."""
     if not isinstance(spec, BrittonSpec):
+        elements = ball(spec, radius)
+
         def commutes_idx(i, j):
             return commutes(elements[i], elements[j], spec)
 
@@ -96,8 +115,10 @@ def _search_context(elements, spec):
             return commutes(elements[i],
                             conjugate(elements[i], elements[j]), spec)
 
-        return _cached_pairwise(commutes_idx), conj_commutes
+        return elements, _cached_pairwise(commutes_idx), conj_commutes
 
+    image = _word_image(spec)
+    elements = ball(spec, radius, _image=image)
     P = spec.ext
     memo = {}
     tws = [None] * len(elements)
@@ -120,24 +141,22 @@ def _search_context(elements, spec):
         return is_identity(a, P, v_inv, a, v, a_inv, v_inv, a_inv, v,
                            memo=memo)
 
-    return _quotient_filter(elements, spec, _cached_pairwise(commutes_idx),
-                            conj_commutes)
+    return (elements,) + _quotient_filter(
+        elements, image, _cached_pairwise(commutes_idx), conj_commutes)
 
 
-def _quotient_filter(elements, spec, comm, conj_commutes):
-    """Put a permutation quotient rho of spec.ext in front of the two
-    tests: a pair with rho([a, b]) != 1, or rho([a, v^-1 a v]) != 1, is
-    answered False without calling the test.  Exact, since a
-    homomorphism sends a trivial commutator to 1; the tests alone when
-    no quotient was found.  Images are built on first use, each from
-    the image of its word's prefix."""
-    # imported on first use: only these searches need it, so a command
-    # that runs none of them does not pay for its import
+def _word_image(spec):
+    """The map from a word over spec's displayed generators to its image
+    under a permutation quotient rho of spec.ext, each image built from
+    the cached image of the word's prefix; None when no quotient was
+    found."""
+    # imported on first use: only the Britton searches need it, so a
+    # command that runs none of them does not pay for its import
     from . import quotients
     P = spec.ext
     rho = quotients.permutation_quotients(P)
     if rho is None:
-        return comm, conj_commutes
+        return None
     t = P.base_rank + 1
     identity = bytes(range(len(rho[1])))
     letters = {l: quotients.table(quotients.evaluate(
@@ -151,25 +170,37 @@ def _quotient_filter(elements, spec, comm, conj_commutes):
             p = prefixes[w] = word_image(w[:-1]).translate(letters[w[-1]])
         return p
 
+    return word_image
+
+
+def _quotient_filter(elements, image, comm, conj_commutes):
+    """Put the permutation quotient rho whose word images image gives in
+    front of the two tests: a pair with rho([a, b]) != 1, or rho([a,
+    v^-1 a v]) != 1, is answered False without calling the test.  Exact,
+    since a homomorphism sends a trivial commutator to 1; the tests
+    alone when image is None."""
+    if image is None:
+        return comm, conj_commutes
+    from . import quotients
     images = [None] * len(elements)
     inverses = [None] * len(elements)
 
-    def image(i):
+    def element_image(i):
         """rho(a_i) and its translation table."""
         r = images[i]
         if r is None:
-            p = word_image(elements[i])
+            p = image(elements[i])
             r = images[i] = (p, quotients.table(p))
         return r
 
     def filtered_comm(i, j):
-        a, ta = image(i)
-        b, tb = image(j)
+        a, ta = element_image(i)
+        b, tb = element_image(j)
         return a.translate(tb) == b.translate(ta) and comm(i, j)
 
     def filtered_conj_commutes(i, j):
-        a, ta = image(i)
-        v, tv = image(j)
+        a, ta = element_image(i)
+        v, tv = element_image(j)
         v_inv = inverses[j]
         if v_inv is None:
             v_inv = inverses[j] = quotients.inv(v)
@@ -210,8 +241,7 @@ def verify_ct_witness(w: CtWitness, spec) -> bool:
 def falsify_csa(spec, radius=3) -> Optional[CsaWitness]:
     """First pair (a, v) in shortlex order with a != 1, [a, a^v] = 1 and
     [a, v] != 1.  A hit disproves CSA; a miss proves nothing."""
-    elements = ball(spec, radius)
-    comm, conj_commutes = _search_context(elements, spec)
+    elements, comm, conj_commutes = _search_context(spec, radius)
     index = {w: i for i, w in enumerate(elements)}
     # (a, v) is a hit iff (a, v^-1) is, and iff (a^-1, v) is, while
     # (a, a^-1) never is: skip every v, and every row a, whose literal
@@ -231,8 +261,7 @@ def falsify_csa(spec, radius=3) -> Optional[CsaWitness]:
 
 def falsify_ct(spec, radius=3) -> Optional[CtWitness]:
     """First triple with [a,b] = 1, [b,c] = 1 but [a,c] != 1."""
-    elements = ball(spec, radius)
-    comm, _ = _search_context(elements, spec)
+    elements, comm, _ = _search_context(spec, radius)
     rows = {}
 
     def row(i):

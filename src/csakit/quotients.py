@@ -80,17 +80,20 @@ def _draw(P, rng):
     the other side gives that generator once T is drawn (EX1: X2 =
     T^-1 X1 T, then X3 = X1^-1 T^-1 X2 T).  A relation with both sides
     known gives T by matching their cycles, which fails unless they
-    have the same cycle type.  Otherwise the least unknown generator is
-    drawn at random."""
+    have the same cycle type.  Otherwise an unknown generator that
+    occurs in a relation is drawn at random (_pick).  The generators
+    that occur in no relation are drawn last, once every relation
+    holds, so a failed draw spends nothing on them."""
     t = P.base_rank + 1
     edges = list(zip(P.a_gens, P.b_gens))
+    related = {abs(l) for a, b in edges for l in a + b}
     X = {}
 
     def value(word):
         return evaluate(word, X, _IDENTITY)
 
     while True:
-        base = [g for g in range(1, t) if g not in X]
+        base = [g for g in range(1, t) if g not in X and g in related]
         if t in X:
             if not base:
                 break
@@ -108,10 +111,27 @@ def _draw(P, rng):
                                for a, b in edges):
                 _assign(X, t, _random_perm(rng))
                 continue
-        _assign(X, base[0], _random_perm(rng))
+        _assign(X, _pick(base, edges, X), _random_perm(rng))
     if any(value((-t,) + a + (t,)) != value(b) for a, b in edges):
         return None
+    for g in range(1, t):
+        if g not in X:
+            _assign(X, g, _random_perm(rng))
     return {g: X[g] for g in range(1, t + 1)}
+
+
+def _pick(base, edges, X):
+    """The least generator of base whose image would leave a relation
+    solvable for its one unknown generator, which is then solved
+    instead of drawn (a ~ c^2: draw C, then A = T C^2 T^-1, where
+    drawing A first would need A to have the cycle type of C^2); the
+    least of base when there is none."""
+    for g in base:
+        known = X.keys() | {g, -g}
+        if any(_solvable(a, b, known) or _solvable(b, a, known)
+               for a, b in edges):
+            return g
+    return base[0]
 
 
 def _assign(X, g, p):
@@ -168,19 +188,20 @@ def _cycles(p):
 
 def _conjugator(A, B, rng):
     """A random T with T^-1 A T = B, or None when A and B have different
-    cycle types.  Each cycle of A goes onto a cycle of B of the same
-    length, picked at random, at a random rotation."""
+    cycle types, found before any random choice.  Each cycle of A goes
+    onto a cycle of B of the same length, picked at random, at a random
+    rotation."""
+    a_cycles, b_cycles = _cycles(A), _cycles(B)
+    if sorted(map(len, a_cycles)) != sorted(map(len, b_cycles)):
+        return None
     pools = {}
-    for cycle in _cycles(B):
+    for cycle in b_cycles:
         pools.setdefault(len(cycle), []).append(cycle)
     for pool in pools.values():
         rng.shuffle(pool)
     T = [0] * len(A)
-    for cycle in _cycles(A):
-        pool = pools.get(len(cycle))
-        if not pool:
-            return None
-        target = pool.pop()
+    for cycle in a_cycles:
+        target = pools[len(cycle)].pop()
         r = rng.randrange(len(cycle))
         for m, x in enumerate(cycle):
             T[x] = target[(m + r) % len(cycle)]

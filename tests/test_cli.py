@@ -10,8 +10,7 @@ import pytest
 from csakit import cli, csa
 from csakit.cli import (Parser, main, parse_source, render_source, run,
                         word_to_str)
-from csakit.errors import (CsakitError, MalformedWordError, ParseError,
-                           UnsupportedBaseError)
+from csakit.errors import CsakitError, MalformedWordError, ParseError
 from csakit.wpengine import (FreeByCyclicSpec, FreeProductCyclicsSpec,
                              FreeSpec, HnnSpec)
 
@@ -70,6 +69,14 @@ def test_parse_errors_are_positioned():
         parse_source(text)
     assert exc.value.pos == text.rindex("u = < a >")
     assert "duplicate vertex name 'u'" in str(exc.value)
+    # an operand that is not free is reported at its first token
+    for text, operand in (("amalgam(< a >, < c | c^2 >; a ~ c)", "< c"),
+                          ("hnn(fbc(); A -> B via x -> x)", "fbc"),
+                          ("gog { vertex u = < x | x^2 >; }", "< x")):
+        with pytest.raises(ParseError) as exc:
+            parse_source(text)
+        assert exc.value.pos == text.index(operand)
+        assert "must be free" in str(exc.value)
 
 
 def test_hnn_stable_letter_never_runs_out(capsys):
@@ -90,7 +97,7 @@ def test_constructor_operands_must_be_free():
                  "amalgam(< a >, < c | c^2 >; a ~ c)",
                  "amalgam(< a >, hnn(< c >; A -> B via c -> c); a ~ c)",
                  "gog { vertex u = fbc(); }"):
-        with pytest.raises(UnsupportedBaseError, match="must be free"):
+        with pytest.raises(ParseError, match="must be free"):
             parse_source(text)
 
 
@@ -160,6 +167,17 @@ def test_run_reduce():
     rep4, _ = run("reduce", "< x, y, z, t | t^-1 y^-1 x y t = x, "
                   "t^-1 y t = z >", {"word": "t^-1 x t"})
     assert rep4.verdict == "z x z^-1"
+
+
+def test_amalgam_stable_letter_is_named_apart_from_the_factors():
+    # the extension's stable letter takes the first of t, s, u, t1, ...
+    # that no factor generator has, as an hnn stable letter does
+    for text, word, want in (
+            ("amalgam(< a, b >, < c, d >; a ~ c^2)", "b c", "t^-1 b t c"),
+            ("amalgam(< t, a >, < c >; t ~ c^2)", "a c", "s^-1 a s c"),
+            ("amalgam(< a, t >, < t >; a ~ t^2)", "t t_", "s^-1 t s t_"),
+            ("amalgam(< t, s >, < u >; t ~ u^2)", "s u", "t1^-1 s t1 u")):
+        assert run("reduce", text, {"word": word})[0].verdict == want, text
 
 
 def test_run_exit_codes():

@@ -12,8 +12,12 @@ from csakit.amalgam import AmalgamPresentation
 from csakit.errors import MalformedWordError
 from csakit.hnn import HnnPresentation, TWord, britton_reduce, normal_form
 from csakit.stallings import fold
-from csakit.words import concat, conjugate, free_reduce, inverse, power
-from csakit.wpengine import AmalgamSpec, HnnSpec, commutes, is_trivial
+from csakit.words import (concat, conjugate, free_reduce, inverse, power,
+                          reduced_words)
+from csakit.wpengine import (AmalgamSpec, FreeByCyclicSpec,
+                             FreeProductCyclicsSpec, FreeSpec, HnnSpec,
+                             canonical_key, commutes, is_trivial,
+                             num_generators)
 
 AMALGAM = AmalgamPresentation(2, 2, [(1,)], [(1, 1)])
 GROUPS = {
@@ -297,7 +301,7 @@ def test_rejected_pairs_do_not_commute():
     rejected = total = 0
     for name, spec, _ in SEARCHES:
         elements = csa.ball(spec, 2)
-        comm, conj = csa._quotient_filter(elements, spec,
+        comm, conj = csa._quotient_filter(elements, csa._word_image(spec),
                                           lambda i, j: True,
                                           lambda i, j: True)
         for i, a in enumerate(elements):
@@ -322,7 +326,8 @@ def test_no_quotient_falls_back_to_the_plain_scan():
     spec = _hnn(1, (1,), power((1,), 210))
     assert quotients.permutation_quotients(spec.ext) is None
     elements = csa.ball(spec, 1)
-    comm, conj = csa._quotient_filter(elements, spec, "comm", "conj")
+    comm, conj = csa._quotient_filter(elements, csa._word_image(spec),
+                                      "comm", "conj")
     assert (comm, conj) == ("comm", "conj")
     want_csa, want_ct = _brute_force(spec, 1)
     assert _witnesses(spec, 1) == (want_csa, want_ct)
@@ -337,18 +342,88 @@ def test_ct_rows_are_listed_on_first_use(monkeypatch):
     calls = [0]
     context = csa._search_context
 
-    def counting(elements, spec):
-        comm, conj = context(elements, spec)
+    def counting(spec, radius):
+        elements, comm, conj = context(spec, radius)
 
         def counted(i, j):
             calls[0] += 1
             return comm(i, j)
 
-        return counted, conj
+        return elements, counted, conj
 
     monkeypatch.setattr(csa, "_search_context", counting)
     assert csa.falsify_ct(spec, 3) is not None
     assert 0 < calls[0] < n * (n - 1) // 4
+
+
+# -- the ball deduplicated by quotient image ----------------------------------
+
+
+def key_only_ball(spec, radius):
+    """csa.ball before the quotient images: the canonical key of every
+    reduced word, the first word of each key kept."""
+    seen = set()
+    out = []
+    for w in reduced_words(num_generators(spec), radius):
+        k = canonical_key(w, spec)
+        if k not in seen:
+            seen.add(k)
+            out.append(w)
+    return out[1:]
+
+
+BALLS = EXACTNESS + \
+    [(f"quadrant{k}-r4", spec, 4)
+     for k, spec in enumerate(QUADRANT_SPECS, 1)] + \
+    [("free", FreeSpec(2), 3), ("fpc", FreeProductCyclicsSpec((2, 3)), 4),
+     ("fbc", FreeByCyclicSpec(), 3)]
+
+
+def _counting_keys(monkeypatch):
+    calls = [0]
+    key = csa.canonical_key
+
+    def counting(w, spec):
+        calls[0] += 1
+        return key(w, spec)
+
+    monkeypatch.setattr(csa, "canonical_key", counting)
+    return calls
+
+
+def test_search_ball_matches_key_only_ball():
+    for name, spec, radius in BALLS:
+        assert csa._search_context(spec, radius)[0] == \
+            key_only_ball(spec, radius), name
+
+
+@pytest.mark.parametrize("images", ["constant", "none"])
+def test_ball_without_separating_images_keys_every_word(monkeypatch, images):
+    def constant(P):
+        identity = bytes(range(quotients.DEGREE))
+        return {l: identity for g in range(1, P.base_rank + 2)
+                for l in (g, -g)}
+
+    monkeypatch.setattr(quotients, "permutation_quotients",
+                        constant if images == "constant" else lambda P: None)
+    calls = _counting_keys(monkeypatch)
+    for name, spec, radius in BALLS:
+        calls[0] = 0
+        assert csa._search_context(spec, radius)[0] == \
+            key_only_ball(spec, radius), name
+        # every word shares one coarse key, so each is keyed once
+        assert calls[0] == len(reduced_words(num_generators(spec), radius))
+
+
+def test_early_exit_balls_key_few_words(monkeypatch):
+    # the benchmark's early-exit family t^-1 u t = u^k, u a letter of F2
+    calls = _counting_keys(monkeypatch)
+    words = 0
+    for u in ((1,), (-1,), (2,), (-2,)):
+        for k in (-3, -2, -1, 2, 3):
+            assert csa.falsify_csa(_hnn(2, u, power(u, k)), 3) is not None
+            words += len(reduced_words(3, 3))
+    assert calls[0] < words / 4
 
 
 # -- the one-walk normal form ------------------------------------------------
