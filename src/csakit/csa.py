@@ -99,12 +99,16 @@ class CtWitness:
 
 
 def _search_context(spec, radius):
-    """The ball of a search and its commutation tests over it: comm(i, j)
+    """The ball of a search, its commutation tests over it: comm(i, j)
     for [a, b] = 1, cached, and conj_commutes(i, j) for [a, v^-1 a v] =
-    1.  Britton specs reduce each commutator as a stream of pre-reduced
-    TWords, built on first use and sharing one pinch memo for the whole
-    search; the word images of one permutation quotient of spec.ext,
-    when there is one, deduplicate the ball and filter the pairs."""
+    1, and columns(i, transport), the columns j, increasing, that may
+    pass the test of row i: comm when transport is False, conj_commutes
+    when it is True.  Britton specs reduce each commutator as a stream
+    of pre-reduced TWords, built on first use and sharing one pinch memo
+    for the whole search; the word images of one permutation quotient of
+    spec.ext, when there is one, deduplicate the ball, filter the pairs
+    and pick the columns (_quotient_join).  Every other search scans
+    every column."""
     if not isinstance(spec, BrittonSpec):
         elements = ball(spec, radius)
 
@@ -115,7 +119,8 @@ def _search_context(spec, radius):
             return commutes(elements[i],
                             conjugate(elements[i], elements[j]), spec)
 
-        return elements, _cached_pairwise(commutes_idx), conj_commutes
+        return (elements, _cached_pairwise(commutes_idx), conj_commutes,
+                _scan(elements))
 
     image = _word_image(spec)
     elements = ball(spec, radius, _image=image)
@@ -141,8 +146,11 @@ def _search_context(spec, radius):
         return is_identity(a, P, v_inv, a, v, a_inv, v_inv, a_inv, v,
                            memo=memo)
 
-    return (elements,) + _quotient_filter(
+    comm, conj_commutes = _quotient_filter(
         elements, image, _cached_pairwise(commutes_idx), conj_commutes)
+    columns = _scan(elements) if image is None else \
+        _quotient_join(elements, image)
+    return elements, comm, conj_commutes, columns
 
 
 def _word_image(spec):
@@ -183,7 +191,6 @@ def _quotient_filter(elements, image, comm, conj_commutes):
         return comm, conj_commutes
     from . import quotients
     images = [None] * len(elements)
-    inverses = [None] * len(elements)
 
     def element_image(i):
         """rho(a_i) and its translation table."""
@@ -201,14 +208,99 @@ def _quotient_filter(elements, image, comm, conj_commutes):
     def filtered_conj_commutes(i, j):
         a, ta = element_image(i)
         v, tv = element_image(j)
-        v_inv = inverses[j]
-        if v_inv is None:
-            v_inv = inverses[j] = quotients.inv(v)
-        c = v_inv.translate(ta).translate(tv)
+        c = quotients.inv(v).translate(ta).translate(tv)
         return a.translate(quotients.table(c)) == c.translate(ta) \
             and conj_commutes(i, j)
 
     return filtered_comm, filtered_conj_commutes
+
+
+def _scan(elements):
+    """columns(i, transport) of a search that scans every column."""
+    every = range(len(elements))
+    return lambda i, transport: every
+
+
+def _quotient_join(elements, image):
+    """columns(i, transport) read off the Sym(DEGREE) blocks of the
+    quotient rho whose word images image gives.  Column j can pass
+    comm(i, j) only if rho_k(a_j) lies in the centralizer C(rho_k(a_i))
+    for every block k, and conj_commutes(i, j) only if it lies in the
+    transporter T(rho_k(a_i)) (quotients).  Row i takes the block whose
+    set is smallest, relabels that set from the canonical element of its
+    cycle type, and looks each member up in an index of the columns by
+    their image in the block, built for the blocks that some row takes.
+    A row whose smallest set is larger than the ball scans every column.
+    The columns left out fail the test, so a scan of the columns given,
+    in order, meets the same first hit as a scan of all of them."""
+    from . import quotients
+    n = len(elements)
+    every = range(n)
+    d = quotients.DEGREE
+    count = len(image(())) // d
+    # block k of an image holds the points d k .. d k + d - 1
+    shifts = [bytes((x - d * k) % 256 for x in range(256))
+              for k in range(count)]
+    blocks = [None] * n
+    indexes = [None] * count
+    relabelled = {}     # block image -> (cycle type, pi^-1, table of pi)
+
+    def block_images(i):
+        r = blocks[i]
+        if r is None:
+            p = image(elements[i])
+            r = blocks[i] = [p[d * k:d * (k + 1)].translate(shifts[k])
+                             for k in range(count)]
+        return r
+
+    def index(k):
+        """Block image in block k -> the columns with it, increasing."""
+        r = indexes[k]
+        if r is None:
+            r = indexes[k] = {}
+            for j in every:
+                r.setdefault(block_images(j)[k], []).append(j)
+        return r
+
+    def relabel(g):
+        r = relabelled.get(g)
+        if r is None:
+            shape, pi = quotients.relabelling(g)
+            r = relabelled[g] = (shape, quotients.inv(pi),
+                                 quotients.table(pi))
+        return r
+
+    def size(shape, transport):
+        c = quotients.centralizer_order(shape)
+        if not transport or c > n:
+            return c
+        return quotients.transporter_order(shape)
+
+    def columns(i, transport):
+        images = block_images(i)
+        s, k = min((size(relabel(g)[0], transport), k)
+                   for k, g in enumerate(images))
+        if s > n:
+            return every
+        shape, pi_inv, pi_table = relabel(images[k])
+        # C(g) = pi^-1 C(g0) pi, and T(g) the cosets C(g) pi^-1 h pi
+        keys = [pi_inv.translate(c).translate(pi_table)
+                for c in quotients.centralizer(shape)]
+        if transport:
+            cosets = [quotients.table(pi_inv.translate(quotients.table(h))
+                                      .translate(pi_table))
+                      for h in quotients.conjugators(shape)]
+            keys = [c.translate(h) for h in cosets for c in keys]
+        found = index(k)
+        out = []
+        for key in keys:
+            hit = found.get(key)
+            if hit is not None:
+                out += hit
+        out.sort()
+        return out
+
+    return columns
 
 
 def _cached_pairwise(commutes_idx):
@@ -241,18 +333,25 @@ def verify_ct_witness(w: CtWitness, spec) -> bool:
 def falsify_csa(spec, radius=3) -> Optional[CsaWitness]:
     """First pair (a, v) in shortlex order with a != 1, [a, a^v] = 1 and
     [a, v] != 1.  A hit disproves CSA; a miss proves nothing."""
-    elements, comm, conj_commutes = _search_context(spec, radius)
-    index = {w: i for i, w in enumerate(elements)}
-    # (a, v) is a hit iff (a, v^-1) is, and iff (a^-1, v) is, while
-    # (a, a^-1) never is: skip every v, and every row a, whose literal
-    # inverse occurs earlier in the scan
-    skip = [index.get(inverse(w), len(elements)) < i
-            for i, w in enumerate(elements)]
-    for i in range(len(elements)):
-        if skip[i]:
+    elements, comm, conj_commutes, columns = _search_context(spec, radius)
+    n = len(elements)
+    index = dict(zip(elements, range(n)))
+    skips = [None] * n
+
+    def skip(i):
+        """(a, v) is a hit iff (a, v^-1) is, and iff (a^-1, v) is, while
+        (a, a^-1) never is: skip every v, and every row a, whose literal
+        inverse occurs earlier in the scan."""
+        r = skips[i]
+        if r is None:
+            r = skips[i] = index.get(inverse(elements[i]), n) < i
+        return r
+
+    for i in range(n):
+        if skip(i):
             continue
-        for j in range(len(elements)):
-            if i == j or skip[j] or comm(i, j):
+        for j in columns(i, True):
+            if i == j or skip(j) or comm(i, j):
                 continue
             if conj_commutes(i, j):
                 return CsaWitness(elements[i], elements[j])
@@ -261,14 +360,14 @@ def falsify_csa(spec, radius=3) -> Optional[CsaWitness]:
 
 def falsify_ct(spec, radius=3) -> Optional[CtWitness]:
     """First triple with [a,b] = 1, [b,c] = 1 but [a,c] != 1."""
-    elements, comm, _ = _search_context(spec, radius)
+    elements, comm, _, columns = _search_context(spec, radius)
     rows = {}
 
     def row(i):
         """The j != i with [a_i, a_j] = 1, listed on first use."""
         r = rows.get(i)
         if r is None:
-            r = rows[i] = [j for j in range(len(elements))
+            r = rows[i] = [j for j in columns(i, False)
                            if j != i and comm(i, j)]
         return r
 

@@ -12,6 +12,10 @@ which ``p.translate(table(q))`` computes in C.
 """
 
 import random
+from collections import Counter
+from functools import cache
+from itertools import chain, permutations, product
+from math import factorial, gcd
 
 DEGREE = 10
 QUOTIENTS = 3
@@ -33,7 +37,8 @@ def mul(p, q):
 
 
 def inv(p):
-    return bytes(sorted(range(len(p)), key=p.__getitem__))
+    # the table that sends p[x] to x is the table of p^-1
+    return bytes.maketrans(p, _BYTES[:len(p)])[:len(p)]
 
 
 def evaluate(word, images, identity):
@@ -111,13 +116,34 @@ def _draw(P, rng):
                                for a, b in edges):
                 _assign(X, t, _random_perm(rng))
                 continue
-        _assign(X, _pick(base, edges, X), _random_perm(rng))
+        g = _pick(base, edges, X)
+        lengths = _power_cycle_lengths(g, edges)
+        if lengths == set():
+            return None
+        _assign(X, g, _random_perm(rng, lengths))
     if any(value((-t,) + a + (t,)) != value(b) for a, b in edges):
         return None
     for g in range(1, t):
         if g not in X:
             _assign(X, g, _random_perm(rng))
     return {g: X[g] for g in range(1, t + 1)}
+
+
+def _power_cycle_lengths(g, edges):
+    """The lengths 2..DEGREE allowed for the cycles of the image X of g,
+    or None for every length.  A relation t^-1 g^p t = g^q with |p| !=
+    |q| needs X^p and X^q to have one cycle type, and they have when
+    every cycle length of X is prime to p q: X^k then has X's cycle
+    type.  So X is drawn among those permutations, leaving out X = 1,
+    which separates nothing; with no length allowed there is no draw."""
+    k = 1
+    for a, b in edges:
+        if a and b and len(a) != len(b) and \
+                all(abs(l) == g for l in a + b):
+            k *= sum(l // g for l in a) * sum(l // g for l in b)
+    if k == 1:
+        return None
+    return {n for n in range(2, DEGREE + 1) if gcd(n, k) == 1}
 
 
 def _pick(base, edges, X):
@@ -173,15 +199,17 @@ def _solve_one(edges, X, value, t):
 
 
 def _cycles(p):
-    seen = set()
+    seen = bytearray(len(p))
     out = []
     for x in range(len(p)):
-        if x not in seen:
-            cycle = []
-            while x not in seen:
-                seen.add(x)
-                cycle.append(x)
-                x = p[x]
+        if not seen[x]:
+            cycle = [x]
+            seen[x] = 1
+            y = p[x]
+            while y != x:
+                cycle.append(y)
+                seen[y] = 1
+                y = p[y]
             out.append(cycle)
     return out
 
@@ -208,7 +236,91 @@ def _conjugator(A, B, rng):
     return bytes(T)
 
 
-def _random_perm(rng):
+def _random_perm(rng, lengths=None):
+    """A uniform random permutation; with lengths, uniform among those
+    other than 1 whose cycles longer than 1 all have a length in
+    lengths, drawn by rejection (with 7 alone, about 1 draw in 42 is
+    kept)."""
     p = list(range(DEGREE))
-    rng.shuffle(p)
-    return bytes(p)
+    while True:
+        rng.shuffle(p)
+        q = bytes(p)
+        if lengths is None:
+            return q
+        moved = [len(c) for c in _cycles(q) if len(c) > 1]
+        if moved and all(n in lengths for n in moved):
+            return q
+
+
+# -- centralizers in Sym(DEGREE) ----------------------------------------------
+#
+# A permutation g with m_L cycles of length L is conjugate to the canonical
+# element of its cycle type, whose cycles are runs of consecutive points,
+# the lengths in increasing order.  Its centralizer C(g) sends each cycle
+# onto a cycle of the same length at some rotation, so it is the product
+# of the wreath products C_L wr Sym(m_L), of order prod L^m_L m_L!.  Its
+# transporter T(g) = {h : [g, h^-1 g h] = 1} is the set of h with h^-1 g h
+# in C(g): the union of the cosets C(g) h_s over the s in C(g) conjugate
+# to g, h_s a conjugator from g to s.  C and the h_s are listed once per
+# cycle type, for the canonical element, and carried to g by its
+# relabelling (Holt, Eick and O'Brien, *Handbook of Computational Group
+# Theory*, ch. 4).
+
+
+def relabelling(g):
+    """(shape, pi): the cycle type of g, its lengths in increasing
+    order, and pi with g = pi^-1 g0 pi for the canonical element g0 of
+    that type, pi sending each run of g0 onto a cycle of g."""
+    cycles = sorted(_cycles(g), key=len)
+    return tuple(map(len, cycles)), bytes(chain.from_iterable(cycles))
+
+
+@cache
+def centralizer_order(shape):
+    out = 1
+    for length, m in Counter(shape).items():
+        out *= length ** m * factorial(m)
+    return out
+
+
+def transporter_order(shape):
+    """|T(g)| for g of cycle type shape; lists C(g0) once."""
+    return centralizer_order(shape) * len(conjugators(shape))
+
+
+@cache
+def centralizer(shape):
+    """The translation tables of C(g0), g0 the canonical element of
+    shape."""
+    return [table(h) for h in _centralizer(shape)]
+
+
+@cache
+def conjugators(shape):
+    """A conjugator pi from g0 to s, pi^-1 g0 pi = s, for each s in C(g0)
+    of g0's cycle type: T(g0) is the union of the cosets C(g0) pi."""
+    return [pi for s_shape, pi in map(relabelling, _centralizer(shape))
+            if s_shape == shape]
+
+
+def _centralizer(shape):
+    """The elements of C(g0) as bytes, one at a time."""
+    runs = {}       # length -> the first points of its runs
+    start = 0
+    for length in shape:
+        runs.setdefault(length, []).append(start)
+        start += length
+    # per length, each way to send its runs onto its runs, as pairs
+    # (point, image)
+    choices = [[[(s + x, u + (x + r) % length)
+                 for s, u, r in zip(starts, targets, turns)
+                 for x in range(length)]
+                for targets in permutations(starts)
+                for turns in product(range(length), repeat=len(starts))]
+               for length, starts in runs.items()]
+    for parts in product(*choices):
+        h = bytearray(start)
+        for part in parts:
+            for x, y in part:
+                h[x] = y
+        yield bytes(h)

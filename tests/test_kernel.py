@@ -3,6 +3,8 @@ replaced, the one-walk normal form against the two-walk one, the
 falsifiers built on it against brute-force scans, and the permutation
 quotients that filter their pairs."""
 
+import itertools
+import math
 import random
 
 import pytest
@@ -343,17 +345,212 @@ def test_ct_rows_are_listed_on_first_use(monkeypatch):
     context = csa._search_context
 
     def counting(spec, radius):
-        elements, comm, conj = context(spec, radius)
+        elements, comm, conj, columns = context(spec, radius)
 
         def counted(i, j):
             calls[0] += 1
             return comm(i, j)
 
-        return elements, counted, conj
+        return elements, counted, conj, columns
 
     monkeypatch.setattr(csa, "_search_context", counting)
     assert csa.falsify_ct(spec, 3) is not None
     assert 0 < calls[0] < n * (n - 1) // 4
+
+
+# -- the indexed pair join ----------------------------------------------------
+
+
+def scan_witnesses(spec, radius):
+    """The falsifiers before the indexed join: every row scans every
+    column, the quotient images of each pair first, then the same
+    tests, with the inverse skip listed up front.  Returns the CSA and
+    the CT witness."""
+    elements, comm, conj_commutes, _ = csa._search_context(spec, radius)
+    n = len(elements)
+    image = csa._word_image(spec)
+    images = [image(w) if image else b"" for w in elements]
+    tables = [quotients.table(p) for p in images]
+    inverses = [quotients.inv(p) for p in images]
+    index = {w: i for i, w in enumerate(elements)}
+    skip = [index.get(inverse(w), n) < i for i, w in enumerate(elements)]
+
+    def csa_hit():
+        for i in range(n):
+            if skip[i]:
+                continue
+            a, ta = images[i], tables[i]
+            for j in range(n):
+                c = inverses[j].translate(ta).translate(tables[j])
+                if a.translate(quotients.table(c)) == c.translate(ta) \
+                        and i != j and not skip[j] and not comm(i, j) \
+                        and conj_commutes(i, j):
+                    return elements[i], elements[j]
+        return None
+
+    rows = {}
+
+    def row(i):
+        if i not in rows:
+            a, ta = images[i], tables[i]
+            rows[i] = [j for j in range(n)
+                       if a.translate(tables[j]) == images[j].translate(ta)
+                       and j != i and comm(i, j)]
+        return rows[i]
+
+    hit_ct = next(((elements[i], elements[j], elements[k])
+                   for i in range(n) for j in row(i) for k in row(j)
+                   if k != i and not comm(i, k)), None)
+    return csa_hit(), hit_ct
+
+
+JOINED = EXACTNESS + \
+    [(f"quadrant{k}-r4", spec, 4)
+     for k, spec in enumerate(QUADRANT_SPECS, 1)] + \
+    [(f"quadrant{k}-r5", QUADRANT_SPECS[k - 1], 5) for k in (1, 2)]
+
+
+@pytest.mark.parametrize("name,spec,radius", JOINED,
+                         ids=[name for name, _, _ in JOINED])
+def test_join_matches_full_scan(name, spec, radius):
+    assert _witnesses(spec, radius) == scan_witnesses(spec, radius)
+
+
+def _constant_quotient(P):
+    identity = bytes(range(quotients.DEGREE))
+    return {l: identity for g in range(1, P.base_rank + 2) for l in (g, -g)}
+
+
+def test_constant_quotient_falls_back_on_every_row(monkeypatch):
+    monkeypatch.setattr(quotients, "permutation_quotients",
+                        _constant_quotient)
+    for name, spec, radius in EXACTNESS:
+        elements, _, _, columns = csa._search_context(spec, radius)
+        n = len(elements)
+        # C(1) = Sym(DEGREE) is larger than any ball
+        assert all(list(columns(i, t)) == list(range(n))
+                   for i in range(n) for t in (False, True)), name
+        assert _witnesses(spec, radius) == scan_witnesses(spec, radius), name
+
+
+def test_join_scans_few_columns():
+    spec = QUADRANT_SPECS[0]
+    elements, _, _, columns = csa._search_context(spec, 4)
+    n = len(elements)
+    for transport in (False, True):
+        looked = sum(len(columns(i, transport)) for i in range(n))
+        assert looked < n * n / 20
+
+
+def _shapes(n, least=1):
+    """The cycle types of Sym(n), lengths increasing."""
+    if n == 0:
+        yield ()
+    for k in range(least, n + 1):
+        for rest in _shapes(n - k, k):
+            yield (k,) + rest
+
+
+def _relabelled(h, shape, rng):
+    """g of cycle type shape, pi with g = pi^-1 g0 pi, and h carried
+    from g0 to g."""
+    g0 = bytearray()
+    for length in shape:
+        start = len(g0)
+        g0 += bytes(start + (x + 1) % length for x in range(length))
+    pi = list(range(len(g0)))
+    rng.shuffle(pi)
+    pi = bytes(pi)
+    carry = quotients.inv(pi)
+    return (quotients.mul(quotients.mul(carry, bytes(g0)), pi),
+            quotients.mul(quotients.mul(carry, h), pi))
+
+
+def _conj(g, h):
+    return quotients.mul(quotients.mul(quotients.inv(h), g), h)
+
+
+def _transporter(shape, d):
+    """T(g0) as the cosets C(g0) pi listed by quotients.conjugators."""
+    return [quotients.mul(c[:d], pi) for pi in quotients.conjugators(shape)
+            for c in quotients.centralizer(shape)]
+
+
+def test_centralizers_have_their_order_and_commute():
+    rng = random.Random(1996)
+    d = quotients.DEGREE
+    listed = 0
+    for shape in _shapes(d):
+        order = quotients.centralizer_order(shape)
+        if order > csa.MAX_BALL_WORDS:
+            continue
+        tables = quotients.centralizer(shape)
+        members = {t[:d] for t in tables}
+        assert len(tables) == len(members) == order, shape
+        g = None
+        for h0 in members:
+            g, h = _relabelled(h0, shape, rng)
+            assert quotients.mul(g, h) == quotients.mul(h, g), shape
+        assert quotients.relabelling(g)[0] == shape
+        transported = quotients.transporter_order(shape)
+        if transported <= csa.MAX_BALL_WORDS:
+            members = _transporter(shape, d)
+            assert len(set(members)) == len(members) == transported, shape
+            for h0 in members:
+                g, h = _relabelled(h0, shape, rng)
+                c = _conj(g, h)
+                assert quotients.mul(g, c) == quotients.mul(c, g), shape
+        listed += 1
+    assert listed > 30
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_small_centralizers_and_transporters_are_complete(n):
+    # every h of Sym(n), against the lists for each cycle type
+    group = [bytes(p) for p in itertools.permutations(range(n))]
+    for shape in _shapes(n):
+        g0 = _relabelled(bytes(range(n)), shape, random.Random(0))[0]
+        shape_g, pi = quotients.relabelling(g0)
+        assert shape_g == shape
+        carry = quotients.inv(pi)
+
+        def listed(members):
+            return {quotients.mul(quotients.mul(carry, h[:n]), pi)
+                    for h in members}
+
+        commuting = {h for h in group
+                     if quotients.mul(g0, h) == quotients.mul(h, g0)}
+        assert listed(quotients.centralizer(shape)) == commuting
+        assert len(commuting) == quotients.centralizer_order(shape)
+        transporting = set()
+        for h in group:
+            c = _conj(g0, h)
+            if quotients.mul(g0, c) == quotients.mul(c, g0):
+                transporting.add(h)
+        assert listed(_transporter(shape, n)) == transporting
+        assert len(transporting) == quotients.transporter_order(shape)
+
+
+@pytest.mark.parametrize("k", [-3, -2, 2, 3, 4])
+def test_power_relations_draw_no_failed_quotient(monkeypatch, k):
+    # t^-1 x t = x^k: X is drawn with cycle lengths prime to k, so X^k is
+    # conjugate to X and every draw gives a quotient
+    P = HnnPresentation(2, [(1,)], [power((1,), k)])
+    draws = []
+    draw = quotients._draw
+
+    def counting(P, rng):
+        draws.append(draw(P, rng))
+        return draws[-1]
+
+    monkeypatch.setattr(quotients, "_draw", counting)
+    rho = quotients.permutation_quotients(P)
+    assert len(draws) == quotients.QUOTIENTS and None not in draws
+    for X in (q[1] for q in draws):
+        assert X != bytes(range(quotients.DEGREE))
+        assert all(math.gcd(len(c), k) == 1 for c in quotients._cycles(X))
+    images, identity = _relator_images(P, rho)
+    assert images == [identity] * len(images)
 
 
 # -- the ball deduplicated by quotient image ----------------------------------
