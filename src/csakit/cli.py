@@ -315,7 +315,10 @@ class Parser:
         self.expect("sym", ";")
         a_name = self.expect("name").value
         self.expect("arrow")
-        b_name = self.expect("name").value
+        b_name = self.expect("name")
+        if b_name.value == a_name:
+            raise ParseError(f"duplicate subgroup name {a_name!r}",
+                             b_name.pos)
         if not self.at_keyword("via"):
             raise ParseError("expected 'via'", self.peek().pos)
         self.advance()
@@ -325,7 +328,7 @@ class Parser:
         src = ParsedSource(
             "hnn", HnnSpec(HnnPresentation(len(base), a_gens, b_gens)),
             base + [stable_name(base)])
-        src.subs = {a_name: list(a_gens), b_name: list(b_gens)}
+        src.subs = {a_name: list(a_gens), b_name.value: list(b_gens)}
         t = len(base) + 1
         src.relators = [concat((-t,), a, (t,), inverse(b))
                         for a, b in zip(a_gens, b_gens)]
@@ -430,10 +433,10 @@ def parse_source(text):
     while p.peek().kind != "end":
         if p.at_keyword("sub"):
             p.advance()
-            nm = p.expect("name").value
+            name = p.expect("name")
             p.expect("sym", "=")
             p.expect("sym", "{")
-            deferred.append((nm, p.i))
+            deferred.append((name, p.i))
             depth = 1
             while depth:
                 tok = p.advance()
@@ -453,9 +456,12 @@ def parse_source(text):
         raise ParseError("no group in input", 0)
     end = p.i
     name_map = src.name_map
-    for nm, start in deferred:
+    for name, start in deferred:
+        if name.value in src.subs:
+            raise ParseError(f"duplicate subgroup name {name.value!r}",
+                             name.pos)
         p.i = start
-        src.subs[nm] = p.parse_word_list(name_map)
+        src.subs[name.value] = p.parse_word_list(name_map)
         p.expect("sym", "}")
     p.i = end
     return src

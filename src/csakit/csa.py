@@ -99,16 +99,15 @@ class CtWitness:
 
 
 def _search_context(spec, radius):
-    """The ball of a search, its commutation tests over it: comm(i, j)
-    for [a, b] = 1, cached, and conj_commutes(i, j) for [a, v^-1 a v] =
-    1, and columns(i, transport), the columns j, increasing, that may
-    pass the test of row i: comm when transport is False, conj_commutes
-    when it is True.  Britton specs reduce each commutator as a stream
-    of pre-reduced TWords, built on first use and sharing one pinch memo
-    for the whole search; the word images of one permutation quotient of
-    spec.ext, when there is one, deduplicate the ball, filter the pairs
-    and pick the columns (_quotient_join).  Every other search scans
-    every column."""
+    """The ball of a search and its tests over it: comm(i, j) for [a, b]
+    = 1, cached, conj_commutes(i, j) for [a, v^-1 a v] = 1, and
+    columns(i, transport), the columns j, increasing, that may pass the
+    test of row i: comm when transport is False, conj_commutes when it
+    is True.  Britton specs reduce each commutator as a stream of
+    pre-reduced TWords, built on first use and sharing one pinch memo
+    for the whole search, and index the ball by the images of one
+    permutation quotient of spec.ext when there is one
+    (quotients.BallIndex)."""
     if not isinstance(spec, BrittonSpec):
         elements = ball(spec, radius)
 
@@ -119,10 +118,12 @@ def _search_context(spec, radius):
             return commutes(elements[i],
                             conjugate(elements[i], elements[j]), spec)
 
-        return (elements, _cached_pairwise(commutes_idx), conj_commutes,
-                _scan(elements))
+        return _tests(elements, None, commutes_idx, conj_commutes)
 
-    image = _word_image(spec)
+    # imported on first use: only the Britton searches need it, so a
+    # command that runs none of them does not pay for its import
+    from . import quotients
+    image = quotients.word_images(spec)
     elements = ball(spec, radius, _image=image)
     P = spec.ext
     memo = {}
@@ -146,174 +147,34 @@ def _search_context(spec, radius):
         return is_identity(a, P, v_inv, a, v, a_inv, v_inv, a_inv, v,
                            memo=memo)
 
-    comm, conj_commutes = _quotient_filter(
-        elements, image, _cached_pairwise(commutes_idx), conj_commutes)
-    columns = _scan(elements) if image is None else \
-        _quotient_join(elements, image)
-    return elements, comm, conj_commutes, columns
+    index = None if image is None else \
+        quotients.BallIndex([image(w) for w in elements])
+    return _tests(elements, index, commutes_idx, conj_commutes)
 
 
-def _word_image(spec):
-    """The map from a word over spec's displayed generators to its image
-    under a permutation quotient rho of spec.ext, each image built from
-    the cached image of the word's prefix; None when no quotient was
-    found."""
-    # imported on first use: only the Britton searches need it, so a
-    # command that runs none of them does not pay for its import
-    from . import quotients
-    P = spec.ext
-    rho = quotients.permutation_quotients(P)
-    if rho is None:
-        return None
-    t = P.base_rank + 1
-    identity = bytes(range(len(rho[1])))
-    letters = {l: quotients.table(quotients.evaluate(
-        spec.tword((l,)).flatten(t), rho, identity))
-        for g in range(1, spec.rank + 1) for l in (g, -g)}
-    prefixes = {(): identity}
-
-    def word_image(w):
-        p = prefixes.get(w)
-        if p is None:
-            p = prefixes[w] = word_image(w[:-1]).translate(letters[w[-1]])
-        return p
-
-    return word_image
-
-
-def _quotient_filter(elements, image, comm, conj_commutes):
-    """Put the permutation quotient rho whose word images image gives in
-    front of the two tests: a pair with rho([a, b]) != 1, or rho([a,
-    v^-1 a v]) != 1, is answered False without calling the test.  Exact,
-    since a homomorphism sends a trivial commutator to 1; the tests
-    alone when image is None."""
-    if image is None:
-        return comm, conj_commutes
-    from . import quotients
-    images = [None] * len(elements)
-
-    def element_image(i):
-        """rho(a_i) and its translation table."""
-        r = images[i]
-        if r is None:
-            p = image(elements[i])
-            r = images[i] = (p, quotients.table(p))
-        return r
-
-    def filtered_comm(i, j):
-        a, ta = element_image(i)
-        b, tb = element_image(j)
-        return a.translate(tb) == b.translate(ta) and comm(i, j)
-
-    def filtered_conj_commutes(i, j):
-        a, ta = element_image(i)
-        v, tv = element_image(j)
-        c = quotients.inv(v).translate(ta).translate(tv)
-        return a.translate(quotients.table(c)) == c.translate(ta) \
-            and conj_commutes(i, j)
-
-    return filtered_comm, filtered_conj_commutes
-
-
-def _scan(elements):
-    """columns(i, transport) of a search that scans every column."""
-    every = range(len(elements))
-    return lambda i, transport: every
-
-
-def _quotient_join(elements, image):
-    """columns(i, transport) read off the Sym(DEGREE) blocks of the
-    quotient rho whose word images image gives.  Column j can pass
-    comm(i, j) only if rho_k(a_j) lies in the centralizer C(rho_k(a_i))
-    for every block k, and conj_commutes(i, j) only if it lies in the
-    transporter T(rho_k(a_i)) (quotients).  Row i takes the block whose
-    set is smallest, relabels that set from the canonical element of its
-    cycle type, and looks each member up in an index of the columns by
-    their image in the block, built for the blocks that some row takes.
-    A row whose smallest set is larger than the ball scans every column.
-    The columns left out fail the test, so a scan of the columns given,
-    in order, meets the same first hit as a scan of all of them."""
-    from . import quotients
-    n = len(elements)
-    every = range(n)
-    d = quotients.DEGREE
-    count = len(image(())) // d
-    # block k of an image holds the points d k .. d k + d - 1
-    shifts = [bytes((x - d * k) % 256 for x in range(256))
-              for k in range(count)]
-    blocks = [None] * n
-    indexes = [None] * count
-    relabelled = {}     # block image -> (cycle type, pi^-1, table of pi)
-
-    def block_images(i):
-        r = blocks[i]
-        if r is None:
-            p = image(elements[i])
-            r = blocks[i] = [p[d * k:d * (k + 1)].translate(shifts[k])
-                             for k in range(count)]
-        return r
-
-    def index(k):
-        """Block image in block k -> the columns with it, increasing."""
-        r = indexes[k]
-        if r is None:
-            r = indexes[k] = {}
-            for j in every:
-                r.setdefault(block_images(j)[k], []).append(j)
-        return r
-
-    def relabel(g):
-        r = relabelled.get(g)
-        if r is None:
-            shape, pi = quotients.relabelling(g)
-            r = relabelled[g] = (shape, quotients.inv(pi),
-                                 quotients.table(pi))
-        return r
-
-    def size(shape, transport):
-        c = quotients.centralizer_order(shape)
-        if not transport or c > n:
-            return c
-        return quotients.transporter_order(shape)
-
-    def columns(i, transport):
-        images = block_images(i)
-        s, k = min((size(relabel(g)[0], transport), k)
-                   for k, g in enumerate(images))
-        if s > n:
-            return every
-        shape, pi_inv, pi_table = relabel(images[k])
-        # C(g) = pi^-1 C(g0) pi, and T(g) the cosets C(g) pi^-1 h pi
-        keys = [pi_inv.translate(c).translate(pi_table)
-                for c in quotients.centralizer(shape)]
-        if transport:
-            cosets = [quotients.table(pi_inv.translate(quotients.table(h))
-                                      .translate(pi_table))
-                      for h in quotients.conjugators(shape)]
-            keys = [c.translate(h) for h in cosets for c in keys]
-        found = index(k)
-        out = []
-        for key in keys:
-            hit = found.get(key)
-            if hit is not None:
-                out += hit
-        out.sort()
-        return out
-
-    return columns
-
-
-def _cached_pairwise(commutes_idx):
+def _tests(elements, index, commutes_idx, conj_commutes):
+    """The search context over elements: commutes_idx cached as comm,
+    and the quotient index, when there is one, in front of both tests
+    and picking the columns; with none, every row scans every column."""
     cache = {}
 
     def comm(i, j):
+        if index is not None and not index.commute(i, j):
+            return False
         k = (i, j) if i < j else (j, i)
         r = cache.get(k)
         if r is None:
             r = cache[k] = commutes_idx(i, j)
         return r
 
-    return comm
+    if index is None:
+        every = range(len(elements))
+        return elements, comm, conj_commutes, lambda i, transport: every
+
+    def filtered_conj_commutes(i, j):
+        return index.transports(i, j) and conj_commutes(i, j)
+
+    return elements, comm, filtered_conj_commutes, index.columns
 
 
 def verify_csa_witness(w: CsaWitness, spec) -> bool:
@@ -372,9 +233,11 @@ def falsify_ct(spec, radius=3) -> Optional[CtWitness]:
         return r
 
     for i, a in enumerate(elements):
+        # row(i) holds every k != i with [a_i, a_k] = 1
+        commuting = set(row(i))
         for j in row(i):
             for k in row(j):
-                if k != i and not comm(i, k):
+                if k != i and k not in commuting:
                     return CtWitness(a, elements[j], elements[k])
     return None
 

@@ -4,7 +4,9 @@ finite symmetric groups.
 A homomorphism rho with rho([a, b]) != 1 proves [a, b] != 1, so the
 falsifiers in ``csa`` run Britton reduction only on the pairs that no
 such quotient separates (Sims, *Computation with Finitely Presented
-Groups*, CUP 1994).
+Groups*, CUP 1994).  ``word_images`` gives the images of a search's
+words and ``BallIndex`` the pair tests and candidate columns read off
+the images of its ball.
 
 Permutations of {0, ..., d-1} are ``bytes`` of length d, acting on the
 right: the point x goes to p[x], and the product p q is "p, then q",
@@ -73,6 +75,31 @@ def permutation_quotients(P):
         images[g] = p
         images[-g] = inv(p)
     return images
+
+
+def word_images(spec):
+    """The map from a word over spec's displayed generators to its image
+    under permutation_quotients(spec.ext), each image built from the
+    cached image of the word's prefix; None when there is no
+    quotient."""
+    P = spec.ext
+    rho = permutation_quotients(P)
+    if rho is None:
+        return None
+    t = P.base_rank + 1
+    identity = bytes(range(len(rho[1])))
+    letters = {l: table(evaluate(spec.tword((l,)).flatten(t), rho,
+                                 identity))
+               for g in range(1, spec.rank + 1) for l in (g, -g)}
+    prefixes = {(): identity}
+
+    def word_image(w):
+        p = prefixes.get(w)
+        if p is None:
+            p = prefixes[w] = word_image(w[:-1]).translate(letters[w[-1]])
+        return p
+
+    return word_image
 
 
 def _draw(P, rng):
@@ -324,3 +351,104 @@ def _centralizer(shape):
             for x, y in part:
                 h[x] = y
         yield bytes(h)
+
+
+# -- the ball index -----------------------------------------------------------
+
+# _SHIFTS[k] moves the points of block k, DEGREE k .. DEGREE k + DEGREE - 1,
+# down to 0 .. DEGREE - 1
+_SHIFTS = tuple(bytes((x - DEGREE * k) % 256 for x in range(256))
+                for k in range(QUOTIENTS))
+
+
+class BallIndex:
+    """The quotient images of a ball, images[i] that of element a_i, and
+    what they decide about its pairs.  commute(i, j) is False when
+    rho([a_i, a_j]) != 1, and transports(i, j) when rho([a_i, a_j^-1
+    a_i a_j]) != 1: exact filters, since a homomorphism sends a trivial
+    commutator to 1.  columns(i, transport) holds, increasing, every j
+    that passes the first, or the second when transport is True, since
+    rho_k(a_j) then lies in C(rho_k(a_i)), or T(rho_k(a_i)), for every
+    Sym(DEGREE) block k.  Row i looks the members of its smallest such
+    set up in an index of the columns by their image in that block; a
+    row whose smallest set is larger than the ball gets every column.
+    So a scan of the columns given, in order, meets the same first hit
+    as a scan of them all.  Each element's record is built on first
+    use."""
+
+    def __init__(self, images):
+        self._images = images
+        self._records = [None] * len(images)
+        self._blocks = [None] * QUOTIENTS
+        self._relabelled = {}   # block image -> (shape, pi^-1, table of pi)
+        self._every = range(len(images))
+
+    def _record(self, i):
+        """rho(a_i), its translation table and its block images."""
+        r = self._records[i]
+        if r is None:
+            p = self._images[i]
+            r = self._records[i] = (
+                p, table(p),
+                [p[DEGREE * k:DEGREE * (k + 1)].translate(shift)
+                 for k, shift in enumerate(_SHIFTS[:len(p) // DEGREE])])
+        return r
+
+    def commute(self, i, j):
+        a, ta, _ = self._record(i)
+        b, tb, _ = self._record(j)
+        return a.translate(tb) == b.translate(ta)
+
+    def transports(self, i, j):
+        a, ta, _ = self._record(i)
+        v, tv, _ = self._record(j)
+        c = inv(v).translate(ta).translate(tv)
+        return a.translate(table(c)) == c.translate(ta)
+
+    def _block(self, k):
+        """Image in block k -> the columns with it, increasing."""
+        r = self._blocks[k]
+        if r is None:
+            r = self._blocks[k] = {}
+            for j in self._every:
+                r.setdefault(self._record(j)[2][k], []).append(j)
+        return r
+
+    def _relabel(self, g):
+        r = self._relabelled.get(g)
+        if r is None:
+            shape, pi = relabelling(g)
+            r = self._relabelled[g] = (shape, inv(pi), table(pi))
+        return r
+
+    def _size(self, g, transport):
+        """|C(g)|, or |T(g)| when transport is True unless |C(g)| is
+        already larger than the ball."""
+        shape = self._relabel(g)[0]
+        c = centralizer_order(shape)
+        if not transport or c > len(self._every):
+            return c
+        return transporter_order(shape)
+
+    def columns(self, i, transport):
+        blocks = self._record(i)[2]
+        s, k = min((self._size(g, transport), k)
+                   for k, g in enumerate(blocks))
+        if s > len(self._every):
+            return self._every
+        shape, pi_inv, pi_table = self._relabel(blocks[k])
+        # C(g) = pi^-1 C(g0) pi, and T(g) the cosets C(g) pi^-1 h pi
+        keys = [pi_inv.translate(c).translate(pi_table)
+                for c in centralizer(shape)]
+        if transport:
+            cosets = [table(pi_inv.translate(table(h)).translate(pi_table))
+                      for h in conjugators(shape)]
+            keys = [c.translate(h) for h in cosets for c in keys]
+        found = self._block(k)
+        out = []
+        for key in keys:
+            hit = found.get(key)
+            if hit is not None:
+                out += hit
+        out.sort()
+        return out

@@ -79,6 +79,25 @@ def test_parse_errors_are_positioned():
         assert "must be free" in str(exc.value)
 
 
+def test_repeated_subgroup_name_is_positioned(capsys):
+    # a subgroup name given twice is reported at its second occurrence,
+    # never kept as one of the two subgroups
+    for text, second in (("< x, y > sub H = { x^2 } sub H = { y }",
+                          "H = { y"),
+                         ("hnn(< x, y >; A -> A via x -> y)", "A via"),
+                         ("hnn(< x, y >; A -> B via x -> y) sub B = { x }",
+                          "B = {"),
+                         ("sub A = { x } hnn(< x, y >; A -> B via x -> y)",
+                          "A = {")):
+        with pytest.raises(ParseError) as exc:
+            parse_source(text)
+        assert exc.value.pos == text.index(second)
+        assert "duplicate subgroup name" in str(exc.value)
+    assert main(["check-malnormal",
+                 "< x, y > sub H = { x^2 } sub H = { y }"]) == 2
+    assert "duplicate subgroup name 'H'" in capsys.readouterr().err
+
+
 def test_hnn_stable_letter_never_runs_out(capsys):
     assert main(["classify", "hnn(< t, s, u, t1, t2 >; A -> B via t -> s)"]) \
         == 0

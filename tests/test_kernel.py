@@ -299,13 +299,17 @@ def test_quotient_is_a_homomorphism(name):
     assert moved > 80
 
 
+def _ball_index(spec, elements):
+    image = quotients.word_images(spec)
+    return quotients.BallIndex([image(w) for w in elements])
+
+
 def test_rejected_pairs_do_not_commute():
     rejected = total = 0
     for name, spec, _ in SEARCHES:
         elements = csa.ball(spec, 2)
-        comm, conj = csa._quotient_filter(elements, csa._word_image(spec),
-                                          lambda i, j: True,
-                                          lambda i, j: True)
+        index = _ball_index(spec, elements)
+        comm, conj = index.commute, index.transports
         for i, a in enumerate(elements):
             for j, b in enumerate(elements):
                 total += 2
@@ -327,10 +331,10 @@ def test_no_quotient_falls_back_to_the_plain_scan():
     # x ~ x^210 forces x to 1, which no draw finds
     spec = _hnn(1, (1,), power((1,), 210))
     assert quotients.permutation_quotients(spec.ext) is None
-    elements = csa.ball(spec, 1)
-    comm, conj = csa._quotient_filter(elements, csa._word_image(spec),
-                                      "comm", "conj")
-    assert (comm, conj) == ("comm", "conj")
+    assert quotients.word_images(spec) is None
+    elements, _, _, columns = csa._search_context(spec, 1)
+    assert all(columns(i, t) == range(len(elements))
+               for i in range(len(elements)) for t in (False, True))
     want_csa, want_ct = _brute_force(spec, 1)
     assert _witnesses(spec, 1) == (want_csa, want_ct)
     assert want_csa == ((1,), (2,))
@@ -358,6 +362,32 @@ def test_ct_rows_are_listed_on_first_use(monkeypatch):
     assert 0 < calls[0] < n * (n - 1) // 4
 
 
+def test_ct_tests_each_pair_only_to_list_a_row(monkeypatch):
+    # row(i) holds every k != i that commutes with a_i, so the triple
+    # loop reads [a_i, a_k] off it: every comm call lists a row
+    spec = QUADRANT_SPECS[1]
+    calls, listed = [0], [0]
+    context = csa._search_context
+
+    def counting(spec, radius):
+        elements, comm, conj, columns = context(spec, radius)
+
+        def counted(i, j):
+            calls[0] += 1
+            return comm(i, j)
+
+        def row_columns(i, transport):
+            out = columns(i, transport)
+            listed[0] += sum(j != i for j in out)
+            return out
+
+        return elements, counted, conj, row_columns
+
+    monkeypatch.setattr(csa, "_search_context", counting)
+    assert csa.falsify_ct(spec, 4) is None
+    assert calls[0] == listed[0] > 0
+
+
 # -- the indexed pair join ----------------------------------------------------
 
 
@@ -368,7 +398,7 @@ def scan_witnesses(spec, radius):
     the CT witness."""
     elements, comm, conj_commutes, _ = csa._search_context(spec, radius)
     n = len(elements)
-    image = csa._word_image(spec)
+    image = quotients.word_images(spec)
     images = [image(w) if image else b"" for w in elements]
     tables = [quotients.table(p) for p in images]
     inverses = [quotients.inv(p) for p in images]
@@ -414,6 +444,27 @@ JOINED = EXACTNESS + \
                          ids=[name for name, _, _ in JOINED])
 def test_join_matches_full_scan(name, spec, radius):
     assert _witnesses(spec, radius) == scan_witnesses(spec, radius)
+
+
+INDEXED = [(name, spec) for name, spec, _ in SEARCHES] + \
+    [(f"quadrant{k}", spec) for k, spec in enumerate(QUADRANT_SPECS, 1)]
+
+
+@pytest.mark.parametrize("name,spec", INDEXED,
+                         ids=[name for name, _ in INDEXED])
+def test_columns_hold_every_pair_the_index_passes(name, spec):
+    elements = csa.ball(spec, 3)
+    index = _ball_index(spec, elements)
+    n = len(elements)
+    for i in range(n):
+        columns = {}
+        for transport in (False, True):
+            listed = list(index.columns(i, transport))
+            assert listed == sorted(set(listed))
+            columns[transport] = set(listed)
+        for j in range(n):
+            assert not index.commute(i, j) or j in columns[False]
+            assert not index.transports(i, j) or j in columns[True]
 
 
 def _constant_quotient(P):
