@@ -8,9 +8,10 @@ from typing import Optional
 
 from . import words
 from .errors import CapExceededError, UnsupportedShapeError
-from .hnn import HnnPresentation, TWord
-from .stallings import (conj_intersection_trivial, fold, is_malnormal,
-                        malnormal_closure, pointed_intersection_nontrivial)
+from .hnn import HnnPresentation, TWord, check_pairs
+from .stallings import (DEFAULT_CAP, conj_intersection_trivial, fold,
+                        is_malnormal, malnormal_closure,
+                        pointed_intersection_nontrivial)
 from .words import concat, free_reduce, inverse, is_maximal_abelian_in_free
 
 
@@ -23,8 +24,7 @@ class AmalgamPresentation:
     B in the right (local letters each starting at 1)."""
 
     def __init__(self, left_rank, right_rank, a_gens, b_gens):
-        if len(a_gens) != len(b_gens):
-            raise ValueError("amalgamated subgroup generator counts differ")
+        check_pairs(a_gens, b_gens, "amalgamated subgroup")
         self.left_rank = left_rank
         self.right_rank = right_rank
         self.a_gens = tuple(free_reduce(g, left_rank) for g in a_gens)
@@ -58,14 +58,25 @@ class AmalgamPresentation:
 
 
 def amalgam_csa_verdict_abelian(P: AmalgamPresentation):
-    """(verdict, tag): "csa*" iff at least one amalgamated subgroup is
-    maximal abelian in its factor; otherwise "not-csa"."""
+    """(verdict, tag) of an amalgam over a cyclic subgroup."""
     if len(P.a_gens) != 1 or len(P.b_gens) != 1:
         raise ValueError("verdict requires cyclic amalgamated subgroups")
-    u, v = P.a_gens[0], P.b_gens[0]
-    a_max = bool(u) and is_maximal_abelian_in_free(u)
-    b_max = bool(v) and is_maximal_abelian_in_free(v)
-    if a_max or b_max:
+    return _cyclic_edge_verdict(P.a_gens[0], P.left_rank,
+                                P.b_gens[0], P.right_rank)
+
+
+def _max_abelian(w, rank):
+    w = free_reduce(w, rank)
+    return bool(w) and is_maximal_abelian_in_free(w)
+
+
+def _cyclic_edge_verdict(u, u_rank, v, v_rank):
+    """(verdict, tag) of G *_{u = v} H, G and H free of the given ranks:
+    "csa*" iff u or v is maximal abelian in its factor, or u = 1, which
+    makes it a free product of free groups, so free, with no tag."""
+    if not free_reduce(u, u_rank):
+        return "csa*", None
+    if _max_abelian(u, u_rank) or _max_abelian(v, v_rank):
         return "csa*", "Thm-amalgiff"
     return "not-csa", "Prop-MustMax"
 
@@ -91,8 +102,7 @@ class GraphOfGroups:
             if e.src not in self.vertices or e.dst not in self.vertices:
                 raise ValueError(f"edge {e.src}->{e.dst} references "
                                  "an unknown vertex")
-            if len(e.gens) != len(e.images):
-                raise ValueError("edge subgroup generator counts differ")
+            check_pairs(e.gens, e.images, "edge subgroup")
 
 
 @dataclass
@@ -122,7 +132,7 @@ def _normal_in_closure(images_graph, closure, sub_gens):
     return True
 
 
-def gog_predicates(gog: GraphOfGroups, cap=32) -> GogReport:
+def gog_predicates(gog: GraphOfGroups, cap=DEFAULT_CAP) -> GogReport:
     per_edge = {}
     for idx, e in enumerate(gog.edges):
         r_src, r_dst = gog.vertices[e.src], gog.vertices[e.dst]
@@ -230,20 +240,14 @@ def _tree_csa_verdict(gog):
     cyclic = all(len(e.gens) == 1 for e in gog.edges)
     if not cyclic:
         return "unknown", None
-
-    def maxab(w, rank):
-        w = free_reduce(w, rank)
-        return bool(w) and is_maximal_abelian_in_free(w)
-
-    edge_data = [(e, maxab(e.gens[0], gog.vertices[e.src]),
-                  maxab(e.images[0], gog.vertices[e.dst]))
-                 for e in gog.edges]
-
     if len(gog.edges) == 1:
-        e, src_max, dst_max = edge_data[0]
-        if src_max or dst_max:
-            return "csa*", "Thm-amalgiff"
-        return "not-csa", "Prop-MustMax"
+        e = gog.edges[0]
+        return _cyclic_edge_verdict(e.gens[0], gog.vertices[e.src],
+                                    e.images[0], gog.vertices[e.dst])
+
+    edge_data = [(e, _max_abelian(e.gens[0], gog.vertices[e.src]),
+                  _max_abelian(e.images[0], gog.vertices[e.dst]))
+                 for e in gog.edges]
 
     if all(src_max and dst_max for (_e, src_max, dst_max) in edge_data):
         return "csa*", "Prop-TreeProdAb"

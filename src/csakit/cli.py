@@ -43,15 +43,14 @@ from . import csa as csa_mod
 from . import hnn as hnn_mod
 from . import stallings, wpengine
 from .amalgam import AmalgamPresentation, GogEdge, GraphOfGroups
+from .csa import DEFAULT_RADIUS
 from .errors import (CsakitError, MalformedWordError, ParseError,
                      UnsupportedShapeError)
 from .hnn import HnnPresentation
+from .stallings import DEFAULT_CAP
 from .words import concat, cyclic_reduce, free_reduce, inverse, power
 from .wpengine import (AmalgamSpec, FreeByCyclicSpec, FreeProductCyclicsSpec,
                        FreeSpec, HnnSpec)
-
-DEFAULT_RADIUS = 3
-DEFAULT_CAP = 32
 
 # brackets a word may nest, well inside the interpreter's recursion limit
 MAX_NESTING = 200
@@ -663,7 +662,8 @@ def _cmd_gog_check(src, flags):
     if src.kind == "amalgam":
         pres = src.spec.pres
         verdict, cite = amalgam_mod.amalgam_csa_verdict_abelian(pres)
-        return Report(verdict, [], [cite], violation=verdict == "not-csa")
+        return Report(verdict, [], [cite] if cite else [],
+                      violation=verdict == "not-csa")
     gog = src.gog
     rep = amalgam_mod.gog_predicates(gog, flags["cap"])
     details = {"quasi-malnormal": rep.quasi_malnormal,

@@ -4,7 +4,6 @@ Baumslag-Solitar groups, and the residually-p obstruction.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from . import wpengine
@@ -17,6 +16,8 @@ from .words import (check_radius, commutator, concat, conjugate, free_reduce,
 MAX_EXPONENT = 100_000
 # the most reduced words a falsifier ball may hold, the identity included
 MAX_BALL_WORDS = 5000
+# the radius of a falsifier ball or an obstacle ball when none is given
+DEFAULT_RADIUS = 3
 
 
 # -- ball enumeration -------------------------------------------------------
@@ -191,7 +192,7 @@ def verify_ct_witness(w: CtWitness, spec) -> bool:
         and not commutes(w.a, w.c, spec)
 
 
-def falsify_csa(spec, radius=3) -> Optional[CsaWitness]:
+def falsify_csa(spec, radius=DEFAULT_RADIUS) -> Optional[CsaWitness]:
     """First pair (a, v) in shortlex order with a != 1, [a, a^v] = 1 and
     [a, v] != 1.  A hit disproves CSA; a miss proves nothing."""
     elements, comm, conj_commutes, columns = _search_context(spec, radius)
@@ -219,7 +220,7 @@ def falsify_csa(spec, radius=3) -> Optional[CsaWitness]:
     return None
 
 
-def falsify_ct(spec, radius=3) -> Optional[CtWitness]:
+def falsify_ct(spec, radius=DEFAULT_RADIUS) -> Optional[CtWitness]:
     """First triple with [a,b] = 1, [b,c] = 1 but [a,c] != 1."""
     elements, comm, _, columns = _search_context(spec, radius)
     rows = {}
@@ -248,10 +249,6 @@ OBSTACLE_DINF = "dinf"     # Z/2 * Z/2, generators u=1, w=2
 OBSTACLE_CALB = "calb"     # F2 x Z, generators p=1, q=2, central z=3
 OBSTACLE_B1N = "b1n"       # <x,y | y x y^-1 = x^n>, x=1, y=2
 
-
-# rank whose reduced-word count is the size of the obstacle ball before
-# deduplication; dinf's alternating words count as words in one letter
-_OBSTACLE_RANKS = {OBSTACLE_DINF: 1, OBSTACLE_CALB: 3, OBSTACLE_B1N: 2}
 # generators of each obstacle group, one host image each in a witness
 OBSTACLE_GENERATORS = {OBSTACLE_DINF: 2, OBSTACLE_CALB: 3, OBSTACLE_B1N: 2}
 OBSTACLE_CITATIONS = {OBSTACLE_DINF: "Prop-TObstacles",
@@ -263,43 +260,29 @@ OBSTACLE_CITATIONS = {OBSTACLE_DINF: "Prop-TObstacles",
 class ObstacleWitness:
     kind: str
     images: dict          # obstacle generator index -> host word
-    radius: int = 3
+    radius: int = DEFAULT_RADIUS
     n: Optional[int] = None  # for b1n
 
 
 def _obstacle_ball(kind, radius, n=None):
     """Pairwise distinct obstacle elements (as words over obstacle
-    generators) of length <= radius, identity included.  Raises
-    ValueError before enumerating when there are more than
-    MAX_BALL_WORDS words: the 1 + 2R alternating words of dinf, the
-    reduced words over 3 (calb) or 2 (b1n) generators."""
-    _check_ball_size(_OBSTACLE_RANKS[kind], radius)
-    if kind == OBSTACLE_DINF:
-        out = [()]
-        for first in (1, 2):
-            w = []
-            g = first
-            for _ in range(radius):
-                w.append(g)
-                out.append(tuple(w))
-                g = 3 - g
-        return out
+    generators) of length <= radius, identity included: the normal forms
+    of dinf and calb, and ball for b1n.  Raises ValueError before
+    enumerating when there are more than MAX_BALL_WORDS words: the 1 + 2R
+    alternating words of dinf, the reduced words over 3 (calb) or 2 (b1n)
+    generators."""
+    if kind == OBSTACLE_B1N:
+        # B(1, n) = <x, y | y^-1 x^n y = x>
+        return [()] + ball(bs_spec(n, 1), radius)
     if kind == OBSTACLE_CALB:
-        def key(w):
-            m = sum(1 if l == 3 else -1 for l in w if abs(l) == 3)
-            return free_reduce([l for l in w if abs(l) != 3]), m
-        return _distinct(reduced_words(3, radius), key)
-
-    def key(w):     # b1n
-        q, k = Fraction(0), 0
-        for l in w:
-            if abs(l) == 2:
-                k += 1 if l > 0 else -1
-            else:
-                # y^k x y^-k acts as adding n^k
-                q += (1 if l > 0 else -1) * Fraction(n) ** k
-        return q, k
-    return _distinct(reduced_words(2, radius), key)
+        # w z^m for each reduced w over p, q with |w| + |m| <= R
+        _check_ball_size(3, radius)
+        return [w + power((3,), m) for w in reduced_words(2, radius)
+                for m in range(len(w) - radius, radius - len(w) + 1)]
+    # dinf: the alternating words u w u ... and w u w ...
+    _check_ball_size(1, radius)
+    return [()] + [alt[:k] for alt in ((1, 2) * radius, (2, 1) * radius)
+                   for k in range(1, radius + 1)]
 
 
 def _obstacle_relators(kind, n=None):

@@ -9,10 +9,21 @@ are TWords g0 t^e1 g1 ... t^en gn with base words between stable letters.
 from dataclasses import dataclass
 from typing import Optional
 
-from .stallings import (SubgroupReport, conj_intersection_trivial, fold,
-                        malnormal_closure)
+from .stallings import (DEFAULT_CAP, SubgroupReport,
+                        conj_intersection_trivial, fold, malnormal_closure)
 from .words import (concat, conjugating_element, free_reduce, inverse,
                     is_proper_power, cyclic_reduce)
+
+
+def check_pairs(gens, images, what):
+    """Raise ValueError unless gens and images pair off one to one, each
+    trivial word with a trivial one."""
+    if len(gens) != len(images):
+        raise ValueError(f"{what} generator counts differ")
+    if any(bool(free_reduce(g)) != bool(free_reduce(w))
+           for g, w in zip(gens, images)):
+        raise ValueError("phi cannot pair a trivial generator with "
+                         "a nontrivial one")
 
 
 class HnnPresentation:
@@ -24,17 +35,12 @@ class HnnPresentation:
     """
 
     def __init__(self, base_rank, a_gens, b_gens):
-        if len(a_gens) != len(b_gens):
-            raise ValueError("associated subgroup generator counts differ")
+        check_pairs(a_gens, b_gens, "associated subgroup")
         self.base_rank = base_rank
         self.a_gens = tuple(free_reduce(g, base_rank) for g in a_gens)
         self.b_gens = tuple(free_reduce(g, base_rank) for g in b_gens)
         self.A = fold(self.a_gens, base_rank)
         self.B = fold(self.b_gens, base_rank)
-        for a, b in zip(self.a_gens, self.b_gens):
-            if bool(a) != bool(b):
-                raise ValueError("phi cannot pair a trivial generator with "
-                                 "a nontrivial one")
         # expression indices refer to the nontrivial generators only, in
         # input order (matching the folded graphs)
         self._a_basis = tuple(a for a in self.a_gens if a)
@@ -224,7 +230,8 @@ def is_separated(P: HnnPresentation) -> SubgroupReport:
     return SubgroupReport(*conj_intersection_trivial(P.A, P.B))
 
 
-def is_strictly_separated(P: HnnPresentation, cap=32) -> SubgroupReport:
+def is_strictly_separated(P: HnnPresentation,
+                          cap=DEFAULT_CAP) -> SubgroupReport:
     B1 = malnormal_closure(P.B, cap)
     return SubgroupReport(*conj_intersection_trivial(P.A, B1))
 

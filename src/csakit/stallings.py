@@ -13,6 +13,8 @@ from typing import Optional
 from . import words
 from .words import concat, free_reduce, inverse, shortlex_key
 
+DEFAULT_CAP = 32   # the most joins malnormal_closure makes by default
+
 
 class CoreGraph:
     """Folded, trimmed Stallings automaton with basepoint 0.
@@ -347,15 +349,15 @@ def is_malnormal(H):
     if H.is_trivial:
         return SubgroupReport(True)
     # the diagonal pairs (w, w) form one component, so marking them seen
-    # skips it
+    # skips it; the others start at (u, v) with u != v, and H p_u = H p_v
+    # only when u = v in a folded graph, so no g = p_v p_u^-1 lies in H
     diagonal = {(w, w) for w in range(H.num_vertices)}
-    found = ((inverse(g), h) for g, h in _witnesses(H, H, diagonal)
-             if not H.member(inverse(g)))
+    found = ((inverse(g), h) for g, h in _witnesses(H, H, diagonal))
     best = min(found, key=_witness_key, default=None)
     return SubgroupReport(best is None, best)
 
 
-def malnormal_closure(H, cap=32):
+def malnormal_closure(H, cap=DEFAULT_CAP):
     """Join malnormality witnesses until the subgroup is malnormal.
 
     Raises CapExceededError after cap joins."""

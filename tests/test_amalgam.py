@@ -132,10 +132,23 @@ def test_csa_verdicts():
     with pytest.raises(ValueError):
         amalgam_csa_verdict_abelian(
             AmalgamPresentation(2, 2, [(1,), (2,)], [(1,), (2,)]))
+    # over the trivial subgroup the amalgam is a free product, so free
+    assert amalgam_csa_verdict_abelian(
+        AmalgamPresentation(2, 1, [()], [()])) == ("csa*", None)
 
 
 def _gog(edges, **vertices):
     return GraphOfGroups(dict(vertices), edges)
+
+
+def test_trivial_edge_groups():
+    single = _gog([GogEdge("u", "v", ((1, -1),), ((),))], u=2, v=1)
+    tree = fundamental_group_presentation(single)
+    assert (tree.csa, tree.citation) == ("csa*", None)
+    for gens, images in ((((),), ((1,),)), (((2, -2),), ((1,),)),
+                         (((1,),), ((),))):
+        with pytest.raises(ValueError, match="cannot pair a trivial"):
+            _gog([GogEdge("u", "v", gens, images)], u=2, v=1)
 
 
 def test_gog_quasi_malnormal_abelian():

@@ -466,3 +466,53 @@ def test_run_names_each_missing_flag():
         with pytest.raises(CsakitError) as exc:
             run(command, text, flags)
         assert str(exc.value) == message
+
+
+# (argv, message) for rejected inputs that reach main's exit 2 through
+# each error path; "@file" is a file holding "< x, y, x >", and None runs
+# run("nope", ...), which main's command choices never let through
+REJECTED = [
+    (["classify", "hnn(< x, y >; A -> B x -> y)"], "expected 'via'"),
+    (["gog-check", "gog { vertex u = < a >; edge u -> w : a ~ a; }"],
+     "edge references an unknown vertex"),
+    (["gog-check", "gog { node u = < a >; }"],
+     "expected 'vertex' or 'edge', found 'node'"),
+    (["check-malnormal", "< x, y > sub H = { x"], "unterminated sub block"),
+    (["reduce", "< x, y >", "--word", "x y; x"],
+     "trailing input after word"),
+    (["verify-obstacle", "< x, y | x^2 >", "--obstacle", "dinf",
+      "--images", "x, y; x"], "trailing input after images"),
+    (["abelianize", "< x, y >"], "abelianize needs exactly one relator"),
+    (["classify"], "classify needs a presentation source"),
+    (["classify", "@file"], "duplicate generator name 'x'"),
+    (["gog-check",
+      "gog { vertex u = < a, b >; vertex v = < c >; edge u -> v : 1 ~ c; }"],
+     "phi cannot pair a trivial generator with a nontrivial one"),
+    (None, "unknown command 'nope'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REJECTED)
+def test_rejected_input_exits_2(argv, message, tmp_path, capsys):
+    if argv is None:
+        # main exits 2 on exactly the errors in INPUT_ERRORS
+        with pytest.raises(cli.INPUT_ERRORS, match=message):
+            run("nope", "", {})
+        return
+    path = tmp_path / "source.txt"
+    path.write_text("< x, y, x >", encoding="utf-8")
+    argv = [str(path) if a == "@file" else a for a in argv]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_trivial_edge_group_is_free():
+    """An amalgam or one-edge graph of groups over the trivial subgroup is
+    a free product of free groups, so free: csa* with no citation."""
+    for source in ("amalgam(< a, b >, < c >; 1 ~ 1)",
+                   "gog { vertex u = < a, b >; vertex v = < c >; "
+                   "edge u -> v : 1 ~ 1; }"):
+        rep, code = run("gog-check", source, {})
+        assert (rep.verdict, rep.citations, code) == ("csa*", [], 0)
+    rep, _ = run("classify", "hnn(< x, y >; A -> B via 1 -> 1)", {})
+    assert (rep.verdict, rep.citations) == ("FREE-PRODUCT csa*", [])

@@ -1,10 +1,12 @@
+from fractions import Fraction
+
 import pytest
 
 from csakit import csa
 from csakit.hnn import HnnPresentation
 from csakit.wpengine import (FreeByCyclicSpec, FreeProductCyclicsSpec,
                              FreeSpec, HnnSpec)
-from csakit.words import shortlex_key
+from csakit.words import free_reduce, reduced_words, shortlex_key
 
 
 def test_ball_free_group():
@@ -98,6 +100,47 @@ def test_obstacle_b1n():
         csa.verify_obstacle(
             csa.ObstacleWitness(csa.OBSTACLE_B1N, {1: (1,), 2: (2,)}),
             host)
+
+
+def calb_key(w):
+    """The element of F2 x Z that w spells: the reduced word over p, q
+    and the exponent sum of the central z."""
+    m = sum(1 if l == 3 else -1 for l in w if abs(l) == 3)
+    return free_reduce([l for l in w if abs(l) != 3]), m
+
+
+def b1n_key(n):
+    """The element of <x, y | y x y^-1 = x^n> that a word spells, as the
+    affine map q + n^k t: y^k x y^-k acts as adding n^k."""
+    def key(w):
+        q, k = Fraction(0), 0
+        for l in w:
+            if abs(l) == 2:
+                k += 1 if l > 0 else -1
+            else:
+                q += (1 if l > 0 else -1) * Fraction(n) ** k
+        return q, k
+    return key
+
+
+def assert_obstacle_elements(kind, rank, radius, key, n=None):
+    """_obstacle_ball lists each element of the radius-R ball once: its
+    keys are distinct and are those of all reduced words of length <= R."""
+    keys = [key(w) for w in csa._obstacle_ball(kind, radius, n)]
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == {key(w) for w in reduced_words(rank, radius)}
+
+
+@pytest.mark.parametrize("radius", range(6))
+def test_calb_ball_matches_reduced_word_keys(radius):
+    assert_obstacle_elements(csa.OBSTACLE_CALB, 3, radius, calb_key)
+
+
+@pytest.mark.parametrize("n", [1, -1, 2, -2, 3, -3])
+def test_b1n_ball_matches_affine_keys(n):
+    for radius in range(8):
+        assert_obstacle_elements(csa.OBSTACLE_B1N, 2, radius, b1n_key(n),
+                                 n)
 
 
 def test_power_conj_identity_grid():

@@ -564,3 +564,25 @@ def test_fiber_products_match_two_pass_bfs():
     assert not is_malnormal(big).verdict
     assert not conj_intersection_trivial(big, other)[0]
     assert_matches_two_pass(big, other)
+
+
+def test_malnormality_witnesses_lie_outside_the_subgroup():
+    """Every non-diagonal component of H x H is rooted at a pair (u, v)
+    with u != v, and in a folded graph H p_u = H p_v only when u = v, so
+    no witness g = p_v p_u^-1 lies in H: is_malnormal keeps each one
+    without a membership test."""
+    rng = random.Random(61)
+    witnesses = 0
+    for _ in range(4000):
+        rank = rng.randint(1, 4)
+        gens = [rand_word(rng, rank, max_len=rng.randint(1, 6))
+                for _ in range(rng.randint(1, 3))]
+        # a squared generator makes malnormality fail
+        if rng.random() < 0.4:
+            gens.append(gens[0] * 2)
+        H = fold(gens, rank)
+        diagonal = {(w, w) for w in range(H.num_vertices)}
+        for g, _h in _witnesses(H, H, diagonal):
+            assert not H.member(g) and not H.member(inverse(g))
+            witnesses += 1
+    assert witnesses > 800
