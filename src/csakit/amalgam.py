@@ -228,15 +228,53 @@ def fundamental_group_presentation(gog: GraphOfGroups):
     relators = []
     for e in gog.edges:
         for g, im in zip(e.gens, e.images):
-            relators.append(concat(shift_word(free_reduce(g), offsets[e.src]),
-                                   inverse(shift_word(free_reduce(im),
-                                                      offsets[e.dst]))))
+            r = concat(shift_word(free_reduce(g), offsets[e.src]),
+                       inverse(shift_word(free_reduce(im), offsets[e.dst])))
+            if r:   # a trivial edge generator pairs 1 with 1
+                relators.append(r)
 
     csa, cite = _tree_csa_verdict(gog)
     return TreePresentation(gen_names, relators, csa, cite)
 
 
 def _tree_csa_verdict(gog):
+    """(verdict, tag) of a tree of free groups.  Cut at its trivial edges,
+    the tree's fundamental group is the free product of its pieces', and
+    a free product is CSA iff every factor is: one not-csa piece decides,
+    all csa* pieces make it csa*, anything else is unknown.  The tag is
+    the deciding piece's (for csa*, the first piece's that has one)."""
+    verdicts = [_piece_csa_verdict(piece) for piece in _pieces(gog)]
+    for verdict, tag in verdicts:
+        if verdict == "not-csa":
+            return verdict, tag
+    if all(verdict == "csa*" for verdict, _tag in verdicts):
+        return "csa*", next((tag for _v, tag in verdicts if tag), None)
+    return "unknown", None
+
+
+def _pieces(gog):
+    """The subtrees left when the tree is cut at its trivial edges (every
+    generator reduces to 1), in the order of their first vertices."""
+    kept = [e for e in gog.edges
+            if any(free_reduce(g, gog.vertices[e.src]) for g in e.gens)]
+    # each vertex is labelled with the position of its piece's first vertex
+    label = {v: i for i, v in enumerate(gog.vertices)}
+    for e in kept:
+        keep, gone = sorted((label[e.src], label[e.dst]))
+        for v, i in label.items():
+            if i == gone:
+                label[v] = keep
+    return [GraphOfGroups({v: r for v, r in gog.vertices.items()
+                           if label[v] == i},
+                          [e for e in kept if label[e.src] == i])
+            for i in sorted(set(label.values()))]
+
+
+def _piece_csa_verdict(gog):
+    """(verdict, tag) of a tree of free groups with no trivial edge: a
+    vertex alone is free, so csa*."""
+    if not gog.edges:
+        return "csa*", None
     cyclic = all(len(e.gens) == 1 for e in gog.edges)
     if not cyclic:
         return "unknown", None

@@ -676,8 +676,9 @@ def _cmd_gog_check(src, flags):
         if tree.citation:
             citations.append(tree.citation)
         details["generators"] = ", ".join(tree.generator_names)
-        details["relators"] = "; ".join(
-            word_to_str(r, tree.generator_names) for r in tree.relators)
+        if tree.relators:
+            details["relators"] = "; ".join(
+                word_to_str(r, tree.generator_names) for r in tree.relators)
     except UnsupportedShapeError:
         details["shape"] = "not a tree; csa verdict unavailable"
     return Report(verdict, [], citations, details,

@@ -299,20 +299,63 @@ def _fiber_cycles(A, B, start, seen):
                 yield path + (sl,) + inverse(tree[q])
 
 
+def _find(parent, p):
+    """Root of pair id p in the union-find forest parent, which maps each
+    non-root to its parent; halves the path on the way."""
+    while True:
+        q = parent.get(p, p)
+        if q == p:
+            return p
+        r = parent.get(q, q)
+        parent[p] = r
+        p = r
+
+
 def _witnesses(A, B, seen):
     """Witness words from the fiber components whose pairs are not in seen.
 
     Yields (g, h) with h != 1, h in A and g h g^-1 in B, one per
-    fundamental cycle; each component is rooted at its least pair."""
+    fundamental cycle; each component is rooted at its least pair.
+
+    One union-find pass over the product's positive edges finds the
+    components with a cycle: pair (u, v) has id u * |V_B| + v, a union
+    keeps the smaller id as the root, and an edge whose ends already
+    share a root closes a cycle.  Only those components are walked, in
+    increasing root order; the others have no fundamental cycle.  seen
+    holds whole components, so an edge is skipped by its first end."""
+    nb = B.num_vertices
+    skip = {u * nb + v for u, v in seen}
+    b_edges = {}
+    for (v, l), (w, _tag) in B.succ.items():
+        if l > 0:
+            b_edges.setdefault(l, []).append((v, w))
+    parent = {}
+    cyclic = []
+    for (u, l), (w, _tag) in A.succ.items():
+        if l < 0:
+            continue
+        src, dst = u * nb, w * nb
+        for v, x in b_edges.get(l, ()):
+            p, q = src + v, dst + x
+            if p in skip:
+                continue
+            if p in parent:
+                p = _find(parent, p)
+            if q in parent:
+                q = _find(parent, q)
+            if p < q:
+                parent[q] = p
+            elif q < p:
+                parent[p] = q
+            else:
+                cyclic.append(p)
     pa = A.tree_paths()
     pb = B.tree_paths()
-    for u in range(A.num_vertices):
-        for v in range(B.num_vertices):
-            if (u, v) in seen:
-                continue
-            for cyc in _fiber_cycles(A, B, (u, v), seen):
-                yield (concat(pb[v], inverse(pa[u])),
-                       concat(pa[u], cyc, inverse(pa[u])))
+    for root in sorted({_find(parent, p) for p in cyclic}):
+        u, v = divmod(root, nb)
+        for cyc in _fiber_cycles(A, B, (u, v), seen):
+            yield (concat(pb[v], inverse(pa[u])),
+                   concat(pa[u], cyc, inverse(pa[u])))
 
 
 def _witness_key(witness):

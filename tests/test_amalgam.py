@@ -151,6 +151,34 @@ def test_trivial_edge_groups():
             _gog([GogEdge("u", "v", gens, images)], u=2, v=1)
 
 
+def test_trivial_edges_cut_the_tree():
+    """A tree cut at its trivial edges is the free product of the pieces:
+    (F(a, b) *_{a = d} Z) * Z is csa* by the piece u - w, and the 1 ~ 1
+    edge leaves no relator."""
+    trivial = GogEdge("u", "v", ((),), ((),))
+    tree = fundamental_group_presentation(
+        _gog([trivial, GogEdge("u", "w", ((1,),), ((1,),))], u=2, v=1, w=1))
+    assert (tree.csa, tree.citation) == ("csa*", "Thm-amalgiff")
+    assert tree.generator_names == ["u_1", "u_2", "v_1", "w_1"]
+    assert tree.relators == [(1, -4)]
+    # one not-csa piece decides, even after an unknown one
+    bad = [GogEdge("x", "u", ((1,), (2,)), ((3,), (4,))),
+           GogEdge("v", "x", ((),), ((),)),
+           GogEdge("v", "w", ((1,),), ((1, 1),)),
+           GogEdge("v", "y", ((1,),), ((1, 1),))]
+    tree = fundamental_group_presentation(
+        _gog(bad, x=2, u=4, v=2, w=2, y=2))
+    assert (tree.csa, tree.citation) == ("not-csa", "Prop-BadTree")
+    # an unknown piece beside free ones leaves the verdict unknown
+    tree = fundamental_group_presentation(
+        _gog([trivial, GogEdge("u", "w", ((1,), (2,)), ((1,), (2,)))],
+             u=2, v=1, w=2))
+    assert (tree.csa, tree.citation) == ("unknown", None)
+    # a vertex alone is free
+    tree = fundamental_group_presentation(_gog([], u=2))
+    assert (tree.csa, tree.citation, tree.relators) == ("csa*", None, [])
+
+
 def test_gog_quasi_malnormal_abelian():
     g = _gog([GogEdge("u", "v", ((1,),), ((1,),))], u=2, v=2)
     rep = gog_predicates(g)

@@ -514,5 +514,17 @@ def test_trivial_edge_group_is_free():
                    "edge u -> v : 1 ~ 1; }"):
         rep, code = run("gog-check", source, {})
         assert (rep.verdict, rep.citations, code) == ("csa*", [], 0)
+        assert "relators" not in rep.details
     rep, _ = run("classify", "hnn(< x, y >; A -> B via 1 -> 1)", {})
     assert (rep.verdict, rep.citations) == ("FREE-PRODUCT csa*", [])
+
+
+def test_trivial_edge_beside_a_cyclic_edge():
+    """(F(a, b) *_{a = d} Z) * Z is free: the 1 ~ 1 edge cuts the tree,
+    the piece u - w is csa* by Thm-amalgiff, and only a ~ d is a
+    relator."""
+    rep, code = run("gog-check", "gog { vertex u = < a, b >; "
+                    "vertex v = < c >; vertex w = < d >; "
+                    "edge u -> v : 1 ~ 1; edge u -> w : a ~ d; }", {})
+    assert (rep.verdict, rep.citations, code) == ("csa*", ["Thm-amalgiff"], 0)
+    assert rep.details["relators"] == "u_1 w_1^-1"

@@ -1,6 +1,7 @@
 import random
 from collections import deque
 
+from csakit import stallings
 from csakit.errors import CapExceededError
 from csakit.stallings import CoreGraph, _witnesses
 from csakit.stallings import (conj_intersection_trivial, fold, is_malnormal,
@@ -564,6 +565,73 @@ def test_fiber_products_match_two_pass_bfs():
     assert not is_malnormal(big).verdict
     assert not conj_intersection_trivial(big, other)[0]
     assert_matches_two_pass(big, other)
+
+
+def large_graphs():
+    """A malnormal and a non-malnormal core graph of over 300 vertices."""
+    rng = random.Random(300)
+    mal = fold([long_word(rng, 3, 110) for _ in range(3)], 3)
+    bad = fold([long_word(rng, 3, 80) for _ in range(4)]
+               + [(1, 2, -3) * 2], 3)
+    assert min(mal.num_vertices, bad.num_vertices) >= 300
+    return mal, bad
+
+
+def test_large_fiber_products_match_two_pass_bfs():
+    """The large graphs, each against the other: every fundamental cycle
+    in order, the least witnesses and the pointed test agree with the
+    two-pass reference."""
+    mal, bad = large_graphs()
+    assert is_malnormal(mal).verdict and not is_malnormal(bad).verdict
+    assert_matches_two_pass(mal, bad)
+    assert_matches_two_pass(bad, mal)
+
+
+def recording_fiber_cycles(monkeypatch):
+    """Replace stallings._fiber_cycles by a wrapper that records the
+    start pair of each call."""
+    starts = []
+    walk = stallings._fiber_cycles
+
+    def recorded(A, B, start, seen):
+        starts.append(start)
+        return walk(A, B, start, seen)
+
+    monkeypatch.setattr(stallings, "_fiber_cycles", recorded)
+    return starts
+
+
+def test_walked_roots_are_least_pairs_of_cyclic_components(monkeypatch):
+    starts = recording_fiber_cycles(monkeypatch)
+    rng = random.Random(84)
+    cyclic = 0
+    for _ in range(300):
+        rank = rng.randint(1, 3)
+        gens = [[rand_word(rng, rank, max_len=rng.randint(1, 6))
+                 for _ in range(rng.randint(1, 3))] for _ in range(2)]
+        if rng.random() < 0.4:
+            gens[0].append(gens[0][0] * 2)
+        A, B = fold(gens[0], rank), fold(gens[1], rank)
+        starts.clear()
+        list(_witnesses(A, B, set()))
+        # comp is sorted, so comp[0] is the least pair
+        assert starts == [comp[0] for comp, comp_edges
+                          in two_pass_components(A, B)
+                          if len(comp_edges) > len(comp) - 1]
+        cyclic += len(starts)
+    assert cyclic > 200
+
+
+def test_forest_products_walk_nothing(monkeypatch):
+    """A product with edges but no cycle is never walked: <ab> against
+    <a^2 b>, and the off-diagonal product of a malnormal graph of over
+    300 vertices."""
+    starts = recording_fiber_cycles(monkeypatch)
+    A, B = fold([(1, 2)], 2), fold([(1, 1, 2)], 2)
+    assert conj_intersection_trivial(A, B) == (True, None)
+    mal, _bad = large_graphs()
+    assert is_malnormal(mal).verdict
+    assert starts == []
 
 
 def test_malnormality_witnesses_lie_outside_the_subgroup():
