@@ -9,8 +9,8 @@ from typing import Optional
 from . import words
 from .errors import CapExceededError, UnsupportedShapeError
 from .hnn import HnnPresentation, TWord, check_pairs
-from .stallings import (DEFAULT_CAP, conj_intersection_trivial, fold,
-                        is_malnormal, malnormal_closure,
+from .stallings import (DEFAULT_CAP, _find, conj_intersection_trivial,
+                        fold, is_malnormal, malnormal_closure,
                         pointed_intersection_nontrivial)
 from .words import concat, free_reduce, inverse, is_maximal_abelian_in_free
 
@@ -182,23 +182,23 @@ class TreePresentation:
     citation: Optional[str] = None
 
 
-def _underlying_is_tree(gog):
-    seen = {}
-    parent = {v: v for v in gog.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in gog.edges:
-        a, b = find(e.src), find(e.dst)
+def _components(vertices, edges):
+    """Each vertex's label, the position of the first vertex of its
+    component, and whether an edge closed a cycle (or a multi-edge)."""
+    position = {v: i for i, v in enumerate(vertices)}
+    parent, cycle = {}, False
+    for e in edges:
+        a, b = _find(parent, position[e.src]), _find(parent, position[e.dst])
         if a == b:
-            return False  # cycle (or multi-edge)
-        parent[a] = b
-    roots = {find(v) for v in gog.vertices}
-    return len(roots) == 1
+            cycle = True
+        else:
+            parent[max(a, b)] = min(a, b)
+    return {v: _find(parent, i) for v, i in position.items()}, cycle
+
+
+def _underlying_is_tree(gog):
+    label, cycle = _components(gog.vertices, gog.edges)
+    return not cycle and len(set(label.values())) == 1
 
 
 def _is_oriented_line(gog):
@@ -257,13 +257,7 @@ def _pieces(gog):
     generator reduces to 1), in the order of their first vertices."""
     kept = [e for e in gog.edges
             if any(free_reduce(g, gog.vertices[e.src]) for g in e.gens)]
-    # each vertex is labelled with the position of its piece's first vertex
-    label = {v: i for i, v in enumerate(gog.vertices)}
-    for e in kept:
-        keep, gone = sorted((label[e.src], label[e.dst]))
-        for v, i in label.items():
-            if i == gone:
-                label[v] = keep
+    label, _ = _components(gog.vertices, kept)
     return [GraphOfGroups({v: r for v, r in gog.vertices.items()
                            if label[v] == i},
                           [e for e in kept if label[e.src] == i])

@@ -575,17 +575,28 @@ def _sep_witness(wit, names):
 
 
 def _cmd_check_malnormal(src, flags):
+    """A and B of an hnn source, then every sub block over the base but
+    those that restate A's or B's generators, as an hnn(...) header's
+    do."""
     if src.kind == "hnn":
         pres = src.spec.pres
         targets = {"A": pres.A, "B": pres.B}
         names = src.names[:-1]
+        restated = (pres.a_gens, pres.b_gens)
+    elif src.subs:
+        targets, names, restated = {}, src.names, ()
     else:
-        if not src.subs:
-            raise CsakitError("check-malnormal needs sub blocks or an "
-                              "hnn source")
-        targets = {nm: stallings.fold(gens, src.spec.rank)
-                   for nm, gens in src.subs.items()}
-        names = src.names
+        raise CsakitError("check-malnormal needs sub blocks or an hnn source")
+    for nm, gens in src.subs.items():
+        if tuple(gens) in restated:
+            continue
+        if nm in targets:
+            raise CsakitError(f"sub block {nm} is named like an "
+                              "associated subgroup")
+        if any(abs(l) > len(names) for g in gens for l in g):
+            raise CsakitError(f"sub block {nm} uses the stable letter; "
+                              "check-malnormal needs base words")
+        targets[nm] = stallings.fold(gens, len(names))
     witnesses, details = [], {}
     for nm, graph in targets.items():
         rep = stallings.is_malnormal(graph)

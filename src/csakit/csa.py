@@ -7,9 +7,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import wpengine
-from .hnn import HnnPresentation, britton_reduce, is_identity
-from .wpengine import (BrittonSpec, HnnSpec, canonical_key, commutes,
-                       is_trivial, num_generators)
+from .hnn import HnnPresentation
+from .wpengine import (HnnSpec, canonical_key, commutes, is_trivial,
+                       num_generators)
 from .words import (check_radius, commutator, concat, conjugate, free_reduce,
                     gcd_many, inverse, power, reduced_words)
 
@@ -104,60 +104,27 @@ def _search_context(spec, radius):
     = 1, cached, conj_commutes(i, j) for [a, v^-1 a v] = 1, and
     columns(i, transport), the columns j, increasing, that may pass the
     test of row i: comm when transport is False, conj_commutes when it
-    is True.  Britton specs reduce each commutator as a stream of
-    pre-reduced TWords, built on first use and sharing one pinch memo
-    for the whole search, and index the ball by the images of one
-    permutation quotient of spec.ext when there is one
-    (quotients.BallIndex)."""
-    if not isinstance(spec, BrittonSpec):
-        elements = ball(spec, radius)
-
-        def commutes_idx(i, j):
-            return commutes(elements[i], elements[j], spec)
-
-        def conj_commutes(i, j):
-            return commutes(elements[i],
-                            conjugate(elements[i], elements[j]), spec)
-
-        return _tests(elements, None, commutes_idx, conj_commutes)
-
-    # imported on first use: only the Britton searches need it, so a
-    # command that runs none of them does not pay for its import
+    is True.  The tests multiply the forms of spec.search_forms, built
+    on first use, behind the quotient index of the ball when spec's
+    extension has one (quotients.BallIndex), which also picks the
+    columns; with none, every row scans every column."""
+    # imported on first use, so a command that runs no search does not
+    # pay for its import
     from . import quotients
     image = quotients.word_images(spec)
     elements = ball(spec, radius, _image=image)
-    P = spec.ext
-    memo = {}
-    tws = [None] * len(elements)
-
-    def tword(i):
-        """The reduced TWord of element i and its inverse."""
-        r = tws[i]
-        if r is None:
-            w = britton_reduce(spec.tword(elements[i]), P, memo=memo)
-            r = tws[i] = (w, w.inv())
-        return r
-
-    def commutes_idx(i, j):
-        (a, a_inv), (b, b_inv) = tword(i), tword(j)
-        return is_identity(a, P, b, a_inv, b_inv, memo=memo)
-
-    def conj_commutes(i, j):
-        # [a, v^-1 a v] streamed as a . v^-1 a v . a^-1 . v^-1 a^-1 v
-        (a, a_inv), (v, v_inv) = tword(i), tword(j)
-        return is_identity(a, P, v_inv, a, v, a_inv, v_inv, a_inv, v,
-                           memo=memo)
-
     index = None if image is None else \
         quotients.BallIndex([image(w) for w in elements])
-    return _tests(elements, index, commutes_idx, conj_commutes)
-
-
-def _tests(elements, index, commutes_idx, conj_commutes):
-    """The search context over elements: commutes_idx cached as comm,
-    and the quotient index, when there is one, in front of both tests
-    and picking the columns; with none, every row scans every column."""
+    form, trivial = spec.search_forms()
+    forms = [None] * len(elements)
     cache = {}
+
+    def form_of(i):
+        """The form of element i and its inverse."""
+        r = forms[i]
+        if r is None:
+            r = forms[i] = form(elements[i])
+        return r
 
     def comm(i, j):
         if index is not None and not index.commute(i, j):
@@ -165,17 +132,21 @@ def _tests(elements, index, commutes_idx, conj_commutes):
         k = (i, j) if i < j else (j, i)
         r = cache.get(k)
         if r is None:
-            r = cache[k] = commutes_idx(i, j)
+            (a, a_inv), (b, b_inv) = form_of(i), form_of(j)
+            r = cache[k] = trivial(a, b, a_inv, b_inv)
         return r
+
+    def conj_commutes(i, j):
+        if index is not None and not index.transports(i, j):
+            return False
+        # [a, v^-1 a v] as a . v^-1 a v . a^-1 . v^-1 a^-1 v
+        (a, a_inv), (v, v_inv) = form_of(i), form_of(j)
+        return trivial(a, v_inv, a, v, a_inv, v_inv, a_inv, v)
 
     if index is None:
         every = range(len(elements))
         return elements, comm, conj_commutes, lambda i, transport: every
-
-    def filtered_conj_commutes(i, j):
-        return index.transports(i, j) and conj_commutes(i, j)
-
-    return elements, comm, filtered_conj_commutes, index.columns
+    return elements, comm, conj_commutes, index.columns
 
 
 def verify_csa_witness(w: CsaWitness, spec) -> bool:

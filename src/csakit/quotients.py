@@ -80,10 +80,10 @@ def permutation_quotients(P):
 def word_images(spec):
     """The map from a word over spec's displayed generators to its image
     under permutation_quotients(spec.ext), each image built from the
-    cached image of the word's prefix; None when there is no
-    quotient."""
+    cached image of the word's prefix; None when spec has no extension
+    or there is no quotient."""
     P = spec.ext
-    rho = permutation_quotients(P)
+    rho = None if P is None else permutation_quotients(P)
     if rho is None:
         return None
     t = P.base_rank + 1

@@ -29,10 +29,20 @@ class GroupSpec:
     hashable normal form, equal for two words exactly when they are equal
     elements; ``normal_word(word)`` writes that normal form back as a word
     over the displayed generators (an amalgam adds its stable letter,
-    rank + 1)."""
+    rank + 1).  ``ext`` is the HNN extension a Britton spec reduces in,
+    None for the other classes."""
+
+    ext = None
 
     def is_trivial(self, word):
         return self.key(word) == self.key(())
+
+    def search_forms(self):
+        """(form, trivial) for one search: form(word) gives (x, x^-1) in
+        the group's working form, here the word itself, and trivial(*xs)
+        says whether the product of such forms is 1."""
+        return (lambda w: (w, inverse(w))), \
+            (lambda *xs: self.is_trivial(concat(*xs)))
 
 
 @dataclass(frozen=True)
@@ -73,6 +83,17 @@ class BrittonSpec(GroupSpec):
 
     def normal_word(self, word):
         return hnn_mod.TWord(*self.key(word)).flatten(self.ext.base_rank + 1)
+
+    def search_forms(self):
+        """The form is the Britton-reduced TWord; a product of forms
+        streams through the kernel, with one pinch memo for the search."""
+        P, memo = self.ext, {}
+
+        def form(word):
+            x = hnn_mod.britton_reduce(self.tword(word), P, memo=memo)
+            return x, x.inv()
+
+        return form, lambda x, *xs: hnn_mod.is_identity(x, P, *xs, memo=memo)
 
 
 class HnnSpec(BrittonSpec):

@@ -245,6 +245,31 @@ def test_check_malnormal_on_sub_blocks(capsys):
     assert "needs sub blocks" in capsys.readouterr().err
 
 
+def test_check_malnormal_on_hnn_sub_blocks(capsys):
+    # sub blocks come after A and B, over the base; one that restates
+    # A's or B's generators, as an hnn(...) header's do, is not listed
+    want = {"A": "malnormal", "B": "malnormal", "H": "not-malnormal"}
+    for text in ("< x, y, t | t^-1 x t = y > sub H = { x^2 }",
+                 "hnn(< x, y >; A -> B via x -> y) sub H = { x^2 }",
+                 "hnn(< x, y >; P -> Q via x -> y) sub H = { x^2 }"):
+        rep, code = run("check-malnormal", text, {})
+        assert (rep.verdict, code) == ("not-malnormal", 1), text
+        assert rep.details == want, text
+        assert rep.witnesses == [{"h": "x^2", "g": "x^-1",
+                                  "subgroup": "H"}], text
+    rep, code = run("check-malnormal", "hnn(< x, y >; P -> Q via x -> y)",
+                    {})
+    assert (rep.details, code) == ({"A": "malnormal", "B": "malnormal"}, 0)
+    rep, code = run("check-malnormal", EX1 + " sub A = { x1, x2 }", {})
+    assert (rep.details, code) == ({"A": "malnormal", "B": "malnormal"}, 0)
+    assert main(["check-malnormal",
+                 "< x, y, t | t^-1 x t = y > sub H = { x t }"]) == 2
+    assert "uses the stable letter" in capsys.readouterr().err
+    assert main(["check-malnormal",
+                 "< x, y, t | t^-1 x t = y > sub A = { x^2 }"]) == 2
+    assert "named like an associated subgroup" in capsys.readouterr().err
+
+
 def test_text_report_prints_witnesses(capsys):
     code = main(["falsify-ct", "< x, y, t | t^-1 x t = x, t^-1 y t = y >",
                  "--radius", "1"])

@@ -207,9 +207,11 @@ def _brute_force(spec, radius):
     return csa_hit, ct_hit
 
 
-def test_falsifiers_match_brute_force():
+def _match_brute_force(searches):
+    """Check both falsifiers against _brute_force on each search; the
+    numbers of CSA and CT hits."""
     csa_hits = ct_hits = 0
-    for name, spec, radius in SEARCHES:
+    for name, spec, radius in searches:
         want_csa, want_ct = _brute_force(spec, radius)
         got_csa = csa.falsify_csa(spec, radius)
         got_ct = csa.falsify_ct(spec, radius)
@@ -219,8 +221,29 @@ def test_falsifiers_match_brute_force():
                 (got_ct.a, got_ct.b, got_ct.c)) == want_ct, name
         csa_hits += want_csa is not None
         ct_hits += want_ct is not None
+    return csa_hits, ct_hits
+
+
+def test_falsifiers_match_brute_force():
+    csa_hits, ct_hits = _match_brute_force(SEARCHES)
     assert 5 <= csa_hits <= len(SEARCHES) - 5
     assert 3 <= ct_hits <= len(SEARCHES) - 5
+
+
+# the classes without an HNN extension: no quotient index, so every row
+# scans every column and each test multiplies words
+GENERIC_SEARCHES = [
+    ("f2", FreeSpec(2), 3),
+    ("z2*z", FreeProductCyclicsSpec((2, 0)), 4),
+    ("z2*z3", FreeProductCyclicsSpec((2, 3)), 4),
+    ("fbc", FreeByCyclicSpec(), 3),
+]
+
+
+def test_generic_falsifiers_match_brute_force():
+    # the free products of cyclics hold D-infinity, a CSA witness; the
+    # free-by-cyclic group has a witness of each kind, F2 none
+    assert _match_brute_force(GENERIC_SEARCHES) == (3, 1)
 
 
 # -- the permutation-quotient prefilter --------------------------------------
