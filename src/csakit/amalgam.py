@@ -142,7 +142,7 @@ def gog_predicates(gog: GraphOfGroups, cap=DEFAULT_CAP) -> GogReport:
         mal_dst = is_malnormal(im)
         witness = mal_src.witness or mal_dst.witness
         try:
-            closure = malnormal_closure(im, cap)
+            closure = malnormal_closure(im, cap, report=mal_dst)
             normal = _normal_in_closure(im, closure,
                                         [free_reduce(w, r_dst)
                                          for w in e.images])

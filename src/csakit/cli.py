@@ -118,6 +118,7 @@ class ParsedSource:
     gog: object = None
     vertex_names: dict = field(default_factory=dict)
     factor_names: tuple = ()  # amalgam: (left names, right names)
+    subgroup_names: tuple = ("A", "B")  # hnn: the names of A and B
 
     @property
     def name_map(self):
@@ -328,6 +329,7 @@ class Parser:
             "hnn", HnnSpec(HnnPresentation(len(base), a_gens, b_gens)),
             base + [stable_name(base)])
         src.subs = {a_name: list(a_gens), b_name.value: list(b_gens)}
+        src.subgroup_names = (a_name, b_name.value)
         t = len(base) + 1
         src.relators = [concat((-t,), a, (t,), inverse(b))
                         for a, b in zip(a_gens, b_gens)]
@@ -488,7 +490,16 @@ def word_to_str(w, names):
 
 def render_source(src: ParsedSource):
     """Canonical text; parses back to an equivalent source."""
-    if src.kind in ("free", "fpc", "hnn", "pres"):
+    # an hnn(...) header that renamed A and B is printed as a header, so
+    # that the names survive
+    header = () if src.subgroup_names == ("A", "B") else src.subgroup_names
+    if header:
+        base, pres = src.names[:-1], src.spec.pres
+        pairs = ", ".join(
+            f"{word_to_str(a, base)} -> {word_to_str(b, base)}"
+            for a, b in zip(pres.a_gens, pres.b_gens))
+        text = f"hnn(< {', '.join(base)} >; {' -> '.join(header)} via {pairs})"
+    elif src.kind in ("free", "fpc", "hnn", "pres"):
         body = ", ".join(src.names)
         if src.relators:
             rels = ", ".join(word_to_str(r, src.names) for r in src.relators)
@@ -517,6 +528,8 @@ def render_source(src: ParsedSource):
     else:
         raise UnsupportedShapeError(f"cannot print source kind {src.kind}")
     for nm, gens in src.subs.items():
+        if nm in header:
+            continue
         text += f" sub {nm} = {{ " + \
             ", ".join(word_to_str(g, src.names) for g in gens) + " }"
     return text
@@ -575,12 +588,12 @@ def _sep_witness(wit, names):
 
 
 def _cmd_check_malnormal(src, flags):
-    """A and B of an hnn source, then every sub block over the base but
-    those that restate A's or B's generators, as an hnn(...) header's
-    do."""
+    """A and B of an hnn source, under the names an hnn(...) header
+    gives them, then every sub block over the base but those that
+    restate A's or B's generators, as the header's do."""
     if src.kind == "hnn":
         pres = src.spec.pres
-        targets = {"A": pres.A, "B": pres.B}
+        targets = dict(zip(src.subgroup_names, (pres.A, pres.B)))
         names = src.names[:-1]
         restated = (pres.a_gens, pres.b_gens)
     elif src.subs:

@@ -105,16 +105,14 @@ def _search_context(spec, radius):
     columns(i, transport), the columns j, increasing, that may pass the
     test of row i: comm when transport is False, conj_commutes when it
     is True.  The tests multiply the forms of spec.search_forms, built
-    on first use, behind the quotient index of the ball when spec's
-    extension has one (quotients.BallIndex), which also picks the
-    columns; with none, every row scans every column."""
+    on first use, behind the quotient index of the ball
+    (quotients.BallIndex), which also picks the columns."""
     # imported on first use, so a command that runs no search does not
     # pay for its import
     from . import quotients
     image = quotients.word_images(spec)
     elements = ball(spec, radius, _image=image)
-    index = None if image is None else \
-        quotients.BallIndex([image(w) for w in elements])
+    index = quotients.BallIndex([image(w) for w in elements])
     form, trivial = spec.search_forms()
     forms = [None] * len(elements)
     cache = {}
@@ -127,7 +125,7 @@ def _search_context(spec, radius):
         return r
 
     def comm(i, j):
-        if index is not None and not index.commute(i, j):
+        if not index.commute(i, j):
             return False
         k = (i, j) if i < j else (j, i)
         r = cache.get(k)
@@ -137,15 +135,12 @@ def _search_context(spec, radius):
         return r
 
     def conj_commutes(i, j):
-        if index is not None and not index.transports(i, j):
+        if not index.transports(i, j):
             return False
         # [a, v^-1 a v] as a . v^-1 a v . a^-1 . v^-1 a^-1 v
         (a, a_inv), (v, v_inv) = form_of(i), form_of(j)
         return trivial(a, v_inv, a, v, a_inv, v_inv, a_inv, v)
 
-    if index is None:
-        every = range(len(elements))
-        return elements, comm, conj_commutes, lambda i, transport: every
     return elements, comm, conj_commutes, index.columns
 
 

@@ -80,12 +80,12 @@ def permutation_quotients(P):
 def word_images(spec):
     """The map from a word over spec's displayed generators to its image
     under permutation_quotients(spec.ext), each image built from the
-    cached image of the word's prefix; None when spec has no extension
-    or there is no quotient."""
+    cached image of the word's prefix; the constant map to the identity
+    of Sym(DEGREE) when spec has no extension or there is no quotient."""
     P = spec.ext
     rho = None if P is None else permutation_quotients(P)
     if rho is None:
-        return None
+        return lambda w: _IDENTITY
     t = P.base_rank + 1
     identity = bytes(range(len(rho[1])))
     letters = {l: table(evaluate(spec.tword((l,)).flatten(t), rho,

@@ -400,8 +400,9 @@ def is_malnormal(H):
     return SubgroupReport(best is None, best)
 
 
-def malnormal_closure(H, cap=DEFAULT_CAP):
-    """Join malnormality witnesses until the subgroup is malnormal.
+def malnormal_closure(H, cap=DEFAULT_CAP, report=None):
+    """Join malnormality witnesses until the subgroup is malnormal;
+    report, when given, is is_malnormal(H), so it is not computed again.
 
     Raises CapExceededError after cap joins."""
     from .errors import CapExceededError
@@ -409,11 +410,13 @@ def malnormal_closure(H, cap=DEFAULT_CAP):
     if cap < 1:
         raise ValueError("cap must be >= 1")
     for _ in range(cap):
-        report = is_malnormal(H)
+        if report is None:
+            report = is_malnormal(H)
         if report.verdict:
             return H
         g, _h = report.witness
         H = fold(H.generators + (g,), H.rank)
+        report = None
     if is_malnormal(H).verdict:
         return H
     raise CapExceededError(cap)

@@ -29,8 +29,12 @@ class GroupSpec:
     hashable normal form, equal for two words exactly when they are equal
     elements; ``normal_word(word)`` writes that normal form back as a word
     over the displayed generators (an amalgam adds its stable letter,
-    rank + 1).  ``ext`` is the HNN extension a Britton spec reduces in,
-    None for the other classes."""
+    rank + 1).  ``ext`` is an HNN extension of a free group that holds
+    the group, ``tword`` mapping words into it: a Britton spec reduces
+    in it, and a falsifier search draws its permutation quotients from
+    it (``quotients.word_images``).  It is None for free products of
+    cyclics and the free-by-cyclic group, whose searches take the
+    constant quotient."""
 
     ext = None
 
@@ -43,16 +47,6 @@ class GroupSpec:
         says whether the product of such forms is 1."""
         return (lambda w: (w, inverse(w))), \
             (lambda *xs: self.is_trivial(concat(*xs)))
-
-
-@dataclass(frozen=True)
-class FreeSpec(GroupSpec):
-    rank: int
-
-    def key(self, word):
-        return free_reduce(word, self.rank)
-
-    normal_word = key
 
 
 @dataclass(frozen=True)
@@ -104,6 +98,26 @@ class HnnSpec(BrittonSpec):
     def tword(self, word):
         return hnn_mod.TWord._split_reduced(free_reduce(word, self.rank),
                                             self.rank)
+
+
+@dataclass(frozen=True)
+class FreeSpec(GroupSpec):
+    rank: int
+
+    def key(self, word):
+        return free_reduce(word, self.rank)
+
+    normal_word = key
+
+    @property
+    def ext(self):
+        """F(r) as the HNN extension of F(r - 1) over trivial associated
+        subgroups, its last generator the stable letter; None for the
+        trivial group F(0)."""
+        return hnn_mod.HnnPresentation(self.rank - 1, (), ()) \
+            if self.rank else None
+
+    tword = HnnSpec.tword
 
 
 class AmalgamSpec(BrittonSpec):

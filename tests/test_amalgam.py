@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from csakit import amalgam, stallings
 from csakit.amalgam import (AmalgamPresentation, GogEdge, GraphOfGroups,
                             amalgam_csa_verdict_abelian,
                             fundamental_group_presentation, gog_predicates,
@@ -187,6 +188,30 @@ def test_gog_quasi_malnormal_abelian():
     g2 = _gog([GogEdge("u", "v", ((1, 1),), ((1,),))], u=2, v=2)
     rep2 = gog_predicates(g2)
     assert rep2.quasi_malnormal is False
+
+
+def test_gog_predicates_checks_each_graph_once(monkeypatch):
+    # a ~ c^2 folds <a> and <c^2>, and the closure of <c^2> joins c; the
+    # closure starts from the report on <c^2> instead of computing it again
+    seen = []
+
+    def counting(H):
+        seen.append(H)
+        return is_malnormal(H)
+
+    monkeypatch.setattr(amalgam, "is_malnormal", counting)
+    monkeypatch.setattr(stallings, "is_malnormal", counting)
+    g = _gog([GogEdge("u", "v", ((1,),), ((1, 1),))], u=2, v=2)
+    rep = gog_predicates(g)
+    assert len(seen) == len({id(H) for H in seen}) == 3
+    assert (rep.quasi_malnormal, rep.malnormal) == (True, False)
+    assert rep.per_edge[0].normal_in_closure is True
+    # <c^2, d^2> needs two joins, so one leaves the closure undecided
+    del seen[:]
+    g = _gog([GogEdge("u", "v", ((1,), (2,)), ((1, 1), (2, 2)))], u=2, v=2)
+    rep = gog_predicates(g, cap=1)
+    assert rep.per_edge[0].normal_in_closure is None
+    assert len(seen) == len({id(H) for H in seen}) == 3
 
 
 def test_gog_loop_separated():

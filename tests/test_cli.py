@@ -248,18 +248,19 @@ def test_check_malnormal_on_sub_blocks(capsys):
 def test_check_malnormal_on_hnn_sub_blocks(capsys):
     # sub blocks come after A and B, over the base; one that restates
     # A's or B's generators, as an hnn(...) header's do, is not listed
-    want = {"A": "malnormal", "B": "malnormal", "H": "not-malnormal"}
-    for text in ("< x, y, t | t^-1 x t = y > sub H = { x^2 }",
-                 "hnn(< x, y >; A -> B via x -> y) sub H = { x^2 }",
-                 "hnn(< x, y >; P -> Q via x -> y) sub H = { x^2 }"):
+    for text, a, b in (
+            ("< x, y, t | t^-1 x t = y > sub H = { x^2 }", "A", "B"),
+            ("hnn(< x, y >; A -> B via x -> y) sub H = { x^2 }", "A", "B"),
+            ("hnn(< x, y >; P -> Q via x -> y) sub H = { x^2 }", "P", "Q")):
         rep, code = run("check-malnormal", text, {})
         assert (rep.verdict, code) == ("not-malnormal", 1), text
-        assert rep.details == want, text
+        assert rep.details == {a: "malnormal", b: "malnormal",
+                               "H": "not-malnormal"}, text
         assert rep.witnesses == [{"h": "x^2", "g": "x^-1",
                                   "subgroup": "H"}], text
     rep, code = run("check-malnormal", "hnn(< x, y >; P -> Q via x -> y)",
                     {})
-    assert (rep.details, code) == ({"A": "malnormal", "B": "malnormal"}, 0)
+    assert (rep.details, code) == ({"P": "malnormal", "Q": "malnormal"}, 0)
     rep, code = run("check-malnormal", EX1 + " sub A = { x1, x2 }", {})
     assert (rep.details, code) == ({"A": "malnormal", "B": "malnormal"}, 0)
     assert main(["check-malnormal",
@@ -268,6 +269,26 @@ def test_check_malnormal_on_hnn_sub_blocks(capsys):
     assert main(["check-malnormal",
                  "< x, y, t | t^-1 x t = y > sub A = { x^2 }"]) == 2
     assert "named like an associated subgroup" in capsys.readouterr().err
+
+
+def test_check_malnormal_names_the_header_subgroups(capsys):
+    # an hnn(...) header names A and B; a raw presentation leaves them so
+    text = "hnn(< x, y >; P -> Q via x^2 -> y)"
+    rep, code = run("check-malnormal", text, {})
+    assert (rep.details, code) == ({"P": "not-malnormal",
+                                    "Q": "malnormal"}, 1)
+    assert rep.witnesses == [{"h": "x^2", "g": "x^-1", "subgroup": "P"}]
+    assert main(["check-malnormal", text]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "witness: h = x^2, g = x^-1, subgroup = P" in out
+    assert ["P: not-malnormal", "Q: malnormal"] == out[3:5]
+    # the names survive render_source
+    printed = render_source(parse_source(text + " sub H = { x y }"))
+    assert printed == "hnn(< x, y >; P -> Q via x^2 -> y) sub H = { x y }"
+    assert render_source(parse_source(printed)) == printed
+    # a sub block may then take the name A, which no subgroup holds
+    rep, code = run("check-malnormal", text + " sub A = { x y }", {})
+    assert (rep.details["A"], code) == ("malnormal", 1)
 
 
 def test_text_report_prints_witnesses(capsys):

@@ -230,10 +230,13 @@ def test_falsifiers_match_brute_force():
     assert 3 <= ct_hits <= len(SEARCHES) - 5
 
 
-# the classes without an HNN extension: no quotient index, so every row
-# scans every column and each test multiplies words
+# the classes whose word problem is not Britton reduction, so each test
+# multiplies words: free groups draw quotients through their HNN form
+# over trivial associated subgroups, the others take the constant one
 GENERIC_SEARCHES = [
+    ("f1", FreeSpec(1), 4),
     ("f2", FreeSpec(2), 3),
+    ("f3", FreeSpec(3), 3),
     ("z2*z", FreeProductCyclicsSpec((2, 0)), 4),
     ("z2*z3", FreeProductCyclicsSpec((2, 3)), 4),
     ("fbc", FreeByCyclicSpec(), 3),
@@ -242,8 +245,11 @@ GENERIC_SEARCHES = [
 
 def test_generic_falsifiers_match_brute_force():
     # the free products of cyclics hold D-infinity, a CSA witness; the
-    # free-by-cyclic group has a witness of each kind, F2 none
+    # free-by-cyclic group has a witness of each kind, free groups none
     assert _match_brute_force(GENERIC_SEARCHES) == (3, 1)
+    # the trivial group, as F(0) and as the empty free product
+    assert csa.falsify_csa(FreeSpec(0), 3) is None
+    assert csa.falsify_ct(FreeProductCyclicsSpec(()), 2) is None
 
 
 # -- the permutation-quotient prefilter --------------------------------------
@@ -354,8 +360,9 @@ def test_no_quotient_falls_back_to_the_plain_scan():
     # x ~ x^210 forces x to 1, which no draw finds
     spec = _hnn(1, (1,), power((1,), 210))
     assert quotients.permutation_quotients(spec.ext) is None
-    assert quotients.word_images(spec) is None
+    image = quotients.word_images(spec)
     elements, _, _, columns = csa._search_context(spec, 1)
+    assert {image(w) for w in elements} == {bytes(range(quotients.DEGREE))}
     assert all(columns(i, t) == range(len(elements))
                for i in range(len(elements)) for t in (False, True))
     want_csa, want_ct = _brute_force(spec, 1)
@@ -422,7 +429,7 @@ def scan_witnesses(spec, radius):
     elements, comm, conj_commutes, _ = csa._search_context(spec, radius)
     n = len(elements)
     image = quotients.word_images(spec)
-    images = [image(w) if image else b"" for w in elements]
+    images = [image(w) for w in elements]
     tables = [quotients.table(p) for p in images]
     inverses = [quotients.inv(p) for p in images]
     index = {w: i for i, w in enumerate(elements)}
@@ -457,7 +464,7 @@ def scan_witnesses(spec, radius):
     return csa_hit(), hit_ct
 
 
-JOINED = EXACTNESS + \
+JOINED = EXACTNESS + GENERIC_SEARCHES + \
     [(f"quadrant{k}-r4", spec, 4)
      for k, spec in enumerate(QUADRANT_SPECS, 1)] + \
     [(f"quadrant{k}-r5", QUADRANT_SPECS[k - 1], 5) for k in (1, 2)]
@@ -469,8 +476,8 @@ def test_join_matches_full_scan(name, spec, radius):
     assert _witnesses(spec, radius) == scan_witnesses(spec, radius)
 
 
-INDEXED = [(name, spec) for name, spec, _ in SEARCHES] + \
-    [(f"quadrant{k}", spec) for k, spec in enumerate(QUADRANT_SPECS, 1)]
+INDEXED = [(name, spec) for name, spec, _ in SEARCHES + GENERIC_SEARCHES] \
+    + [(f"quadrant{k}", spec) for k, spec in enumerate(QUADRANT_SPECS, 1)]
 
 
 @pytest.mark.parametrize("name,spec", INDEXED,
