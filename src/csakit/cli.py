@@ -501,9 +501,11 @@ def render_source(src: ParsedSource):
         text = f"hnn(< {', '.join(base)} >; {' -> '.join(header)} via {pairs})"
     elif src.kind in ("free", "fpc", "hnn", "pres"):
         body = ", ".join(src.names)
-        if src.relators:
-            rels = ", ".join(word_to_str(r, src.names) for r in src.relators)
-            body += " | " + rels
+        # a trivial relator, such as that of an HNN pair 1 -> 1, is left
+        # out, as the parser drops it
+        rels = [word_to_str(r, src.names) for r in src.relators if r]
+        if rels:
+            body += " | " + ", ".join(rels)
         text = f"< {body} >"
     elif src.kind == "fbc":
         text = "fbc()"

@@ -189,14 +189,23 @@ def falsify_csa(spec, radius=DEFAULT_RADIUS) -> Optional[CsaWitness]:
 def falsify_ct(spec, radius=DEFAULT_RADIUS) -> Optional[CtWitness]:
     """First triple with [a,b] = 1, [b,c] = 1 but [a,c] != 1."""
     elements, comm, _, columns = _search_context(spec, radius)
+    index = dict(zip(elements, range(len(elements))))
     rows = {}
 
     def row(i):
-        """The j != i with [a_i, a_j] = 1, listed on first use."""
+        """The j != i with [a_i, a_j] = 1, listed on first use.  When
+        the literal inverse of a_i is a_m with row(m) listed, a_j
+        commutes with a_i iff with a_m, so row(i) is row(m) with i,
+        which commutes with a_m, replaced by m."""
         r = rows.get(i)
         if r is None:
-            r = rows[i] = [j for j in columns(i, False)
-                           if j != i and comm(i, j)]
+            m = index.get(inverse(elements[i]))
+            r = rows.get(m)
+            if r is not None:
+                r = sorted(m if j == i else j for j in r)
+            else:
+                r = [j for j in columns(i, False) if j != i and comm(i, j)]
+            rows[i] = r
         return r
 
     for i, a in enumerate(elements):

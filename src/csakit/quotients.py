@@ -57,11 +57,14 @@ def permutation_quotients(P):
     points: a dict from each base letter +-1..+-rank and the stable
     letter +-(rank + 1) to its image.  Every relation t^-1 a t = b of
     P holds in the image.  None when no draw out of MAX_DRAWS found a
-    quotient."""
+    quotient, and with no draw when _plan finds none possible."""
+    plan = _plan(P)
+    if plan is None:
+        return None
     rng = random.Random(SEED)
     found = []
     for _ in range(MAX_DRAWS):
-        rho = _draw(P, rng)
+        rho = _draw(plan, rng)
         if rho is not None:
             found.append(rho)
             if len(found) == QUOTIENTS:
@@ -102,10 +105,15 @@ def word_images(spec):
     return word_image
 
 
-def _draw(P, rng):
-    """A random homomorphism from P into Sym(DEGREE), as images of the
-    generators 1..rank + 1 (the last the stable letter), or None when
-    the draw does not satisfy every relation.
+def _plan(P):
+    """The steps of a random homomorphism from P into Sym(DEGREE), the
+    same for every draw, or None when a generator has no image allowed
+    (_power_cycle_lengths), so that no draw can succeed:
+    ("draw", g, lengths) draws the image of g (_random_perm),
+    ("solve", l, left, conj, right) gives the letter l from the
+    relation left l right = conj, ("match", t, a, b) draws T with
+    T^-1 A T = B, and ("check", relations) keeps the draw only when
+    every relation holds.
 
     The relations t^-1 a_i t = b_i are solved one at a time.  A relation
     with one side known and one unknown generator, occurring once, on
@@ -119,41 +127,69 @@ def _draw(P, rng):
     t = P.base_rank + 1
     edges = list(zip(P.a_gens, P.b_gens))
     related = {abs(l) for a, b in edges for l in a + b}
+    known = set()   # the letters, of both signs, that an earlier step gives
+    steps = []
+
+    def add(step, g):
+        steps.append(step)
+        known.update((g, -g))
+
+    while True:
+        base = [g for g in range(1, t) if g not in known and g in related]
+        if t in known:
+            if not base:
+                break
+            step = _solve_step(edges, known, t)
+            if step is not None:
+                add(step, abs(step[1]))
+                continue
+        else:
+            full = [(a, b) for a, b in edges if _known(a + b, known)]
+            if full:
+                add(("match", t) + full[0], t)
+                continue
+            if not base or any(_solvable(a, b, known) or
+                               _solvable(b, a, known) for a, b in edges):
+                add(("draw", t, None), t)
+                continue
+        g = _pick(base, edges, known)
+        lengths = _power_cycle_lengths(g, edges)
+        if lengths == set():
+            return None
+        add(("draw", g, lengths), g)
+    steps.append(("check", [((-t,) + a + (t,), b) for a, b in edges]))
+    return steps + [("draw", g, None) for g in range(1, t) if g not in known]
+
+
+def _draw(plan, rng):
+    """The images of the generators, of both signs, under one random
+    homomorphism from P into Sym(DEGREE), drawn by the steps of
+    plan = _plan(P); None when the draw does not satisfy every
+    relation."""
     X = {}
 
     def value(word):
         return evaluate(word, X, _IDENTITY)
 
-    while True:
-        base = [g for g in range(1, t) if g not in X and g in related]
-        if t in X:
-            if not base:
-                break
-            if _solve_one(edges, X, value, t):
-                continue
-        else:
-            full = [(a, b) for a, b in edges if _known(a + b, X)]
-            if full:
-                T = _conjugator(value(full[0][0]), value(full[0][1]), rng)
-                if T is None:
-                    return None
-                _assign(X, t, T)
-                continue
-            if not base or any(_solvable(a, b, X) or _solvable(b, a, X)
-                               for a, b in edges):
-                _assign(X, t, _random_perm(rng))
-                continue
-        g = _pick(base, edges, X)
-        lengths = _power_cycle_lengths(g, edges)
-        if lengths == set():
+    for kind, *args in plan:
+        if kind == "draw":
+            g, lengths = args
+            _assign(X, g, _random_perm(rng, lengths))
+        elif kind == "solve":
+            # left l right equals conj, so l = left^-1 conj right^-1
+            l, left, conj, right = args
+            x = mul(mul(inv(value(left)), value(conj)), inv(value(right)))
+            _assign(X, abs(l), x if l > 0 else inv(x))
+        elif kind == "match":
+            t, a, b = args
+            T = _conjugator(value(a), value(b), rng)
+            if T is None:
+                return None
+            _assign(X, t, T)
+        # "check"
+        elif any(value(lhs) != value(rhs) for lhs, rhs in args[0]):
             return None
-        _assign(X, g, _random_perm(rng, lengths))
-    if any(value((-t,) + a + (t,)) != value(b) for a, b in edges):
-        return None
-    for g in range(1, t):
-        if g not in X:
-            _assign(X, g, _random_perm(rng))
-    return {g: X[g] for g in range(1, t + 1)}
+    return X
 
 
 def _power_cycle_lengths(g, edges):
@@ -173,15 +209,15 @@ def _power_cycle_lengths(g, edges):
     return {n for n in range(2, DEGREE + 1) if gcd(n, k) == 1}
 
 
-def _pick(base, edges, X):
+def _pick(base, edges, known):
     """The least generator of base whose image would leave a relation
     solvable for its one unknown generator, which is then solved
     instead of drawn (a ~ c^2: draw C, then A = T C^2 T^-1, where
     drawing A first would need A to have the cycle type of C^2); the
     least of base when there is none."""
     for g in base:
-        known = X.keys() | {g, -g}
-        if any(_solvable(a, b, known) or _solvable(b, a, known)
+        then = known | {g, -g}
+        if any(_solvable(a, b, then) or _solvable(b, a, then)
                for a, b in edges):
             return g
     return base[0]
@@ -192,37 +228,33 @@ def _assign(X, g, p):
     X[-g] = inv(p)
 
 
-def _known(word, X):
-    return all(l in X for l in word)
+def _known(word, known):
+    return all(l in known for l in word)
 
 
-def _unknown_at(word, X):
-    """The index of the one letter of word outside X, or None when
+def _unknown_at(word, known):
+    """The index of the one letter of word outside known, or None when
     there is not exactly one."""
-    unknown = [k for k, l in enumerate(word) if l not in X]
+    unknown = [k for k, l in enumerate(word) if l not in known]
     return unknown[0] if len(unknown) == 1 else None
 
 
-def _solvable(known, other, X):
-    return _known(known, X) and _unknown_at(other, X) is not None
+def _solvable(side, other, known):
+    return _known(side, known) and _unknown_at(other, known) is not None
 
 
-def _solve_one(edges, X, value, t):
-    """Solve one relation t^-1 a t = b for its one unknown generator;
-    False when none has that shape."""
+def _solve_step(edges, known, t):
+    """The step that solves the first relation t^-1 a t = b with one
+    side known for the one unknown letter of the other; None when no
+    relation has that shape."""
     for a, b in edges:
-        for known, other, conj in ((a, b, (-t,) + a + (t,)),
-                                   (b, a, (t,) + b + (-t,))):
-            if not _solvable(known, other, X):
-                continue
-            k = _unknown_at(other, X)
-            # other = L x R equals conj, so x = L^-1 conj R^-1
-            x = mul(mul(inv(value(other[:k])), value(conj)),
-                    inv(value(other[k + 1:])))
-            l = other[k]
-            _assign(X, abs(l), x if l > 0 else inv(x))
-            return True
-    return False
+        for side, other, conj in ((a, b, (-t,) + a + (t,)),
+                                  (b, a, (t,) + b + (-t,))):
+            if _solvable(side, other, known):
+                k = _unknown_at(other, known)
+                # other = L x R equals conj
+                return ("solve", other[k], other[:k], conj, other[k + 1:])
+    return None
 
 
 def _cycles(p):
@@ -302,6 +334,24 @@ def relabelling(g):
     return tuple(map(len, cycles)), bytes(chain.from_iterable(cycles))
 
 
+def _cycle_type(g):
+    """The cycle lengths of g, increasing: relabelling(g)[0], by a walk
+    that lists no cycle."""
+    out = []
+    rest = set(range(len(g)))
+    while rest:
+        x = rest.pop()
+        n = 1
+        y = g[x]
+        while y != x:
+            rest.discard(y)
+            y = g[y]
+            n += 1
+        out.append(n)
+    out.sort()
+    return tuple(out)
+
+
 @cache
 def centralizer_order(shape):
     out = 1
@@ -310,6 +360,7 @@ def centralizer_order(shape):
     return out
 
 
+@cache
 def transporter_order(shape):
     """|T(g)| for g of cycle type shape; lists C(g0) once."""
     return centralizer_order(shape) * len(conjugators(shape))
@@ -373,36 +424,27 @@ class BallIndex:
     set up in an index of the columns by their image in that block; a
     row whose smallest set is larger than the ball gets every column.
     So a scan of the columns given, in order, meets the same first hit
-    as a scan of them all.  Each element's record is built on first
-    use."""
+    as a scan of them all."""
 
     def __init__(self, images):
         self._images = images
-        self._records = [None] * len(images)
-        self._blocks = [None] * QUOTIENTS
-        self._relabelled = {}   # block image -> (shape, pi^-1, table of pi)
+        self._tables = [table(p) for p in images]
+        # the images in each block, moved down to 0 .. DEGREE - 1
+        blocks = len(images[0]) // DEGREE if images else 0
+        self._block_images = [
+            [p[DEGREE * k:DEGREE * (k + 1)].translate(shift) for p in images]
+            for k, shift in enumerate(_SHIFTS[:blocks])]
+        self._blocks = [None] * blocks
         self._every = range(len(images))
 
-    def _record(self, i):
-        """rho(a_i), its translation table and its block images."""
-        r = self._records[i]
-        if r is None:
-            p = self._images[i]
-            r = self._records[i] = (
-                p, table(p),
-                [p[DEGREE * k:DEGREE * (k + 1)].translate(shift)
-                 for k, shift in enumerate(_SHIFTS[:len(p) // DEGREE])])
-        return r
-
     def commute(self, i, j):
-        a, ta, _ = self._record(i)
-        b, tb, _ = self._record(j)
-        return a.translate(tb) == b.translate(ta)
+        images, tables = self._images, self._tables
+        return images[i].translate(tables[j]) == \
+            images[j].translate(tables[i])
 
     def transports(self, i, j):
-        a, ta, _ = self._record(i)
-        v, tv, _ = self._record(j)
-        c = inv(v).translate(ta).translate(tv)
+        a, ta = self._images[i], self._tables[i]
+        c = inv(self._images[j]).translate(ta).translate(self._tables[j])
         return a.translate(table(c)) == c.translate(ta)
 
     def _block(self, k):
@@ -410,33 +452,25 @@ class BallIndex:
         r = self._blocks[k]
         if r is None:
             r = self._blocks[k] = {}
-            for j in self._every:
-                r.setdefault(self._record(j)[2][k], []).append(j)
+            for j, g in enumerate(self._block_images[k]):
+                r.setdefault(g, []).append(j)
         return r
 
-    def _relabel(self, g):
-        r = self._relabelled.get(g)
-        if r is None:
-            shape, pi = relabelling(g)
-            r = self._relabelled[g] = (shape, inv(pi), table(pi))
-        return r
-
-    def _size(self, g, transport):
-        """|C(g)|, or |T(g)| when transport is True unless |C(g)| is
-        already larger than the ball."""
-        shape = self._relabel(g)[0]
+    def _size(self, shape, transport):
+        """|C(g)| for g of cycle type shape, or |T(g)| when transport is
+        True unless |C(g)| is already larger than the ball."""
         c = centralizer_order(shape)
         if not transport or c > len(self._every):
             return c
         return transporter_order(shape)
 
     def columns(self, i, transport):
-        blocks = self._record(i)[2]
-        s, k = min((self._size(g, transport), k)
-                   for k, g in enumerate(blocks))
+        s, k = min((self._size(_cycle_type(images[i]), transport), k)
+                   for k, images in enumerate(self._block_images))
         if s > len(self._every):
             return self._every
-        shape, pi_inv, pi_table = self._relabel(blocks[k])
+        shape, pi = relabelling(self._block_images[k][i])
+        pi_inv, pi_table = inv(pi), table(pi)
         # C(g) = pi^-1 C(g0) pi, and T(g) the cosets C(g) pi^-1 h pi
         keys = [pi_inv.translate(c).translate(pi_table)
                 for c in centralizer(shape)]

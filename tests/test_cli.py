@@ -176,6 +176,19 @@ def test_roundtrip_constructors():
         assert render_source(parse_source(printed)) == printed
 
 
+def test_roundtrip_leaves_out_trivial_relators():
+    # each pair 1 -> 1 gives the relator t^-1 1 t 1^-1, which reduces to
+    # the empty word; the parser drops it, so the printer must too
+    printed = render_source(parse_source("hnn(< x, y >; A -> B via 1 -> 1)"))
+    assert printed == "< x, y, t > sub A = { 1 } sub B = { 1 }"
+    assert render_source(parse_source(printed)) == printed
+    printed = render_source(
+        parse_source("hnn(< x, y >; A -> B via 1 -> 1, x -> y)"))
+    assert printed == "< x, y, t | t^-1 x t y^-1 > sub A = { 1, x } " \
+        "sub B = { 1, y }"
+    assert render_source(parse_source(printed)) == printed
+
+
 def test_run_reduce():
     rep, code = run("reduce", EX1, {"word": "t^-1 x1 t"})
     assert rep.verdict == "x2" and code == 0

@@ -3,6 +3,7 @@ replaced, the one-walk normal form against the two-walk one, the
 falsifiers built on it against brute-force scans, and the permutation
 quotients that filter their pairs."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -418,6 +419,46 @@ def test_ct_tests_each_pair_only_to_list_a_row(monkeypatch):
     assert calls[0] == listed[0] > 0
 
 
+def test_inverse_rows_are_read_off_each_other():
+    # [a, c] = 1 iff [a^-1, c] = 1, so the row of a^-1 is that of a with
+    # a^-1, which commutes with a, in place of a
+    pairs = 0
+    for name, spec, _ in SEARCHES:
+        elements, comm, _, columns = csa._search_context(spec, 3)
+        index = {w: i for i, w in enumerate(elements)}
+
+        def listed(i):
+            return [j for j in columns(i, False) if j != i and comm(i, j)]
+
+        for i, w in enumerate(elements):
+            m = index.get(inverse(w))
+            if m is not None:
+                derived = sorted(m if j == i else j for j in listed(m))
+                assert derived == listed(i), (name, w)
+                pairs += 1
+    assert pairs > 1000
+
+
+def test_ct_lists_one_row_of_each_inverse_pair(monkeypatch):
+    spec = QUADRANT_SPECS[0]
+    listed = set()
+    context = csa._search_context
+
+    def counting(spec, radius):
+        elements, comm, conj, columns = context(spec, radius)
+
+        def row_columns(i, transport):
+            assert not transport
+            listed.add(elements[i])
+            return columns(i, transport)
+
+        return elements, comm, conj, row_columns
+
+    monkeypatch.setattr(csa, "_search_context", counting)
+    assert csa.falsify_ct(spec, 4) is None
+    assert listed and not any(inverse(w) in listed for w in listed)
+
+
 # -- the indexed pair join ----------------------------------------------------
 
 
@@ -632,6 +673,54 @@ def test_power_relations_draw_no_failed_quotient(monkeypatch, k):
         assert all(math.gcd(len(c), k) == 1 for c in quotients._cycles(X))
     images, identity = _relator_images(P, rho)
     assert images == [identity] * len(images)
+
+
+def test_impossible_power_relation_makes_no_draw(monkeypatch):
+    # x ~ x^210 allows x no cycle length (see
+    # test_no_quotient_falls_back_to_the_plain_scan), which the plan finds
+    # before any draw
+    draws = []
+    draw = quotients._draw
+
+    def counting(plan, rng):
+        draws.append(draw(plan, rng))
+        return draws[-1]
+
+    monkeypatch.setattr(quotients, "_draw", counting)
+    P = HnnPresentation(1, [(1,)], [power((1,), 210)])
+    assert quotients.permutation_quotients(P) is None
+    assert draws == []
+
+
+# SHA-256 of each quotient's images, letters in increasing order, recorded
+# when every draw still planned its own steps: the plan makes the same
+# random calls in the same order (ex1 is EX1, amalgam a ~ c^2)
+QUOTIENT_DIGESTS = {
+    "amalgam":
+        "974c6c24ee00d345e0ebf47ea7b20d4abc77439fe3f99dfa4bded88c1a218dd2",
+    "bs12": "fd0aaa2c3653d05c174740389c90fac920d51509b772ad138cb17a132ce7f0c4",
+    "case1":
+        "fe4467ed1ee7ead08792805e56a9752eaba0acfca34e5132abb23c3249ab2be2",
+    "case2":
+        "8e5516da6f7cfd5fba66ef60edd87bf45ce0343355c92739d883ea171ef33690",
+    "case3":
+        "e4a58caabbb038f152103290284f0ac5c5c366ce0371abb7aebdd2b3385ce4a7",
+    "case4":
+        "fd0aaa2c3653d05c174740389c90fac920d51509b772ad138cb17a132ce7f0c4",
+    "central":
+        "c183af4b9f7939e5558eb5073f5f8429303f6944cca65a178d33d80af5a7d628",
+    "ex1": "65e7b320a892224e071cad96b56bff355abcfa47dde72d02d67d984b09ae416d",
+    "trefoil":
+        "a3c4c3fce472c3a6aea12a5f1cb0c5f28b5d3df1ca3c7dcb61b5a58df1b198a6",
+    "y_xx": "73048e870a26cfcbbf43e1c825a60b2aa8ef1e6ea1daebe00b03048deb405865",
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_GROUPS))
+def test_quotients_are_pinned(name):
+    rho = quotients.permutation_quotients(QUOTIENT_GROUPS[name])
+    digest = hashlib.sha256(b"".join(rho[g] for g in sorted(rho)))
+    assert digest.hexdigest() == QUOTIENT_DIGESTS[name]
 
 
 # -- the ball deduplicated by quotient image ----------------------------------
