@@ -57,28 +57,17 @@ class AmalgamPresentation:
         return TWord(tuple(head), tuple((e, tuple(g)) for (e, g) in tail))
 
 
-def amalgam_csa_verdict_abelian(P: AmalgamPresentation):
-    """(verdict, tag) of an amalgam over a cyclic subgroup."""
-    if len(P.a_gens) != 1 or len(P.b_gens) != 1:
-        raise ValueError("verdict requires cyclic amalgamated subgroups")
-    return _cyclic_edge_verdict(P.a_gens[0], P.left_rank,
-                                P.b_gens[0], P.right_rank)
+def amalgam_csa_verdict(P: AmalgamPresentation):
+    """(verdict, tag) of the amalgam, read off its one-edge tree, so
+    that it answers as the same group spelled as a graph of groups."""
+    edge = GogEdge("left", "right", P.a_gens, P.b_gens)
+    return _tree_csa_verdict(GraphOfGroups(
+        {"left": P.left_rank, "right": P.right_rank}, [edge]))
 
 
 def _max_abelian(w, rank):
     w = free_reduce(w, rank)
     return bool(w) and is_maximal_abelian_in_free(w)
-
-
-def _cyclic_edge_verdict(u, u_rank, v, v_rank):
-    """(verdict, tag) of G *_{u = v} H, G and H free of the given ranks:
-    "csa*" iff u or v is maximal abelian in its factor, or u = 1, which
-    makes it a free product of free groups, so free, with no tag."""
-    if not free_reduce(u, u_rank):
-        return "csa*", None
-    if _max_abelian(u, u_rank) or _max_abelian(v, v_rank):
-        return "csa*", "Thm-amalgiff"
-    return "not-csa", "Prop-MustMax"
 
 
 # -- graphs of groups -------------------------------------------------------
@@ -254,9 +243,16 @@ def _tree_csa_verdict(gog):
 
 def _pieces(gog):
     """The subtrees left when the tree is cut at its trivial edges (every
-    generator reduces to 1), in the order of their first vertices."""
-    kept = [e for e in gog.edges
-            if any(free_reduce(g, gog.vertices[e.src]) for g in e.gens)]
+    generator reduces to 1), in the order of their first vertices.  The
+    other edges keep only their pairs other than 1 ~ 1, which generate
+    the same edge group."""
+    kept = []
+    for e in gog.edges:
+        pairs = [(g, im) for g, im in zip(e.gens, e.images)
+                 if free_reduce(g, gog.vertices[e.src])]
+        if pairs:
+            gens, images = zip(*pairs)
+            kept.append(GogEdge(e.src, e.dst, gens, images))
     label, _ = _components(gog.vertices, kept)
     return [GraphOfGroups({v: r for v, r in gog.vertices.items()
                            if label[v] == i},
@@ -265,21 +261,24 @@ def _pieces(gog):
 
 
 def _piece_csa_verdict(gog):
-    """(verdict, tag) of a tree of free groups with no trivial edge: a
-    vertex alone is free, so csa*."""
+    """(verdict, tag) of a tree of free groups with no trivial edge and
+    no 1 ~ 1 pair: a vertex alone is free, so csa*."""
     if not gog.edges:
         return "csa*", None
     cyclic = all(len(e.gens) == 1 for e in gog.edges)
     if not cyclic:
         return "unknown", None
-    if len(gog.edges) == 1:
-        e = gog.edges[0]
-        return _cyclic_edge_verdict(e.gens[0], gog.vertices[e.src],
-                                    e.images[0], gog.vertices[e.dst])
 
     edge_data = [(e, _max_abelian(e.gens[0], gog.vertices[e.src]),
                   _max_abelian(e.images[0], gog.vertices[e.dst]))
                  for e in gog.edges]
+
+    if len(edge_data) == 1:
+        # G *_{u = v} H is csa* iff u or v is maximal abelian
+        _e, src_max, dst_max = edge_data[0]
+        if src_max or dst_max:
+            return "csa*", "Thm-amalgiff"
+        return "not-csa", "Prop-MustMax"
 
     if all(src_max and dst_max for (_e, src_max, dst_max) in edge_data):
         return "csa*", "Prop-TreeProdAb"

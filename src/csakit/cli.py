@@ -686,8 +686,7 @@ def _cmd_verify_obstacle(src, flags):
 
 def _cmd_gog_check(src, flags):
     if src.kind == "amalgam":
-        pres = src.spec.pres
-        verdict, cite = amalgam_mod.amalgam_csa_verdict_abelian(pres)
+        verdict, cite = amalgam_mod.amalgam_csa_verdict(src.spec.pres)
         return Report(verdict, [], [cite] if cite else [],
                       violation=verdict == "not-csa")
     gog = src.gog
@@ -807,7 +806,7 @@ def run(command, text, flags=None):
             if len(names) > 1 else names[0]
         raise CsakitError(f"{command} needs {listed}")
     if flags.get("cap") is None:
-        flags["cap"] = _default_cap()
+        flags["cap"] = DEFAULT_CAP
     t0 = time.monotonic()
     if kinds is None:
         report = impl(flags)
@@ -823,16 +822,6 @@ def run(command, text, flags=None):
 
 
 # -- entry point -------------------------------------------------------------
-
-
-def _default_cap():
-    env = os.environ.get("CSAKIT_CAP")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return DEFAULT_CAP
 
 
 def _read_source(arg, command):

@@ -106,12 +106,22 @@ def _search_context(spec, radius):
     test of row i: comm when transport is False, conj_commutes when it
     is True.  The tests multiply the forms of spec.search_forms, built
     on first use, behind the quotient index of the ball
-    (quotients.BallIndex), which also picks the columns."""
+    (quotients.BallIndex), which also picks the columns.
+
+    The search ball keeps one word of each inverse pair: ball() less
+    every word whose literal inverse comes earlier.  As a commutes with
+    b iff a^-1 does, (a, v) is a CSA hit iff (a, v^-1) is, and iff
+    (a^-1, v) is, and a CT hit (a, b, c) stays a hit when any of a, b, c
+    is inverted.  So the first hit of a whole-ball scan is made of words
+    kept, and the shorter scan meets those hits in the same order."""
     # imported on first use, so a command that runs no search does not
     # pay for its import
     from . import quotients
     image = quotients.word_images(spec)
-    elements = ball(spec, radius, _image=image)
+    words = ball(spec, radius, _image=image)
+    position = {w: i for i, w in enumerate(words)}
+    elements = [w for i, w in enumerate(words)
+                if position.get(inverse(w), i) >= i]
     index = quotients.BallIndex([image(w) for w in elements])
     form, trivial = spec.search_forms()
     forms = [None] * len(elements)
@@ -162,26 +172,9 @@ def falsify_csa(spec, radius=DEFAULT_RADIUS) -> Optional[CsaWitness]:
     """First pair (a, v) in shortlex order with a != 1, [a, a^v] = 1 and
     [a, v] != 1.  A hit disproves CSA; a miss proves nothing."""
     elements, comm, conj_commutes, columns = _search_context(spec, radius)
-    n = len(elements)
-    index = dict(zip(elements, range(n)))
-    skips = [None] * n
-
-    def skip(i):
-        """(a, v) is a hit iff (a, v^-1) is, and iff (a^-1, v) is, while
-        (a, a^-1) never is: skip every v, and every row a, whose literal
-        inverse occurs earlier in the scan."""
-        r = skips[i]
-        if r is None:
-            r = skips[i] = index.get(inverse(elements[i]), n) < i
-        return r
-
-    for i in range(n):
-        if skip(i):
-            continue
+    for i in range(len(elements)):
         for j in columns(i, True):
-            if i == j or skip(j) or comm(i, j):
-                continue
-            if conj_commutes(i, j):
+            if i != j and not comm(i, j) and conj_commutes(i, j):
                 return CsaWitness(elements[i], elements[j])
     return None
 
@@ -189,23 +182,14 @@ def falsify_csa(spec, radius=DEFAULT_RADIUS) -> Optional[CsaWitness]:
 def falsify_ct(spec, radius=DEFAULT_RADIUS) -> Optional[CtWitness]:
     """First triple with [a,b] = 1, [b,c] = 1 but [a,c] != 1."""
     elements, comm, _, columns = _search_context(spec, radius)
-    index = dict(zip(elements, range(len(elements))))
     rows = {}
 
     def row(i):
-        """The j != i with [a_i, a_j] = 1, listed on first use.  When
-        the literal inverse of a_i is a_m with row(m) listed, a_j
-        commutes with a_i iff with a_m, so row(i) is row(m) with i,
-        which commutes with a_m, replaced by m."""
+        """The j != i with [a_i, a_j] = 1, listed on first use."""
         r = rows.get(i)
         if r is None:
-            m = index.get(inverse(elements[i]))
-            r = rows.get(m)
-            if r is not None:
-                r = sorted(m if j == i else j for j in r)
-            else:
-                r = [j for j in columns(i, False) if j != i and comm(i, j)]
-            rows[i] = r
+            r = rows[i] = [j for j in columns(i, False)
+                           if j != i and comm(i, j)]
         return r
 
     for i, a in enumerate(elements):

@@ -4,7 +4,7 @@ import pytest
 
 from csakit import amalgam, stallings
 from csakit.amalgam import (AmalgamPresentation, GogEdge, GraphOfGroups,
-                            amalgam_csa_verdict_abelian,
+                            amalgam_csa_verdict,
                             fundamental_group_presentation, gog_predicates,
                             shift_word)
 from csakit.errors import UnsupportedShapeError
@@ -121,21 +121,26 @@ def test_embedding_injective_on_syllable_forms():
 
 
 def test_csa_verdicts():
-    assert amalgam_csa_verdict_abelian(
+    assert amalgam_csa_verdict(
         AmalgamPresentation(2, 2, [(1,)], [(1, 1)])) == \
         ("csa*", "Thm-amalgiff")
-    assert amalgam_csa_verdict_abelian(
+    assert amalgam_csa_verdict(
         AmalgamPresentation(2, 2, [(1, 1)], [(1, 1)])) == \
         ("not-csa", "Prop-MustMax")
-    assert amalgam_csa_verdict_abelian(
+    assert amalgam_csa_verdict(
         AmalgamPresentation(2, 2, [(1,)], [(1,)])) == \
         ("csa*", "Thm-amalgiff")
-    with pytest.raises(ValueError):
-        amalgam_csa_verdict_abelian(
-            AmalgamPresentation(2, 2, [(1,), (2,)], [(1,), (2,)]))
+    # no theorem covers a non-cyclic amalgamated subgroup
+    assert amalgam_csa_verdict(
+        AmalgamPresentation(2, 2, [(1,), (2,)], [(1,), (2,)])) == \
+        ("unknown", None)
     # over the trivial subgroup the amalgam is a free product, so free
-    assert amalgam_csa_verdict_abelian(
+    assert amalgam_csa_verdict(
         AmalgamPresentation(2, 1, [()], [()])) == ("csa*", None)
+    # a 1 ~ 1 pair leaves the amalgamated subgroup cyclic
+    assert amalgam_csa_verdict(
+        AmalgamPresentation(2, 2, [(1,), ()], [(1,), ()])) == \
+        ("csa*", "Thm-amalgiff")
 
 
 def _gog(edges, **vertices):
@@ -238,7 +243,7 @@ def test_tree_verdicts():
     assert tree.csa == "csa*" and tree.citation == "Thm-amalgiff"
     # matches the direct amalgam verdict
     P = AmalgamPresentation(2, 2, [(1,)], [(1, 1)])
-    assert amalgam_csa_verdict_abelian(P)[0] == tree.csa
+    assert amalgam_csa_verdict(P)[0] == tree.csa
 
     both_max = _gog([GogEdge("u", "v", ((1,),), ((1,),)),
                      GogEdge("u", "w", ((2,),), ((1,),))],

@@ -475,14 +475,6 @@ def test_main_stdin(monkeypatch):
     assert main(["classify", "-"]) == 1
 
 
-def test_cap_env_override(monkeypatch):
-    monkeypatch.setenv("CSAKIT_CAP", "5")
-    from csakit.cli import _default_cap
-    assert _default_cap() == 5
-    monkeypatch.setenv("CSAKIT_CAP", "junk")
-    assert _default_cap() == 32
-
-
 def test_exit_codes_stable_across_seed():
     for seed in (None, 1, 2):
         _, code = run("falsify-csa", B12, {"radius": 1, "seed": seed})
@@ -576,6 +568,21 @@ def test_trivial_edge_group_is_free():
         assert "relators" not in rep.details
     rep, _ = run("classify", "hnn(< x, y >; A -> B via 1 -> 1)", {})
     assert (rep.verdict, rep.citations) == ("FREE-PRODUCT csa*", [])
+
+
+def test_amalgam_answers_as_its_one_edge_tree():
+    """gog-check gives an amalgam the verdict of the same group spelled
+    as a one-edge graph of groups, and a 1 ~ 1 pair leaves an edge
+    cyclic."""
+    for pairs, want in (
+            ("a ~ c, b ~ d", ("unknown", [], 0)),
+            ("a ~ c, 1 ~ 1", ("csa*", ["Thm-amalgiff"], 0)),
+            ("1 ~ 1, a^2 ~ c^2", ("not-csa", ["Prop-MustMax"], 1))):
+        for source in (f"amalgam(< a, b >, < c, d >; {pairs})",
+                       "gog { vertex u = < a, b >; vertex v = < c, d >; "
+                       f"edge u -> v : {pairs}; }}"):
+            rep, code = run("gog-check", source, {})
+            assert (rep.verdict, rep.citations, code) == want, source
 
 
 def test_trivial_edge_beside_a_cyclic_edge():

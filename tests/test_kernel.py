@@ -168,7 +168,7 @@ SEARCHES = [
     ("xY-y", _hnn(2, (1, -2), (2,)), 2),
     ("x-yy", _hnn(2, (1,), (2, 2)), 2),
     ("y-xx", _hnn(2, (2,), (1, 1)), 3),
-    # first hits deep in the scan, after rows the inverse skip drops
+    # first hits deep in the scan, after rows the inverse rule drops
     ("xy-YX", _hnn(2, (1, 2), (-2, -1)), 2),
     ("xY-Yx", _hnn(2, (2, -1), (-2, 1)), 2),
     ("XY-yx", _hnn(2, (-1, -2), (2, 1)), 2),
@@ -420,23 +420,35 @@ def test_ct_tests_each_pair_only_to_list_a_row(monkeypatch):
 
 
 def test_inverse_rows_are_read_off_each_other():
-    # [a, c] = 1 iff [a^-1, c] = 1, so the row of a^-1 is that of a with
-    # a^-1, which commutes with a, in place of a
+    # the fact the search ball's inverse rule rests on: [a, c] = 1 iff
+    # [a^-1, c] = 1, so over the whole ball the row of a^-1 is that of a
+    # with a^-1, which commutes with a, in place of a
     pairs = 0
     for name, spec, _ in SEARCHES:
-        elements, comm, _, columns = csa._search_context(spec, 3)
-        index = {w: i for i, w in enumerate(elements)}
+        elements = csa.ball(spec, 3)
+        index = _ball_index(spec, elements)
+        position = {w: i for i, w in enumerate(elements)}
+        cache = {}
 
         def listed(i):
-            return [j for j in columns(i, False) if j != i and comm(i, j)]
+            if i not in cache:
+                cache[i] = [j for j in index.columns(i, False) if j != i
+                            and commutes(elements[i], elements[j], spec)]
+            return cache[i]
 
         for i, w in enumerate(elements):
-            m = index.get(inverse(w))
+            m = position.get(inverse(w))
             if m is not None:
                 derived = sorted(m if j == i else j for j in listed(m))
                 assert derived == listed(i), (name, w)
                 pairs += 1
     assert pairs > 1000
+
+
+def test_search_ball_holds_one_word_of_each_inverse_pair():
+    for name, spec, _ in EXACTNESS:
+        elements = csa._search_context(spec, 3)[0]
+        assert not set(elements) & {inverse(w) for w in elements}, name
 
 
 def test_ct_lists_one_row_of_each_inverse_pair(monkeypatch):
@@ -465,26 +477,21 @@ def test_ct_lists_one_row_of_each_inverse_pair(monkeypatch):
 def scan_witnesses(spec, radius):
     """The falsifiers before the indexed join: every row scans every
     column, the quotient images of each pair first, then the same
-    tests, with the inverse skip listed up front.  Returns the CSA and
-    the CT witness."""
+    tests.  Returns the CSA and the CT witness."""
     elements, comm, conj_commutes, _ = csa._search_context(spec, radius)
     n = len(elements)
     image = quotients.word_images(spec)
     images = [image(w) for w in elements]
     tables = [quotients.table(p) for p in images]
     inverses = [quotients.inv(p) for p in images]
-    index = {w: i for i, w in enumerate(elements)}
-    skip = [index.get(inverse(w), n) < i for i, w in enumerate(elements)]
 
     def csa_hit():
         for i in range(n):
-            if skip[i]:
-                continue
             a, ta = images[i], tables[i]
             for j in range(n):
                 c = inverses[j].translate(ta).translate(tables[j])
                 if a.translate(quotients.table(c)) == c.translate(ta) \
-                        and i != j and not skip[j] and not comm(i, j) \
+                        and i != j and not comm(i, j) \
                         and conj_commutes(i, j):
                     return elements[i], elements[j]
         return None
@@ -515,6 +522,49 @@ JOINED = EXACTNESS + GENERIC_SEARCHES + \
                          ids=[name for name, _, _ in JOINED])
 def test_join_matches_full_scan(name, spec, radius):
     assert _witnesses(spec, radius) == scan_witnesses(spec, radius)
+
+
+def whole_ball_witnesses(spec, radius):
+    """The first CSA and CT witnesses of a scan of every row of
+    csa.ball, inverse pairs included: each row walks the columns of the
+    ball index, and each pair is tested by wpengine.commutes, cached."""
+    elements = csa.ball(spec, radius)
+    index = _ball_index(spec, elements)
+    n = len(elements)
+    cache = {}
+
+    def comm(i, j):
+        key = (i, j) if i < j else (j, i)
+        if key not in cache:
+            cache[key] = commutes(elements[i], elements[j], spec)
+        return cache[key]
+
+    csa_hit = next(((elements[i], elements[j])
+                    for i in range(n) for j in index.columns(i, True)
+                    if i != j and not comm(i, j)
+                    and commutes(elements[i],
+                                 conjugate(elements[i], elements[j]), spec)),
+                   None)
+    rows = {}
+
+    def row(i):
+        if i not in rows:
+            rows[i] = [j for j in index.columns(i, False)
+                       if j != i and comm(i, j)]
+        return rows[i]
+
+    ct_hit = next(((elements[i], elements[j], elements[k])
+                   for i in range(n) for j in row(i) for k in row(j)
+                   if k != i and not comm(i, k)), None)
+    return csa_hit, ct_hit
+
+
+@pytest.mark.parametrize("name,spec,radius", JOINED,
+                         ids=[name for name, _, _ in JOINED])
+def test_falsifiers_match_whole_ball_scan(name, spec, radius):
+    # the search ball drops every word whose inverse comes earlier; the
+    # whole ball, with no such rule, gives the same first hits
+    assert _witnesses(spec, radius) == whole_ball_witnesses(spec, radius)
 
 
 INDEXED = [(name, spec) for name, spec, _ in SEARCHES + GENERIC_SEARCHES] \
@@ -739,6 +789,18 @@ def key_only_ball(spec, radius):
     return out[1:]
 
 
+def first_of_inverse_pairs(words):
+    """The words whose literal inverse does not come earlier in the
+    list."""
+    seen = set()
+    out = []
+    for w in words:
+        if inverse(w) not in seen:
+            out.append(w)
+        seen.add(w)
+    return out
+
+
 BALLS = EXACTNESS + \
     [(f"quadrant{k}-r4", spec, 4)
      for k, spec in enumerate(QUADRANT_SPECS, 1)] + \
@@ -761,7 +823,7 @@ def _counting_keys(monkeypatch):
 def test_search_ball_matches_key_only_ball():
     for name, spec, radius in BALLS:
         assert csa._search_context(spec, radius)[0] == \
-            key_only_ball(spec, radius), name
+            first_of_inverse_pairs(key_only_ball(spec, radius)), name
 
 
 @pytest.mark.parametrize("images", ["constant", "none"])
@@ -777,7 +839,7 @@ def test_ball_without_separating_images_keys_every_word(monkeypatch, images):
     for name, spec, radius in BALLS:
         calls[0] = 0
         assert csa._search_context(spec, radius)[0] == \
-            key_only_ball(spec, radius), name
+            first_of_inverse_pairs(key_only_ball(spec, radius)), name
         # every word shares one coarse key, so each is keyed once
         assert calls[0] == len(reduced_words(num_generators(spec), radius))
 
