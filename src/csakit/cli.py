@@ -138,10 +138,11 @@ def stable_name(names):
                 if nm not in names)
 
 
-def _check_letters(n):
+def _check_letters(n, flag=None):
     if n > MAX_WORD_LETTERS:
-        raise MalformedWordError(f"a word of {n} letters is over the limit "
-                                 f"of {MAX_WORD_LETTERS}")
+        where = f" (from {flag})" if flag else ""
+        raise MalformedWordError(f"a word of {n} letters{where} is over the "
+                                 f"limit of {MAX_WORD_LETTERS}")
 
 
 class Parser:
@@ -805,6 +806,11 @@ def run(command, text, flags=None):
         listed = f"{', '.join(names[:-1])} and {names[-1]}" \
             if len(names) > 1 else names[0]
         raise CsakitError(f"{command} needs {listed}")
+    # --m and --n are exponents that resp-obstruction and verify-obstacle
+    # write out as powers of a letter
+    for f in ("m", "n"):
+        if flags.get(f) is not None:
+            _check_letters(abs(flags[f]), f"--{f}")
     if flags.get("cap") is None:
         flags["cap"] = DEFAULT_CAP
     t0 = time.monotonic()

@@ -35,6 +35,8 @@ class HnnPresentation:
     """
 
     def __init__(self, base_rank, a_gens, b_gens):
+        if base_rank < 0:
+            raise ValueError(f"base rank {base_rank} is negative")
         check_pairs(a_gens, b_gens, "associated subgroup")
         self.base_rank = base_rank
         self.a_gens = tuple(free_reduce(g, base_rank) for g in a_gens)

@@ -4,7 +4,7 @@
 Element expressions are words (tuples of nonzero ints) over a group's
 displayed generators:
 
-* free(rank): generators 1..rank
+* free(rank): generators 1..rank, an HNN extension with stable letter rank
 * free product of cyclics(orders): generators 1..k, order 0 = infinite
 * hnn(P): base generators 1..rank, stable letter rank+1
 * amalgam(P): left factor 1..rl, right factor rl+1..rl+rr
@@ -29,12 +29,12 @@ class GroupSpec:
     hashable normal form, equal for two words exactly when they are equal
     elements; ``normal_word(word)`` writes that normal form back as a word
     over the displayed generators (an amalgam adds its stable letter,
-    rank + 1).  ``ext`` is an HNN extension of a free group that holds
-    the group, ``tword`` mapping words into it: a Britton spec reduces
-    in it, and a falsifier search draws its permutation quotients from
-    it (``quotients.word_images``).  It is None for free products of
-    cyclics and the free-by-cyclic group, whose searches take the
-    constant quotient."""
+    rank + 1).  ``ext`` is the HNN extension of a free group that a
+    Britton spec reduces words in, ``tword`` mapping words into it; a
+    falsifier search draws its permutation quotients from it
+    (``quotients.word_images``).  It is None for free products of
+    cyclics and the free-by-cyclic group, which reduce words their own
+    way and whose searches take the constant quotient."""
 
     ext = None
 
@@ -100,24 +100,12 @@ class HnnSpec(BrittonSpec):
                                             self.rank)
 
 
-@dataclass(frozen=True)
-class FreeSpec(GroupSpec):
-    rank: int
+class FreeSpec(HnnSpec):
+    """F(rank) as the HNN extension of F(rank - 1) over trivial
+    associated subgroups, its last generator the stable letter."""
 
-    def key(self, word):
-        return free_reduce(word, self.rank)
-
-    normal_word = key
-
-    @property
-    def ext(self):
-        """F(r) as the HNN extension of F(r - 1) over trivial associated
-        subgroups, its last generator the stable letter; None for the
-        trivial group F(0)."""
-        return hnn_mod.HnnPresentation(self.rank - 1, (), ()) \
-            if self.rank else None
-
-    tword = HnnSpec.tword
+    def __init__(self, rank):
+        super().__init__(hnn_mod.HnnPresentation(rank - 1, (), ()))
 
 
 class AmalgamSpec(BrittonSpec):

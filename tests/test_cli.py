@@ -469,6 +469,20 @@ def test_word_letter_limit(capsys):
             run("reduce", "< x, y >", {"word": word})
 
 
+def test_exponent_flags_word_limit(capsys):
+    # resp-obstruction writes x^m and x^n out, and b1n writes x^n
+    start = time.perf_counter()
+    with pytest.raises(MalformedWordError, match="--m"):
+        run("resp-obstruction", "", {"m": 2_000_000, "n": 3, "p": 2})
+    with pytest.raises(MalformedWordError, match="--n"):
+        run("resp-obstruction", "", {"m": 3, "n": -2_000_000, "p": 2})
+    assert main(["verify-obstacle", "< x, z | z^-1 x z = x^2 >",
+                 "--obstacle", "b1n", "--n", "2000000",
+                 "--images", "x, z^-1"]) == 2
+    assert time.perf_counter() - start < 1
+    assert "--n" in capsys.readouterr().err
+
+
 def test_main_stdin(monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO(B12))

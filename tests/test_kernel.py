@@ -231,9 +231,9 @@ def test_falsifiers_match_brute_force():
     assert 3 <= ct_hits <= len(SEARCHES) - 5
 
 
-# the classes whose word problem is not Britton reduction, so each test
-# multiplies words: free groups draw quotients through their HNN form
-# over trivial associated subgroups, the others take the constant one
+# free groups, Britton specs over trivial associated subgroups, and the
+# two classes whose word problem is not Britton reduction, whose tests
+# multiply words under the constant quotient
 GENERIC_SEARCHES = [
     ("f1", FreeSpec(1), 4),
     ("f2", FreeSpec(2), 3),
@@ -248,9 +248,13 @@ def test_generic_falsifiers_match_brute_force():
     # the free products of cyclics hold D-infinity, a CSA witness; the
     # free-by-cyclic group has a witness of each kind, free groups none
     assert _match_brute_force(GENERIC_SEARCHES) == (3, 1)
-    # the trivial group, as F(0) and as the empty free product
-    assert csa.falsify_csa(FreeSpec(0), 3) is None
+    # the trivial group is the empty free product; F(0) has no letter
+    # to be the stable one, so it is no HNN extension
     assert csa.falsify_ct(FreeProductCyclicsSpec(()), 2) is None
+    with pytest.raises(ValueError):
+        FreeSpec(0)
+    with pytest.raises(ValueError):
+        HnnPresentation(-1, (), ())
 
 
 # -- the permutation-quotient prefilter --------------------------------------

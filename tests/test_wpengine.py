@@ -212,16 +212,24 @@ def test_canonical_key_matches_triviality():
     specs = [FreeSpec(2), FreeProductCyclicsSpec((2, 0)),
              HnnSpec(HnnPresentation(1, [(1,)], [(1, 1)])),
              FreeByCyclicSpec(),
-             AmalgamSpec(AmalgamPresentation(1, 1, [(1,)], [(1, 1)]))]
+             AmalgamSpec(AmalgamPresentation(1, 1, [(1,)], [(1, 1)])),
+             FreeSpec(1), FreeSpec(3)]
     for spec in specs:
         n = num_generators(spec)
         key_id = canonical_key((), spec)
+        free = isinstance(spec, FreeSpec)
+        # a free group reduces words as an HNN extension over trivial
+        # associated subgroups; free reduction is the second method
+        assert not free or isinstance(spec, HnnSpec)
         for _ in range(100):
             u = rand_word(rng, n)
             v = rand_word(rng, n)
             assert (canonical_key(u, spec) == key_id) == is_trivial(u, spec)
             same = canonical_key(u, spec) == canonical_key(v, spec)
             assert same == equal(u, v, spec)
+            if free:
+                assert spec.normal_word(u) == free_reduce(u, n)
+                assert spec.normal_word(v) == free_reduce(v, n)
 
 
 def test_hnn_spec_relation():
