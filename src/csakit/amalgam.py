@@ -7,10 +7,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import words
-from .errors import CapExceededError, UnsupportedShapeError
+from .errors import CLOSURE_CAP, CapExceededError, UnsupportedShapeError
 from .hnn import HnnPresentation, TWord, check_pairs
-from .stallings import (DEFAULT_CAP, _find, conj_intersection_trivial,
-                        fold, is_malnormal, malnormal_closure,
+from .stallings import (_find, conj_intersection_trivial, fold,
+                        is_malnormal, malnormal_closure,
                         pointed_intersection_nontrivial)
 from .words import concat, free_reduce, inverse, is_maximal_abelian_in_free
 
@@ -121,7 +121,7 @@ def _normal_in_closure(images_graph, closure, sub_gens):
     return True
 
 
-def gog_predicates(gog: GraphOfGroups, cap=DEFAULT_CAP) -> GogReport:
+def gog_predicates(gog: GraphOfGroups, cap=CLOSURE_CAP) -> GogReport:
     per_edge = {}
     for idx, e in enumerate(gog.edges):
         r_src, r_dst = gog.vertices[e.src], gog.vertices[e.dst]

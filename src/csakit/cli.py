@@ -44,18 +44,12 @@ from . import hnn as hnn_mod
 from . import stallings, wpengine
 from .amalgam import AmalgamPresentation, GogEdge, GraphOfGroups
 from .csa import DEFAULT_RADIUS
-from .errors import (CsakitError, MalformedWordError, ParseError,
-                     UnsupportedShapeError)
+from .errors import (CLOSURE_CAP, NESTING_LIMIT, CsakitError, ParseError,
+                     UnsupportedShapeError, check_budget)
 from .hnn import HnnPresentation
-from .stallings import DEFAULT_CAP
 from .words import concat, cyclic_reduce, free_reduce, inverse, power
 from .wpengine import (AmalgamSpec, FreeByCyclicSpec, FreeProductCyclicsSpec,
                        FreeSpec, HnnSpec)
-
-# brackets a word may nest, well inside the interpreter's recursion limit
-MAX_NESTING = 200
-# letters a word, power or commutator may write out before free reduction
-MAX_WORD_LETTERS = 10 ** 6
 
 # the errors that mean rejected input: main exits 2 on them and repro
 # records them as a fixture's mismatch
@@ -138,13 +132,6 @@ def stable_name(names):
                 if nm not in names)
 
 
-def _check_letters(n, flag=None):
-    if n > MAX_WORD_LETTERS:
-        where = f" (from {flag})" if flag else ""
-        raise MalformedWordError(f"a word of {n} letters{where} is over the "
-                                 f"limit of {MAX_WORD_LETTERS}")
-
-
 class Parser:
     def __init__(self, text):
         self.tokens = tokenize(text)
@@ -178,6 +165,8 @@ class Parser:
 
     def parse_word(self, name_map, depth=0):
         tok = self.peek()
+        check_budget(depth, NESTING_LIMIT,
+                     f"a word nested in {{}} brackets (at position {tok.pos})")
         if tok.kind == "int" and tok.value == "1":
             self.advance()
             return ()
@@ -191,15 +180,15 @@ class Parser:
             elif tok.kind == "name" and tok.value not in KEYWORDS:
                 raise ParseError(f"unknown generator {tok.value!r}", tok.pos)
             elif tok.kind == "sym" and tok.value == "[":
-                self._open_bracket(depth)
+                self.advance()
                 u = self.parse_word(name_map, depth + 1)
                 self.expect("sym", ",")
                 v = self.parse_word(name_map, depth + 1)
                 self.expect("sym", "]")
-                _check_letters(2 * (len(u) + len(v)))
+                check_budget(2 * (len(u) + len(v)))
                 atom = concat(inverse(u), inverse(v), u, v)
             elif tok.kind == "sym" and tok.value == "(":
-                self._open_bracket(depth)
+                self.advance()
                 atom = self.parse_word(name_map, depth + 1)
                 self.expect("sym", ")")
             else:
@@ -208,21 +197,14 @@ class Parser:
                 self.advance()
                 e = int(self.expect("int").value)
                 c = cyclic_reduce(atom)[0]
-                _check_letters(len(atom) - len(c) + len(c) * abs(e))
+                check_budget(len(atom) - len(c) + len(c) * abs(e))
                 atom = power(atom, e)
-            _check_letters(len(letters) + len(atom))
+            check_budget(len(letters) + len(atom))
             letters.extend(atom)
             consumed = True
         if not consumed:
             raise ParseError("expected a word", self.peek().pos)
         return free_reduce(letters)
-
-    def _open_bracket(self, depth):
-        tok = self.advance()
-        if depth >= MAX_NESTING:
-            raise MalformedWordError(
-                f"brackets nested deeper than {MAX_NESTING} levels "
-                f"(at position {tok.pos})")
 
     def parse_word_list(self, name_map):
         out = [self.parse_word(name_map)]
@@ -439,15 +421,12 @@ def parse_source(text):
             p.expect("sym", "=")
             p.expect("sym", "{")
             deferred.append((name, p.i))
-            depth = 1
-            while depth:
+            # a sub block holds only words, so its first '}' ends it
+            while not p.at_sym("}"):
                 tok = p.advance()
                 if tok.kind == "end":
                     raise ParseError("unterminated sub block", tok.pos)
-                if tok.kind == "sym" and tok.value == "{":
-                    depth += 1
-                elif tok.kind == "sym" and tok.value == "}":
-                    depth -= 1
+            p.advance()
         elif src is None:
             src = p.parse_group()
         else:
@@ -517,7 +496,7 @@ def render_source(src: ParsedSource):
             f"{word_to_str(a, ln)} ~ {word_to_str(b, rn)}"
             for a, b in zip(pres.a_gens, pres.b_gens))
         text = f"amalgam(< {', '.join(ln)} >, < {', '.join(rn)} >; {pairs})"
-    elif src.kind == "gog":
+    else:   # gog
         parts = []
         for v, rank in src.gog.vertices.items():
             parts.append(f"vertex {v} = < {', '.join(src.vertex_names[v])} >;")
@@ -528,8 +507,6 @@ def render_source(src: ParsedSource):
                               for g, im in zip(e.gens, e.images))
             parts.append(f"edge {e.src} -> {e.dst} : {pairs};")
         text = "gog { " + " ".join(parts) + " }"
-    else:
-        raise UnsupportedShapeError(f"cannot print source kind {src.kind}")
     for nm, gens in src.subs.items():
         if nm in header:
             continue
@@ -810,9 +787,9 @@ def run(command, text, flags=None):
     # write out as powers of a letter
     for f in ("m", "n"):
         if flags.get(f) is not None:
-            _check_letters(abs(flags[f]), f"--{f}")
+            check_budget(abs(flags[f]), flag=f"--{f}")
     if flags.get("cap") is None:
-        flags["cap"] = DEFAULT_CAP
+        flags["cap"] = CLOSURE_CAP
     t0 = time.monotonic()
     if kinds is None:
         report = impl(flags)

@@ -7,15 +7,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import wpengine
+from .errors import BALL_WORD_LIMIT, check_budget
 from .hnn import HnnPresentation
 from .wpengine import (HnnSpec, canonical_key, commutes, is_trivial,
                        num_generators)
 from .words import (check_radius, commutator, concat, conjugate, free_reduce,
                     gcd_many, inverse, power, reduced_words)
 
-MAX_EXPONENT = 100_000
-# the most reduced words a falsifier ball may hold, the identity included
-MAX_BALL_WORDS = 5000
 # the radius of a falsifier ball or an obstacle ball when none is given
 DEFAULT_RADIUS = 3
 
@@ -26,9 +24,9 @@ DEFAULT_RADIUS = 3
 def ball(spec, radius, *, _image=None):
     """Freely reduced words of length <= radius over the displayed
     generators, in shortlex order, one per element through the group's
-    canonical form.  The identity is omitted.  Raises ValueError before
-    enumerating when there are more than MAX_BALL_WORDS reduced words.
-    The falsifiers pass _image, a word's image under a homomorphism,
+    canonical form.  The identity is omitted.  Raises BudgetExceededError
+    before enumerating when there are more than BALL_WORD_LIMIT reduced
+    words.  The falsifiers pass _image, a word's image under a homomorphism,
     so that canonical forms are computed only for words whose image an
     earlier word shares; the list is the same."""
     rank = num_generators(spec)
@@ -41,21 +39,18 @@ def ball(spec, radius, *, _image=None):
 def _check_ball_size(rank, radius):
     """Count the reduced words of length <= radius over rank generators
     in closed form, 1 + 2r((2r-1)^R - 1)/(2r - 2) or 1 + 2R for r = 1,
-    and raise ValueError above MAX_BALL_WORDS."""
+    against BALL_WORD_LIMIT."""
     check_radius(radius)
     if rank == 0:
         return
-    if 2 * radius >= MAX_BALL_WORDS:
-        # at least 1 + 2R words; the closed form would be a huge integer
-        count = f"more than {MAX_BALL_WORDS}"
-    else:
-        count = 1 + 2 * radius if rank == 1 else \
-            1 + rank * ((2 * rank - 1) ** radius - 1) // (rank - 1)
-        if count <= MAX_BALL_WORDS:
-            return
-    raise ValueError(
-        f"the ball of radius {radius} has {count} words, over the limit "
-        f"of {MAX_BALL_WORDS}; lower --radius")
+    count, least = 1 + 2 * radius, ""   # exact for r = 1, a bound for r > 1
+    if rank > 1 and count > BALL_WORD_LIMIT:
+        least = "at least "     # a huge R: its closed form is a huge integer
+    elif rank > 1:
+        count = 1 + rank * ((2 * rank - 1) ** radius - 1) // (rank - 1)
+    check_budget(count, BALL_WORD_LIMIT,
+                 f"the ball of radius {radius} with {least}{{}} words",
+                 "--radius")
 
 
 def _distinct(words, key, coarse=None):
@@ -226,10 +221,10 @@ class ObstacleWitness:
 def _obstacle_ball(kind, radius, n=None):
     """Pairwise distinct obstacle elements (as words over obstacle
     generators) of length <= radius, identity included: the normal forms
-    of dinf and calb, and ball for b1n.  Raises ValueError before
-    enumerating when there are more than MAX_BALL_WORDS words: the 1 + 2R
-    alternating words of dinf, the reduced words over 3 (calb) or 2 (b1n)
-    generators."""
+    of dinf and calb, and ball for b1n.  Raises BudgetExceededError
+    before enumerating when there are more than BALL_WORD_LIMIT words:
+    the 1 + 2R alternating words of dinf, the reduced words over 3
+    (calb) or 2 (b1n) generators."""
     if kind == OBSTACLE_B1N:
         # B(1, n) = <x, y | y^-1 x^n y = x>
         return [()] + ball(bs_spec(n, 1), radius)
@@ -297,12 +292,10 @@ def bs_spec(m, n):
 
 def power_conj_identity(m, n, i):
     """Check x^((mn)^i) = (x^(m^(2i)))^(z^i) = (x^(n^(2i)))^(z^-i)
-    in B_{m,n}."""
+    in B_{m,n}, the letters of the three sides under the word limit."""
     if i < 1:
         raise ValueError("i must be >= 1")
-    exps = (abs(m * n) ** i, abs(m) ** (2 * i), abs(n) ** (2 * i))
-    if max(exps) > MAX_EXPONENT:
-        raise OverflowError("exponent out of safe range")
+    check_budget(abs(m * n) ** i + m ** (2 * i) + n ** (2 * i) + 4 * i)
     spec = bs_spec(m, n)
     x, z = (1,), (2,)
     lhs = power(x, (m * n) ** i)

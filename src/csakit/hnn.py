@@ -9,8 +9,9 @@ are TWords g0 t^e1 g1 ... t^en gn with base words between stable letters.
 from dataclasses import dataclass
 from typing import Optional
 
-from .stallings import (DEFAULT_CAP, SubgroupReport,
-                        conj_intersection_trivial, fold, malnormal_closure)
+from .errors import CLOSURE_CAP, WORD_LETTER_LIMIT, check_budget
+from .stallings import (SubgroupReport, conj_intersection_trivial, fold,
+                        malnormal_closure)
 from .words import (concat, conjugating_element, free_reduce, inverse,
                     is_proper_power, cyclic_reduce)
 
@@ -55,6 +56,9 @@ class HnnPresentation:
         # the sign e of the pinch t^e g t^-e it resolves
         self._images = {-1: _index_images(self._b_basis),
                         1: _index_images(self._a_basis)}
+        # an expression of at most limit / _longest parts writes out no more
+        # letters than the word limit, so _image counts only longer ones
+        self._longest = max(map(len, self._a_basis + self._b_basis), default=0)
 
     def pinch(self, e, g):
         """Image of the base word g across the pinch t^e g t^-e: phi(g)
@@ -68,8 +72,10 @@ class HnnPresentation:
 
     def _image(self, e, expr):
         """The word that an expression over the basis of A (e = -1) or
-        B (e = 1) maps to across the stable letter."""
+        B (e = 1) maps to across the stable letter, under the word limit."""
         images = self._images[e]
+        if len(expr) * self._longest > WORD_LETTER_LIMIT:
+            check_budget(sum(len(images[i]) for i in expr))
         return concat(*[images[i] for i in expr])
 
     def phi(self, a):
@@ -233,7 +239,7 @@ def is_separated(P: HnnPresentation) -> SubgroupReport:
 
 
 def is_strictly_separated(P: HnnPresentation,
-                          cap=DEFAULT_CAP) -> SubgroupReport:
+                          cap=CLOSURE_CAP) -> SubgroupReport:
     B1 = malnormal_closure(P.B, cap)
     return SubgroupReport(*conj_intersection_trivial(P.A, B1))
 

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import words
+from .errors import CLOSURE_CAP, CapExceededError
 from .words import concat, free_reduce, inverse, shortlex_key
-
-DEFAULT_CAP = 32   # the most joins malnormal_closure makes by default
 
 
 class CoreGraph:
@@ -400,26 +399,23 @@ def is_malnormal(H):
     return SubgroupReport(best is None, best)
 
 
-def malnormal_closure(H, cap=DEFAULT_CAP, report=None):
+def malnormal_closure(H, cap=CLOSURE_CAP, report=None):
     """Join malnormality witnesses until the subgroup is malnormal;
     report, when given, is is_malnormal(H), so it is not computed again.
 
-    Raises CapExceededError after cap joins."""
-    from .errors import CapExceededError
-
+    Raises CapExceededError when cap joins leave it not malnormal."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    for _ in range(cap):
+    for joins in range(cap + 1):
         if report is None:
             report = is_malnormal(H)
         if report.verdict:
             return H
+        if joins == cap:
+            raise CapExceededError(cap)
         g, _h = report.witness
         H = fold(H.generators + (g,), H.rank)
         report = None
-    if is_malnormal(H).verdict:
-        return H
-    raise CapExceededError(cap)
 
 
 def pointed_intersection_nontrivial(A, B):

@@ -14,7 +14,7 @@ displayed generators:
 from dataclasses import dataclass
 
 from . import hnn as hnn_mod
-from .errors import UnsupportedBaseError
+from .errors import WORD_LETTER_LIMIT, UnsupportedBaseError, check_budget
 from .words import commutator, concat, free_reduce, inverse, power
 
 FBC_X, FBC_Y, FBC_D = 1, 2, 3
@@ -192,15 +192,19 @@ def fc_normal_form(word):
     One pass keeps the running y-exponent k and a freely reduced stack
     of fiber letters: y^k f = twist^k(f) y^k, so each fiber letter f is
     pushed twisted by the y-exponent read before it.  The cost is linear
-    in the input plus the d-runs the twists push."""
+    in the input plus the d-runs the twists push, under the word limit."""
     out = []
-    k = 0
+    k = written = 0
     for l in free_reduce(word, 3):
         if l == FBC_Y:
             k += 1
         elif l == -FBC_Y:
             k -= 1
         else:
+            if l == FBC_X or l == -FBC_X:
+                written += 1 + abs(k)
+                if written > WORD_LETTER_LIMIT:     # no call per x letter
+                    check_budget(written)
             _push_twisted(out, _FIBER[l], k)
     return tuple(out), k
 

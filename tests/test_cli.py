@@ -7,10 +7,12 @@ import time
 
 import pytest
 
-from csakit import cli, csa
+from csakit import cli, csa, wpengine
 from csakit.cli import (Parser, main, parse_source, render_source, run,
                         word_to_str)
-from csakit.errors import CsakitError, MalformedWordError, ParseError
+from csakit.errors import (BALL_WORD_LIMIT, NESTING_LIMIT, WORD_LETTER_LIMIT,
+                            BudgetExceededError, CsakitError, ParseError)
+from csakit.words import power
 from csakit.wpengine import (FreeByCyclicSpec, FreeProductCyclicsSpec,
                              FreeSpec, HnnSpec)
 
@@ -77,6 +79,13 @@ def test_parse_errors_are_positioned():
             parse_source(text)
         assert exc.value.pos == text.index(operand)
         assert "must be free" in str(exc.value)
+    # a sub block holds only words, so a brace inside one is rejected
+    for sub in ("sub H = { x { y } }", "sub H = { { x } }"):
+        text = f"< x, y > {sub}"
+        with pytest.raises(ParseError) as exc:
+            parse_source(text)
+        assert exc.value.pos is not None
+        assert main(["check-malnormal", text]) == 2
 
 
 def test_repeated_subgroup_name_is_positioned(capsys):
@@ -358,7 +367,7 @@ def test_repro_records_every_input_error(monkeypatch):
     assert (rep.verdict, code) == ("1/2 fixtures match", 1)
     [mismatch] = rep.details["mismatches"]
     assert mismatch.startswith("big-ball: error ")
-    assert str(csa.MAX_BALL_WORDS) in mismatch
+    assert str(BALL_WORD_LIMIT) in mismatch
 
 
 def test_main_survives_a_closed_stdout():
@@ -400,10 +409,10 @@ def test_main_rejects_a_ball_over_the_limit(capsys):
     assert main(["falsify-csa", "< a, b, c, d >", "--radius", "6"]) == 2
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
-    assert "156865" in err and str(csa.MAX_BALL_WORDS) in err
+    assert "156865" in err and str(BALL_WORD_LIMIT) in err
     assert "--radius" in err
     # radius 5 on 4 generators is over the limit, on 3 generators not
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetExceededError):
         csa.ball(FreeSpec(4), 5)
     assert len(csa.ball(FreeSpec(3), 5)) == 4686
 
@@ -417,11 +426,11 @@ def test_main_rejects_an_obstacle_ball_over_the_limit(capsys):
                  "--radius", "9"]) == 2
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
-    assert "39365" in err and str(csa.MAX_BALL_WORDS) in err
+    assert "39365" in err and str(BALL_WORD_LIMIT) in err
     assert "--radius" in err
     # dinf counts its 1 + 2R alternating words
-    with pytest.raises(ValueError):
-        csa._obstacle_ball(csa.OBSTACLE_DINF, csa.MAX_BALL_WORDS // 2)
+    with pytest.raises(BudgetExceededError):
+        csa._obstacle_ball(csa.OBSTACLE_DINF, BALL_WORD_LIMIT // 2)
     assert len(csa._obstacle_ball(csa.OBSTACLE_DINF, 4)) == 9
 
 
@@ -429,7 +438,9 @@ def test_main_rejects_deep_nesting(capsys):
     deep = "(" * 5000 + "x" + ")" * 5000
     assert main(["reduce", "< x, y >", "--word", deep]) == 2
     assert main(["classify", f"< x, z | z^-1 {deep} z = x^2 >"]) == 2
-    assert "nested deeper" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"nested in {NESTING_LIMIT + 1} brackets" in err
+    assert f"limit of {NESTING_LIMIT}" in err
     shallow = "(" * 100 + "x" + ")" * 100
     assert run("reduce", "< x, y >", {"word": shallow})[0].verdict == "x"
     # commutators count toward the depth like parentheses
@@ -451,7 +462,7 @@ def test_reduce_long_power():
 
 
 def test_word_letter_limit(capsys):
-    limit = cli.MAX_WORD_LETTERS
+    limit = WORD_LETTER_LIMIT
     start = time.perf_counter()
     assert main(["reduce", "< x, y >", "--word", "x^300000000"]) == 2
     assert time.perf_counter() - start < 1
@@ -465,22 +476,48 @@ def test_word_letter_limit(capsys):
     for word in (f"x^{limit + 1}", f"(x y)^{limit // 2 + 1}",
                  f"x^{limit // 2} x^{limit // 2} x",
                  "[" * 20 + "x, y" + "], y" * 19 + "]"):
-        with pytest.raises(MalformedWordError):
+        with pytest.raises(BudgetExceededError):
             run("reduce", "< x, y >", {"word": word})
 
 
 def test_exponent_flags_word_limit(capsys):
     # resp-obstruction writes x^m and x^n out, and b1n writes x^n
     start = time.perf_counter()
-    with pytest.raises(MalformedWordError, match="--m"):
+    with pytest.raises(BudgetExceededError, match="--m"):
         run("resp-obstruction", "", {"m": 2_000_000, "n": 3, "p": 2})
-    with pytest.raises(MalformedWordError, match="--n"):
+    with pytest.raises(BudgetExceededError, match="--n"):
         run("resp-obstruction", "", {"m": 3, "n": -2_000_000, "p": 2})
     assert main(["verify-obstacle", "< x, z | z^-1 x z = x^2 >",
                  "--obstacle", "b1n", "--n", "2000000",
                  "--images", "x, z^-1"]) == 2
     assert time.perf_counter() - start < 1
     assert "--n" in capsys.readouterr().err
+
+
+def test_reductions_that_outgrow_the_word_limit(capsys):
+    # short words whose reductions write out more than the word limit: in
+    # B(1, 2) each pinch of t^-n x t^n doubles the power of x, and each
+    # hop of the normal form of (t^-1 x)^n doubles the power it carries
+    # left; in fbc() each x after y^k writes x d^-k
+    b12 = "< x, t | t^-1 x t = x^2 >"
+    assert run("reduce", b12, {"word": "t^-19 x t^19"})[0].verdict == \
+        "x^524288"
+    fiber, k = wpengine.fc_normal_form(power((wpengine.FBC_Y,), 900) +
+                                       power((wpengine.FBC_X,), 1000))
+    assert (len(fiber), k) == (901_000, 900)
+    for source, word in ((b12, "t^-21 x t^21"), (b12, "(t^-1 x)^21"),
+                         ("fbc()", "y^1100 x^1100")):
+        with pytest.raises(BudgetExceededError,
+                           match=f"limit of {WORD_LETTER_LIMIT}"):
+            run("reduce", source, {"word": word})
+    # far over the limit, the first step that outgrows it exits 2: after
+    # the steps under it, about 0.6 s for B(1, 2) and 0.2 s for fbc()
+    for source, word in ((b12, "t^-40 x t^40"), (b12, "(t^-1 x)^40"),
+                         ("fbc()", "y^300000 x^300000")):
+        start = time.perf_counter()
+        assert main(["reduce", source, "--word", word]) == 2
+        assert time.perf_counter() - start < 2
+        assert f"limit of {WORD_LETTER_LIMIT}" in capsys.readouterr().err
 
 
 def test_main_stdin(monkeypatch):

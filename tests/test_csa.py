@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from csakit import csa
+from csakit.errors import BudgetExceededError
 from csakit.hnn import HnnPresentation
 from csakit.wpengine import (FreeByCyclicSpec, FreeProductCyclicsSpec,
                              FreeSpec, HnnSpec)
@@ -150,7 +151,7 @@ def test_power_conj_identity_grid():
                 assert csa.power_conj_identity(m, n, i)
     with pytest.raises(ValueError):
         csa.power_conj_identity(2, 3, 0)
-    with pytest.raises(OverflowError):
+    with pytest.raises(BudgetExceededError):
         csa.power_conj_identity(10, 10, 4)
     with pytest.raises(ValueError):
         csa.bs_spec(0, 2)

@@ -12,7 +12,7 @@ import pytest
 
 from csakit import csa, quotients
 from csakit.amalgam import AmalgamPresentation
-from csakit.errors import MalformedWordError
+from csakit.errors import BALL_WORD_LIMIT, MalformedWordError
 from csakit.hnn import HnnPresentation, TWord, britton_reduce, normal_form
 from csakit.stallings import fold
 from csakit.words import (concat, conjugate, free_reduce, inverse, power,
@@ -241,13 +241,20 @@ GENERIC_SEARCHES = [
     ("z2*z", FreeProductCyclicsSpec((2, 0)), 4),
     ("z2*z3", FreeProductCyclicsSpec((2, 3)), 4),
     ("fbc", FreeByCyclicSpec(), 3),
+    # fbc() as an HNN extension of F(x, d), letters x, d, y: no draw finds
+    # a permutation quotient, so its search takes the constant one
+    ("fbc-hnn", HnnSpec(HnnPresentation(2, [(1, -2), (2,)], [(1,), (2,)])),
+     3),
 ]
 
 
 def test_generic_falsifiers_match_brute_force():
     # the free products of cyclics hold D-infinity, a CSA witness; the
-    # free-by-cyclic group has a witness of each kind, free groups none
-    assert _match_brute_force(GENERIC_SEARCHES) == (3, 1)
+    # free-by-cyclic group has a witness of each kind in both its forms,
+    # free groups none
+    assert _match_brute_force(GENERIC_SEARCHES) == (4, 2)
+    assert quotients.permutation_quotients(GENERIC_SEARCHES[-1][1].ext) \
+        is None
     # the trivial group is the empty free product; F(0) has no letter
     # to be the stable one, so it is no HNN extension
     assert csa.falsify_ct(FreeProductCyclicsSpec(()), 2) is None
@@ -658,7 +665,7 @@ def test_centralizers_have_their_order_and_commute():
     listed = 0
     for shape in _shapes(d):
         order = quotients.centralizer_order(shape)
-        if order > csa.MAX_BALL_WORDS:
+        if order > BALL_WORD_LIMIT:
             continue
         tables = quotients.centralizer(shape)
         members = {t[:d] for t in tables}
@@ -669,7 +676,7 @@ def test_centralizers_have_their_order_and_commute():
             assert quotients.mul(g, h) == quotients.mul(h, g), shape
         assert quotients.relabelling(g)[0] == shape
         transported = quotients.transporter_order(shape)
-        if transported <= csa.MAX_BALL_WORDS:
+        if transported <= BALL_WORD_LIMIT:
             members = _transporter(shape, d)
             assert len(set(members)) == len(members) == transported, shape
             for h0 in members:

@@ -207,13 +207,20 @@ def test_fc_normal_form_rejects_letters_outside_rank():
             fc_normal_form(word)
 
 
+# fbc() as the HNN extension < x, d, y | y^-1 (x d^-1) y = x, y^-1 d y = d >
+# of F(x, d): its letters are x = 1, d = 2, y = 3, so a word over fbc()'s
+# displayed x, y, d maps letter by letter through FBC_TO_HNN
+FBC_HNN = HnnSpec(HnnPresentation(2, [(1, -2), (2,)], [(1,), (2,)]))
+FBC_TO_HNN = {FBC_X: 1, FBC_D: 2, FBC_Y: 3}
+
+
 def test_canonical_key_matches_triviality():
     rng = random.Random(37)
     specs = [FreeSpec(2), FreeProductCyclicsSpec((2, 0)),
              HnnSpec(HnnPresentation(1, [(1,)], [(1, 1)])),
              FreeByCyclicSpec(),
              AmalgamSpec(AmalgamPresentation(1, 1, [(1,)], [(1, 1)])),
-             FreeSpec(1), FreeSpec(3)]
+             FreeSpec(1), FreeSpec(3), FBC_HNN]
     for spec in specs:
         n = num_generators(spec)
         key_id = canonical_key((), spec)
@@ -230,6 +237,12 @@ def test_canonical_key_matches_triviality():
             if free:
                 assert spec.normal_word(u) == free_reduce(u, n)
                 assert spec.normal_word(v) == free_reduce(v, n)
+            if isinstance(spec, FreeByCyclicSpec):
+                # the HNN form is the second method for fbc()
+                hu, hv = (tuple(FBC_TO_HNN[abs(l)] * (1 if l > 0 else -1)
+                                for l in w) for w in (u, v))
+                assert same == equal(hu, hv, FBC_HNN)
+                assert commutes(u, v, spec) == commutes(hu, hv, FBC_HNN)
 
 
 def test_hnn_spec_relation():
