@@ -4,10 +4,12 @@ Baumslag-Solitar groups, and the residually-p obstruction.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import islice
 from typing import Optional
 
 from . import wpengine
-from .errors import BALL_WORD_LIMIT, check_budget
+from .errors import BALL_LETTER_LIMIT, BALL_WORD_LIMIT, check_budget
 from .hnn import HnnPresentation
 from .wpengine import (HnnSpec, canonical_key, commutes, is_trivial,
                        num_generators)
@@ -21,61 +23,125 @@ DEFAULT_RADIUS = 3
 # -- ball enumeration -------------------------------------------------------
 
 
-def ball(spec, radius, *, _image=None):
+@lru_cache(maxsize=16)
+def _skeleton(rank, radius):
+    """(words, parent, last, inv_at): the freely reduced words of length
+    <= radius over rank generators in shortlex order, the identity
+    first, and for each the index of its prefix w[:-1], its last letter
+    (0 and 0 for the identity) and the index of its literal inverse.
+    Shared by every ball of that size, as it holds no group data.
+
+    No word is hashed: a word's children are contiguous, so the child
+    of p by letter l is found by index, and the inverse of w = a v is
+    the child of v^-1 by a^-1, where the suffix v of w = u l is the
+    child of u's suffix by l."""
+    letters = [l for g in range(1, rank + 1) for l in (g, -g)]
+    follow = {l: [m for m in letters if m != -l] for l in letters}
+    follow[0] = letters
+    # last letter of p -> letter l -> the place of p l among p's children
+    place = {l: {m: i for i, m in enumerate(ms)} for l, ms in follow.items()}
+    words, parent, last = [()], [0], [0]
+    children = []   # p -> the index of p's first child
+    start = 0
+    for _ in range(radius):
+        end = len(words)
+        for p in range(start, end):
+            w = words[p]
+            children.append(len(words))
+            for l in follow[last[p]]:
+                words.append(w + (l,))
+                parent.append(p)
+                last.append(l)
+        start = end
+    suffix, inv_at = [0] * len(words), [0] * len(words)
+    for k in range(1, len(words)):
+        v = suffix[parent[k]]
+        if parent[k]:
+            v = suffix[k] = children[v] + place[last[v]][last[k]]
+        i = inv_at[v]
+        inv_at[k] = children[i] + place[last[i]][-words[k][0]]
+    return tuple(words), tuple(parent), tuple(last), tuple(inv_at)
+
+
+def _walk(spec, radius, quotient=None):
+    """(skeleton, kept, images): the _skeleton of the ball of spec and
+    radius, the increasing indices of the words whose canonical key no
+    earlier word has, the identity's 0 first, and the image of each
+    word under quotient, or None.  Raises BudgetExceededError before
+    enumerating (_check_ball_size).
+
+    quotient, when given, is (identity, tables) with tables[l] the
+    translation table of letter l's image under a homomorphism, so each
+    image is its prefix's image moved by one table.  Words of equal key
+    have equal images: a word whose image is new is kept with no key
+    computed, and keys are computed only among the words of one image,
+    the first of them once a second one arrives."""
+    rank = num_generators(spec)
+    _check_ball_size(rank, radius)
+    skeleton = _skeleton(rank, radius)
+    words, parent, last, _ = skeleton
+    if quotient is None:
+        images = None
+        coarse = [None] * len(words)
+    else:
+        identity, tables = quotient
+        images = [identity]
+        append = images.append
+        for p, l in islice(zip(parent, last), 1, None):
+            append(images[p].translate(tables[l]))
+        coarse = images
+    firsts = {}     # coarse key -> the index of the first word with it
+    seen = {}       # coarse key -> the keys of its words, once two share it
+    kept = []
+    for k, c in enumerate(coarse):
+        first = firsts.setdefault(c, k)
+        if first == k:
+            kept.append(k)
+            continue
+        keys = seen.get(c)
+        if keys is None:
+            keys = seen[c] = {canonical_key(words[first], spec)}
+        key = canonical_key(words[k], spec)
+        if key not in keys:
+            keys.add(key)
+            kept.append(k)
+    return skeleton, kept, images
+
+
+def ball(spec, radius):
     """Freely reduced words of length <= radius over the displayed
     generators, in shortlex order, one per element through the group's
     canonical form.  The identity is omitted.  Raises BudgetExceededError
-    before enumerating when there are more than BALL_WORD_LIMIT reduced
-    words.  The falsifiers pass _image, a word's image under a homomorphism,
-    so that canonical forms are computed only for words whose image an
-    earlier word shares; the list is the same."""
-    rank = num_generators(spec)
-    _check_ball_size(rank, radius)
-    words = reduced_words(rank, radius)
-    # reduced_words lists the identity first
-    return _distinct(words, lambda w: canonical_key(w, spec), _image)[1:]
+    before enumerating when the reduced words are more than
+    BALL_WORD_LIMIT or their letters more than BALL_LETTER_LIMIT."""
+    (words, *_), kept, _ = _walk(spec, radius)
+    return [words[k] for k in kept[1:]]
 
 
 def _check_ball_size(rank, radius):
     """Count the reduced words of length <= radius over rank generators
-    in closed form, 1 + 2r((2r-1)^R - 1)/(2r - 2) or 1 + 2R for r = 1,
-    against BALL_WORD_LIMIT."""
+    and their letters in closed form, against BALL_WORD_LIMIT and
+    BALL_LETTER_LIMIT.  With q = 2r - 1 there are 2r q^(k-1) words of
+    length k: 1 + 2r(q^R - 1)/(q - 1) words and 2r(R q^(R+1) - (R+1) q^R
+    + 1)/(q - 1)^2 letters, or 1 + 2R words and R(R + 1) letters for
+    r = 1."""
     check_radius(radius)
     if rank == 0:
         return
+    q = 2 * rank - 1
     count, least = 1 + 2 * radius, ""   # exact for r = 1, a bound for r > 1
-    if rank > 1 and count > BALL_WORD_LIMIT:
+    if q > 1 and count > BALL_WORD_LIMIT:
         least = "at least "     # a huge R: its closed form is a huge integer
-    elif rank > 1:
-        count = 1 + rank * ((2 * rank - 1) ** radius - 1) // (rank - 1)
+    elif q > 1:
+        count = 1 + 2 * rank * (q ** radius - 1) // (q - 1)
     check_budget(count, BALL_WORD_LIMIT,
                  f"the ball of radius {radius} with {least}{{}} words",
                  "--radius")
-
-
-def _distinct(words, key, coarse=None):
-    """The words whose key has not occurred earlier in the list.  coarse,
-    when given, is a cheaper key that every two words of equal key
-    share: a word whose coarse key is new is kept with no key computed,
-    and keys are computed only among the words of one coarse key, the
-    first of them once a second one arrives."""
-    firsts = {}     # coarse key -> the first word with it
-    seen = {}       # coarse key -> the keys of its words, once two share it
-    out = []
-    for w in words:
-        c = None if coarse is None else coarse(w)
-        if c not in firsts:
-            firsts[c] = w
-            out.append(w)
-            continue
-        keys = seen.get(c)
-        if keys is None:
-            keys = seen[c] = {key(firsts[c])}
-        k = key(w)
-        if k not in keys:
-            keys.add(k)
-            out.append(w)
-    return out
+    letters = radius * (radius + 1) if q == 1 else \
+        2 * rank * (radius * q ** (radius + 1) - (radius + 1) * q ** radius
+                    + 1) // (q - 1) ** 2
+    check_budget(letters, BALL_LETTER_LIMIT,
+                 f"the ball of radius {radius} with {{}} letters", "--radius")
 
 
 # -- CSA / CT falsifiers ----------------------------------------------------
@@ -112,12 +178,18 @@ def _search_context(spec, radius):
     # imported on first use, so a command that runs no search does not
     # pay for its import
     from . import quotients
-    image = quotients.word_images(spec)
-    words = ball(spec, radius, _image=image)
-    position = {w: i for i, w in enumerate(words)}
-    elements = [w for i, w in enumerate(words)
-                if position.get(inverse(w), i) >= i]
-    index = quotients.BallIndex([image(w) for w in elements])
+    (words, _, _, inv_at), kept, images = _walk(
+        spec, radius, quotients.letter_tables(spec))
+    is_kept = bytearray(len(inv_at))
+    for k in kept:
+        is_kept[k] = 1
+    # kept less the identity and every word whose inverse is kept earlier
+    chosen = [k for k in kept[1:]
+              if not (inv_at[k] < k and is_kept[inv_at[k]])]
+    elements = [words[k] for k in chosen]
+    index = quotients.BallIndex(
+        [quotients.IDENTITY] * len(chosen) if images is None
+        else [images[k] for k in chosen])
     form, trivial = spec.search_forms()
     forms = [None] * len(elements)
     cache = {}
@@ -222,9 +294,10 @@ def _obstacle_ball(kind, radius, n=None):
     """Pairwise distinct obstacle elements (as words over obstacle
     generators) of length <= radius, identity included: the normal forms
     of dinf and calb, and ball for b1n.  Raises BudgetExceededError
-    before enumerating when there are more than BALL_WORD_LIMIT words:
-    the 1 + 2R alternating words of dinf, the reduced words over 3
-    (calb) or 2 (b1n) generators."""
+    before enumerating when there are more than BALL_WORD_LIMIT words,
+    or their letters more than BALL_LETTER_LIMIT: the 1 + 2R alternating
+    words of dinf, the reduced words over 3 (calb) or 2 (b1n)
+    generators."""
     if kind == OBSTACLE_B1N:
         # B(1, n) = <x, y | y^-1 x^n y = x>
         return [()] + ball(bs_spec(n, 1), radius)

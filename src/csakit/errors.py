@@ -14,6 +14,7 @@ class UnsupportedBaseError(CsakitError):
 WORD_LETTER_LIMIT = 10 ** 6  # letters a word writes out: --word, --m, --n
 NESTING_LIMIT = 200          # brackets a word nests, within recursion
 BALL_WORD_LIMIT = 5000       # reduced words of a search ball: --radius
+BALL_LETTER_LIMIT = 30_000   # letters of those words, the same --radius
 CLOSURE_CAP = 32             # joins of malnormal_closure, unless --cap
 
 

@@ -4,8 +4,8 @@ finite symmetric groups.
 A homomorphism rho with rho([a, b]) != 1 proves [a, b] != 1, so the
 falsifiers in ``csa`` run Britton reduction only on the pairs that no
 such quotient separates (Sims, *Computation with Finitely Presented
-Groups*, CUP 1994).  ``word_images`` gives the images of a search's
-words and ``BallIndex`` the pair tests and candidate columns read off
+Groups*, CUP 1994).  ``letter_tables`` gives the images of a search's
+letters and ``BallIndex`` the pair tests and candidate columns read off
 the images of its ball.
 
 Permutations of {0, ..., d-1} are ``bytes`` of length d, acting on the
@@ -26,7 +26,7 @@ SEED = 1996
 MAX_DRAWS = 300
 
 _BYTES = bytes(range(256))
-_IDENTITY = _BYTES[:DEGREE]
+IDENTITY = _BYTES[:DEGREE]
 
 
 def table(p):
@@ -80,29 +80,20 @@ def permutation_quotients(P):
     return images
 
 
-def word_images(spec):
-    """The map from a word over spec's displayed generators to its image
-    under permutation_quotients(spec.ext), each image built from the
-    cached image of the word's prefix; the constant map to the identity
-    of Sym(DEGREE) when spec has no extension or there is no quotient."""
+def letter_tables(spec):
+    """(identity, tables): the identity permutation and, for each letter
+    of spec's displayed generators, both signs, the translation table
+    of its image under permutation_quotients(spec.ext); None when spec
+    has no extension or there is no quotient."""
     P = spec.ext
     rho = None if P is None else permutation_quotients(P)
     if rho is None:
-        return lambda w: _IDENTITY
+        return None
     t = P.base_rank + 1
     identity = bytes(range(len(rho[1])))
-    letters = {l: table(evaluate(spec.tword((l,)).flatten(t), rho,
-                                 identity))
-               for g in range(1, spec.rank + 1) for l in (g, -g)}
-    prefixes = {(): identity}
-
-    def word_image(w):
-        p = prefixes.get(w)
-        if p is None:
-            p = prefixes[w] = word_image(w[:-1]).translate(letters[w[-1]])
-        return p
-
-    return word_image
+    return identity, {l: table(evaluate(spec.tword((l,)).flatten(t), rho,
+                                        identity))
+                      for g in range(1, spec.rank + 1) for l in (g, -g)}
 
 
 def _plan(P):
@@ -169,7 +160,7 @@ def _draw(plan, rng):
     X = {}
 
     def value(word):
-        return evaluate(word, X, _IDENTITY)
+        return evaluate(word, X, IDENTITY)
 
     for kind, *args in plan:
         if kind == "draw":
@@ -278,16 +269,15 @@ def _conjugator(A, B, rng):
     cycle types, found before any random choice.  Each cycle of A goes
     onto a cycle of B of the same length, picked at random, at a random
     rotation."""
-    a_cycles, b_cycles = _cycles(A), _cycles(B)
-    if sorted(map(len, a_cycles)) != sorted(map(len, b_cycles)):
+    if _cycle_type(A) != _cycle_type(B):
         return None
     pools = {}
-    for cycle in b_cycles:
+    for cycle in _cycles(B):
         pools.setdefault(len(cycle), []).append(cycle)
     for pool in pools.values():
         rng.shuffle(pool)
     T = [0] * len(A)
-    for cycle in a_cycles:
+    for cycle in _cycles(A):
         target = pools[len(cycle)].pop()
         r = rng.randrange(len(cycle))
         for m, x in enumerate(cycle):
@@ -306,7 +296,7 @@ def _random_perm(rng, lengths=None):
         q = bytes(p)
         if lengths is None:
             return q
-        moved = [len(c) for c in _cycles(q) if len(c) > 1]
+        moved = [n for n in _cycle_type(q) if n > 1]
         if moved and all(n in lengths for n in moved):
             return q
 

@@ -32,7 +32,7 @@ class GroupSpec:
     rank + 1).  ``ext`` is the HNN extension of a free group that a
     Britton spec reduces words in, ``tword`` mapping words into it; a
     falsifier search draws its permutation quotients from it
-    (``quotients.word_images``).  It is None for free products of
+    (``quotients.letter_tables``).  It is None for free products of
     cyclics and the free-by-cyclic group, which reduce words their own
     way and whose searches take the constant quotient."""
 

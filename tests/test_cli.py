@@ -10,7 +10,8 @@ import pytest
 from csakit import cli, csa, wpengine
 from csakit.cli import (Parser, main, parse_source, render_source, run,
                         word_to_str)
-from csakit.errors import (BALL_WORD_LIMIT, NESTING_LIMIT, WORD_LETTER_LIMIT,
+from csakit.errors import (BALL_LETTER_LIMIT, BALL_WORD_LIMIT,
+                            NESTING_LIMIT, WORD_LETTER_LIMIT,
                             BudgetExceededError, CsakitError, ParseError)
 from csakit.words import power
 from csakit.wpengine import (FreeByCyclicSpec, FreeProductCyclicsSpec,
@@ -415,6 +416,22 @@ def test_main_rejects_a_ball_over_the_limit(capsys):
     with pytest.raises(BudgetExceededError):
         csa.ball(FreeSpec(4), 5)
     assert len(csa.ball(FreeSpec(3), 5)) == 4686
+
+
+def test_rank_one_ball_over_the_letter_limit():
+    # 4,801 words pass the word limit, yet a search over them ran for
+    # hours; their 2400 * 2401 letters do not pass the letter limit
+    with pytest.raises(BudgetExceededError, match="--radius") as caught:
+        csa._check_ball_size(1, 2400)
+    assert "5762400 letters" in str(caught.value)
+    assert str(BALL_LETTER_LIMIT) in str(caught.value)
+    csa._check_ball_size(1, 172)
+    with pytest.raises(BudgetExceededError):
+        csa._check_ball_size(1, 173)
+    # the largest ball of two or more generators under the word limit,
+    # 4,373 words of 28,432 letters, stays under the letter limit
+    csa._check_ball_size(2, 7)
+    assert len(csa.ball(FreeSpec(2), 7)) == 4372
 
 
 def test_main_rejects_an_obstacle_ball_over_the_limit(capsys):

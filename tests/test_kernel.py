@@ -340,8 +340,26 @@ def test_quotient_is_a_homomorphism(name):
     assert moved > 80
 
 
+def word_images(spec):
+    """The map from a word to its image under the quotient of spec's
+    searches, letter by letter; the constant map to the identity of
+    Sym(DEGREE) when there is no quotient."""
+    quotient = quotients.letter_tables(spec)
+    if quotient is None:
+        return lambda w: quotients.IDENTITY
+    identity, tables = quotient
+
+    def image(w):
+        p = identity
+        for l in w:
+            p = p.translate(tables[l])
+        return p
+
+    return image
+
+
 def _ball_index(spec, elements):
-    image = quotients.word_images(spec)
+    image = word_images(spec)
     return quotients.BallIndex([image(w) for w in elements])
 
 
@@ -372,9 +390,8 @@ def test_no_quotient_falls_back_to_the_plain_scan():
     # x ~ x^210 forces x to 1, which no draw finds
     spec = _hnn(1, (1,), power((1,), 210))
     assert quotients.permutation_quotients(spec.ext) is None
-    image = quotients.word_images(spec)
+    assert quotients.letter_tables(spec) is None
     elements, _, _, columns = csa._search_context(spec, 1)
-    assert {image(w) for w in elements} == {bytes(range(quotients.DEGREE))}
     assert all(columns(i, t) == range(len(elements))
                for i in range(len(elements)) for t in (False, True))
     want_csa, want_ct = _brute_force(spec, 1)
@@ -491,7 +508,7 @@ def scan_witnesses(spec, radius):
     tests.  Returns the CSA and the CT witness."""
     elements, comm, conj_commutes, _ = csa._search_context(spec, radius)
     n = len(elements)
-    image = quotients.word_images(spec)
+    image = word_images(spec)
     images = [image(w) for w in elements]
     tables = [quotients.table(p) for p in images]
     inverses = [quotients.inv(p) for p in images]
@@ -864,6 +881,30 @@ def test_early_exit_balls_key_few_words(monkeypatch):
             assert csa.falsify_csa(_hnn(2, u, power(u, k)), 3) is not None
             words += len(reduced_words(3, 3))
     assert calls[0] < words / 4
+
+
+@pytest.mark.parametrize("rank,radius", [(0, 2), (1, 0), (1, 5), (2, 0),
+                                         (2, 4), (3, 3), (4, 2)])
+def test_skeleton_lists_the_reduced_words(rank, radius):
+    words, parent, last, inv_at = csa._skeleton(rank, radius)
+    assert list(words) == reduced_words(rank, radius)
+    assert parent[0] == last[0] == inv_at[0] == 0
+    for k, w in enumerate(words[1:], 1):
+        assert words[parent[k]] == w[:-1] and last[k] == w[-1]
+    for k, w in enumerate(words):
+        assert inv_at[inv_at[k]] == k
+        assert words[inv_at[k]] == inverse(w)
+
+
+def test_early_exit_searches_share_one_skeleton():
+    # the 20 groups of test_early_exit_balls_key_few_words, each a fresh
+    # spec: every search walks the skeleton of (3, 3), built once
+    csa._skeleton.cache_clear()
+    for u in ((1,), (-1,), (2,), (-2,)):
+        for k in (-3, -2, -1, 2, 3):
+            assert csa.falsify_csa(_hnn(2, u, power(u, k)), 3) is not None
+    info = csa._skeleton.cache_info()
+    assert (info.misses, info.hits) == (1, 19)
 
 
 # -- the one-walk normal form ------------------------------------------------
