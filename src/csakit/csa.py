@@ -163,11 +163,13 @@ class CtWitness:
 def _search_context(spec, radius):
     """The ball of a search and its tests over it: comm(i, j) for [a, b]
     = 1, cached, conj_commutes(i, j) for [a, v^-1 a v] = 1, and
-    columns(i, transport), the columns j, increasing, that may pass the
-    test of row i: comm when transport is False, conj_commutes when it
-    is True.  The tests multiply the forms of spec.search_forms, built
-    on first use, behind the quotient index of the ball
-    (quotients.BallIndex), which also picks the columns.
+    columns(i, transport), which yields, increasing and one at a time,
+    exactly the columns j whose quotient images pass the test of row i
+    (quotients.BallIndex.columns): the commutation test when transport
+    is False, the transporter test when it is True.  The tests multiply
+    the forms of spec.search_forms, built on first use; comm runs behind
+    the index's commute filter, and conj_commutes, which is asked only
+    about columns the transporter test has passed, runs no filter.
 
     The search ball keeps one word of each inverse pair: ball() less
     every word whose literal inverse comes earlier.  As a commutes with
@@ -212,8 +214,6 @@ def _search_context(spec, radius):
         return r
 
     def conj_commutes(i, j):
-        if not index.transports(i, j):
-            return False
         # [a, v^-1 a v] as a . v^-1 a v . a^-1 . v^-1 a^-1 v
         (a, a_inv), (v, v_inv) = form_of(i), form_of(j)
         return trivial(a, v_inv, a, v, a_inv, v_inv, a_inv, v)

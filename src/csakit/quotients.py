@@ -407,24 +407,16 @@ class BallIndex:
     what they decide about its pairs.  commute(i, j) is False when
     rho([a_i, a_j]) != 1, and transports(i, j) when rho([a_i, a_j^-1
     a_i a_j]) != 1: exact filters, since a homomorphism sends a trivial
-    commutator to 1.  columns(i, transport) holds, increasing, every j
-    that passes the first, or the second when transport is True, since
-    rho_k(a_j) then lies in C(rho_k(a_i)), or T(rho_k(a_i)), for every
-    Sym(DEGREE) block k.  Row i looks the members of its smallest such
-    set up in an index of the columns by their image in that block; a
-    row whose smallest set is larger than the ball gets every column.
-    So a scan of the columns given, in order, meets the same first hit
-    as a scan of them all."""
+    commutator to 1.  columns(i, transport) yields the j of row i that
+    pass them.  The images in each Sym(DEGREE) block are read when a
+    row is reached, and a block's index of the columns by their image
+    there is built when a row first picks that block."""
 
     def __init__(self, images):
         self._images = images
         self._tables = [table(p) for p in images]
-        # the images in each block, moved down to 0 .. DEGREE - 1
-        blocks = len(images[0]) // DEGREE if images else 0
-        self._block_images = [
-            [p[DEGREE * k:DEGREE * (k + 1)].translate(shift) for p in images]
-            for k, shift in enumerate(_SHIFTS[:blocks])]
-        self._blocks = [None] * blocks
+        self._identity = _BYTES[:len(images[0])] if images else b""
+        self._blocks = [None] * (len(self._identity) // DEGREE)
         self._every = range(len(images))
 
     def commute(self, i, j):
@@ -442,8 +434,9 @@ class BallIndex:
         r = self._blocks[k]
         if r is None:
             r = self._blocks[k] = {}
-            for j, g in enumerate(self._block_images[k]):
-                r.setdefault(g, []).append(j)
+            lo, shift = DEGREE * k, _SHIFTS[k]
+            for j, p in enumerate(self._images):
+                r.setdefault(p[lo:lo + DEGREE].translate(shift), []).append(j)
         return r
 
     def _size(self, shape, transport):
@@ -454,12 +447,17 @@ class BallIndex:
             return c
         return transporter_order(shape)
 
-    def columns(self, i, transport):
-        s, k = min((self._size(_cycle_type(images[i]), transport), k)
-                   for k, images in enumerate(self._block_images))
+    def _candidates(self, a, transport):
+        """The columns, increasing, whose images lie in C(g), or T(g),
+        for the image g of a in the block where that set is smallest;
+        every column when it is larger than the ball."""
+        blocks = [a[DEGREE * k:DEGREE * (k + 1)].translate(_SHIFTS[k])
+                  for k in range(len(self._blocks))]
+        s, k = min((self._size(_cycle_type(g), transport), k)
+                   for k, g in enumerate(blocks))
         if s > len(self._every):
             return self._every
-        shape, pi = relabelling(self._block_images[k][i])
+        shape, pi = relabelling(blocks[k])
         pi_inv, pi_table = inv(pi), table(pi)
         # C(g) = pi^-1 C(g0) pi, and T(g) the cosets C(g) pi^-1 h pi
         keys = [pi_inv.translate(c).translate(pi_table)
@@ -476,3 +474,26 @@ class BallIndex:
                 out += hit
         out.sort()
         return out
+
+    def columns(self, i, transport):
+        """Exactly the j with commute(i, j), or transports(i, j) when
+        transport is True, increasing, each tested when it is asked for:
+        a scan that stops at its first hit tests no later column.  Only
+        the j with rho_k(a_j) in C(rho_k(a_i)), or T(rho_k(a_i)), for
+        every block k can pass, so the row tests the members of its
+        smallest such set (_candidates).  A row whose image is the
+        identity gives every column, as a range, untested."""
+        images, tables = self._images, self._tables
+        a, ta = images[i], tables[i]
+        if a == self._identity:
+            return self._every
+        candidates = self._candidates(a, transport)
+        if not transport:
+            return (j for j in candidates
+                    if a.translate(tables[j]) == images[j].translate(ta))
+        # a_j^-1 a_i a_j sends g_j[x] to (a_i g_j)[x], g_j the image of a_j
+        d, maketrans = len(a), bytes.maketrans
+        return (j for j in candidates
+                if a.translate(c := maketrans(images[j],
+                                              a.translate(tables[j])))
+                == c[:d].translate(ta))

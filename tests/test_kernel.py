@@ -436,7 +436,7 @@ def test_ct_tests_each_pair_only_to_list_a_row(monkeypatch):
             return comm(i, j)
 
         def row_columns(i, transport):
-            out = columns(i, transport)
+            out = list(columns(i, transport))
             listed[0] += sum(j != i for j in out)
             return out
 
@@ -602,18 +602,57 @@ INDEXED = [(name, spec) for name, spec, _ in SEARCHES + GENERIC_SEARCHES] \
 @pytest.mark.parametrize("name,spec", INDEXED,
                          ids=[name for name, _ in INDEXED])
 def test_columns_hold_every_pair_the_index_passes(name, spec):
+    # exactly the columns that pass the per-pair tests, increasing
     elements = csa.ball(spec, 3)
     index = _ball_index(spec, elements)
     n = len(elements)
     for i in range(n):
-        columns = {}
+        assert list(index.columns(i, False)) == \
+            [j for j in range(n) if index.commute(i, j)]
+        assert list(index.columns(i, True)) == \
+            [j for j in range(n) if index.transports(i, j)]
+
+
+class _CountingImages(list):
+    """A list of images that counts the reads of its items."""
+
+    reads = 0
+
+    def __getitem__(self, j):
+        self.reads += 1
+        return super().__getitem__(j)
+
+
+@pytest.mark.parametrize("name,spec", INDEXED,
+                         ids=[name for name, _ in INDEXED])
+def test_columns_are_tested_as_they_are_asked_for(name, spec):
+    # a row is an iterator: its first column is given before any later
+    # column is tested; only an identity row gives every column untested
+    elements = csa.ball(spec, 3)
+    image = word_images(spec)
+    images = _CountingImages(image(w) for w in elements)
+    index = quotients.BallIndex(images)
+    n = len(elements)
+    rows = lazy = 0
+    for i in range(n):
         for transport in (False, True):
-            listed = list(index.columns(i, transport))
-            assert listed == sorted(set(listed))
-            columns[transport] = set(listed)
-        for j in range(n):
-            assert not index.commute(i, j) or j in columns[False]
-            assert not index.transports(i, j) or j in columns[True]
+            if images[i] == bytes(range(len(images[i]))):
+                assert index.columns(i, transport) == range(n)
+                continue
+            rows += 1
+            it = index.columns(i, transport)
+            assert iter(it) is it
+            images.reads = 0
+            first = next(it)
+            read_first = images.reads
+            # columns before the first hit, and the hit, are tested
+            assert read_first <= first + 1
+            rest = list(it)
+            if rest:
+                assert images.reads > read_first
+                lazy += 1
+    # under the constant quotient every row is an identity row
+    assert lazy > 0 or rows == 0
 
 
 def _constant_quotient(P):
@@ -638,7 +677,7 @@ def test_join_scans_few_columns():
     elements, _, _, columns = csa._search_context(spec, 4)
     n = len(elements)
     for transport in (False, True):
-        looked = sum(len(columns(i, transport)) for i in range(n))
+        looked = sum(len(list(columns(i, transport))) for i in range(n))
         assert looked < n * n / 20
 
 
