@@ -64,18 +64,26 @@ def _skeleton(rank, radius):
 
 
 def _walk(spec, radius, quotient=None):
-    """(skeleton, kept, images): the _skeleton of the ball of spec and
-    radius, the increasing indices of the words whose canonical key no
-    earlier word has, the identity's 0 first, and the image of each
-    word under quotient, or None.  Raises BudgetExceededError before
-    enumerating (_check_ball_size).
+    """(skeleton, images, known, kept): the _skeleton of the ball of spec
+    and radius, the image of each word under quotient, or None, and
+    kept(k), True iff no earlier word of the ball is word k's element.
+    Raises BudgetExceededError before enumerating (_check_ball_size).
 
     quotient, when given, is (identity, tables) with tables[l] the
     translation table of letter l's image under a homomorphism, so each
-    image is its prefix's image moved by one table.  Words of equal key
-    have equal images: a word whose image is new is kept with no key
-    computed, and keys are computed only among the words of one image,
-    the first of them once a second one arrives."""
+    image is its prefix's image moved by one table.  Words of one
+    element have one image, so keys are compared only within a group of
+    words of one image, the identity word heading the identity's group.
+    No key is computed here: kept settles a word when it is first asked
+    about.  The first word of a group is kept.  A later one is kept iff
+    its canonical_key differs from those of the earlier words of its
+    group, each keyed once, in order, when a later word of the group is
+    first asked about.  A word whose prefix w[:-1] is known to be a
+    duplicate is one too, with no key: if u' comes before u and equals
+    it, the reduced u'l comes before ul and equals it.  known[k] is 1
+    once word k is known to be kept, 2 once it is known to be a
+    duplicate and 0 before; the first words of the groups are known
+    from the start."""
     rank = num_generators(spec)
     _check_ball_size(rank, radius)
     skeleton = _skeleton(rank, radius)
@@ -90,32 +98,53 @@ def _walk(spec, radius, quotient=None):
         for p, l in islice(zip(parent, last), 1, None):
             append(images[p].translate(tables[l]))
         coarse = images
-    firsts = {}     # coarse key -> the index of the first word with it
-    seen = {}       # coarse key -> the keys of its words, once two share it
-    kept = []
-    for k, c in enumerate(coarse):
-        first = firsts.setdefault(c, k)
-        if first == k:
-            kept.append(k)
-            continue
-        keys = seen.get(c)
-        if keys is None:
-            keys = seen[c] = {canonical_key(words[first], spec)}
-        key = canonical_key(words[k], spec)
-        if key not in keys:
-            keys.add(key)
-            kept.append(k)
-    return skeleton, kept, images
+    heads = {}      # coarse key -> its first word
+    after = [0] * len(words)    # the next word of k's coarse key, or 0
+    for k in range(len(words) - 1, -1, -1):
+        c = coarse[k]
+        after[k] = heads.get(c, 0)
+        heads[c] = k
+    known = bytearray(len(words))
+    for k in heads.values():
+        known[k] = 1
+    resolved = {}   # coarse key -> [the keys of its words walked, the last]
+
+    def kept(k):
+        if not known[k] and known[parent[k]] == 2:
+            known[k] = 2
+        if not known[k]:
+            c = coarse[k]
+            state = resolved.get(c)
+            if state is None:
+                m = heads[c]
+                state = resolved[c] = [{canonical_key(words[m], spec)}, m]
+            keys, m = state
+            while not known[k]:
+                m = after[m]
+                if known[m]:
+                    continue
+                if known[parent[m]] == 2:
+                    known[m] = 2
+                    continue
+                key = canonical_key(words[m], spec)
+                known[m] = 2 if key in keys else 1
+                keys.add(key)
+            state[1] = m
+        return known[k] == 1
+
+    return skeleton, images, known, kept
 
 
 def ball(spec, radius):
     """Freely reduced words of length <= radius over the displayed
     generators, in shortlex order, one per element through the group's
-    canonical form.  The identity is omitted.  Raises BudgetExceededError
-    before enumerating when the reduced words are more than
-    BALL_WORD_LIMIT or their letters more than BALL_LETTER_LIMIT."""
-    (words, *_), kept, _ = _walk(spec, radius)
-    return [words[k] for k in kept[1:]]
+    canonical form: _walk's kept, asked about every word in order, with
+    no images, so every word shares one group.  The identity is
+    omitted.  Raises BudgetExceededError before enumerating when the
+    reduced words are more than BALL_WORD_LIMIT or their letters more
+    than BALL_LETTER_LIMIT."""
+    (words, *_), _, _, kept = _walk(spec, radius)
+    return [words[k] for k in range(1, len(words)) if kept(k)]
 
 
 def _check_ball_size(rank, radius):
@@ -161,37 +190,77 @@ class CtWitness:
 
 
 def _search_context(spec, radius):
-    """The ball of a search and its tests over it: comm(i, j) for [a, b]
-    = 1, cached, conj_commutes(i, j) for [a, v^-1 a v] = 1, and
-    columns(i, transport), which yields, increasing and one at a time,
-    exactly the columns j whose quotient images pass the test of row i
-    (quotients.BallIndex.columns): the commutation test when transport
-    is False, the transporter test when it is True.  The tests multiply
-    the forms of spec.search_forms, built on first use; comm runs behind
-    the index's commute filter, and conj_commutes, which is asked only
-    about columns the transporter test has passed, runs no filter.
+    """(elements, rows, columns, comm, commutes, conj_commutes): the
+    search over the ball of spec and radius.
 
-    The search ball keeps one word of each inverse pair: ball() less
-    every word whose literal inverse comes earlier.  As a commutes with
-    b iff a^-1 does, (a, v) is a CSA hit iff (a, v^-1) is, and iff
-    (a^-1, v) is, and a CT hit (a, b, c) stays a hit when any of a, b, c
-    is inverted.  So the first hit of a whole-ball scan is made of words
-    kept, and the shorter scan meets those hits in the same order."""
+    elements holds every word of the ball but the identity and the words
+    whose literal inverse comes earlier with an image no earlier word
+    has, which makes that inverse kept with no key computed.  The search
+    ball is ball() less every word whose literal inverse comes earlier
+    in it: rows() yields its indices in elements, increasing, and
+    columns(i, transport) yields, increasing and one at a time, those
+    whose quotient images pass the test of row i
+    (quotients.BallIndex.columns): the commutation test when transport
+    is False, the transporter test when it is True.  Whether a word is
+    in the search ball is settled when rows or columns first reaches it
+    (_walk's kept), so a search that stops early keys only the words it
+    has reached; the words found not to be in it are marked in the
+    index's dropped, which later rows skip before their image test.
+
+    commutes(i, j) is [a_i, a_j] = 1 by the group's own test, cached;
+    comm(i, j) asks it behind the index's commute filter; conj_commutes
+    (i, j) is [a, v^-1 a v] = 1, asked only about columns the transporter
+    test has passed, with no filter.  The tests multiply the forms of
+    spec.search_forms, built on first use.
+
+    The first hit is that of a scan over every word of the ball: the
+    tests depend only on the elements, and as a commutes with b iff a^-1
+    does, (a, v) is a CSA hit iff (a, v^-1) is, and iff (a^-1, v) is,
+    and a CT hit (a, b, c) stays a hit when any of a, b, c is inverted.
+    So that first hit is made of words that are each the shortlex-first
+    word of their class {g, g^-1}, and the search ball holds every such
+    word.  A word is skipped only when the scan reaches it, and only as
+    a duplicate of an earlier word or as the literal inverse of an
+    earlier word of the search ball, so no such word is skipped and the
+    scan meets the hits in the same order."""
     # imported on first use, so a command that runs no search does not
     # pay for its import
     from . import quotients
-    (words, _, _, inv_at), kept, images = _walk(
+    (words, _, _, inv_at), images, known, kept = _walk(
         spec, radius, quotients.letter_tables(spec))
-    is_kept = bytearray(len(inv_at))
-    for k in kept:
-        is_kept[k] = 1
-    # kept less the identity and every word whose inverse is kept earlier
-    chosen = [k for k in kept[1:]
-              if not (inv_at[k] < k and is_kept[inv_at[k]])]
-    elements = [words[k] for k in chosen]
+    # a word whose literal inverse comes earlier with a new image is never
+    # searched; any other may be, once its own image group is resolved
+    where = [k for k in range(1, len(words))
+             if not (inv_at[k] < k and known[inv_at[k]] == 1)]
+    elements = [words[k] for k in where]
     index = quotients.BallIndex(
-        [quotients.IDENTITY] * len(chosen) if images is None
-        else [images[k] for k in chosen])
+        [quotients.IDENTITY] * len(where) if images is None
+        else [images[k] for k in where])
+    # 1 once a_i is known to be in the search ball, from the start when
+    # its image is new and its literal inverse comes later; dropped[i] is
+    # 1 once it is known not to be
+    searched = bytearray(inv_at[k] > k and known[k] for k in where)
+    dropped = index.dropped
+
+    def is_searched(i):
+        """Whether a_i is in the search ball, settled on first use."""
+        if not (searched[i] or dropped[i]):
+            k = where[i]
+            m = inv_at[k]
+            if (m < k and kept(m)) or not kept(k):
+                dropped[i] = 1
+            else:
+                searched[i] = 1
+        return searched[i]
+
+    def rows():
+        return (i for i in range(len(where)) if searched[i] or is_searched(i))
+
+    def columns(i, transport):
+        for j in index.columns(i, transport):
+            if searched[j] or is_searched(j):
+                yield j
+
     form, trivial = spec.search_forms()
     forms = [None] * len(elements)
     cache = {}
@@ -203,9 +272,7 @@ def _search_context(spec, radius):
             r = forms[i] = form(elements[i])
         return r
 
-    def comm(i, j):
-        if not index.commute(i, j):
-            return False
+    def commutes(i, j):
         k = (i, j) if i < j else (j, i)
         r = cache.get(k)
         if r is None:
@@ -213,12 +280,15 @@ def _search_context(spec, radius):
             r = cache[k] = trivial(a, b, a_inv, b_inv)
         return r
 
+    def comm(i, j):
+        return index.commute(i, j) and commutes(i, j)
+
     def conj_commutes(i, j):
         # [a, v^-1 a v] as a . v^-1 a v . a^-1 . v^-1 a^-1 v
         (a, a_inv), (v, v_inv) = form_of(i), form_of(j)
         return trivial(a, v_inv, a, v, a_inv, v_inv, a_inv, v)
 
-    return elements, comm, conj_commutes, index.columns
+    return elements, rows, columns, comm, commutes, conj_commutes
 
 
 def verify_csa_witness(w: CsaWitness, spec) -> bool:
@@ -238,8 +308,9 @@ def verify_ct_witness(w: CtWitness, spec) -> bool:
 def falsify_csa(spec, radius=DEFAULT_RADIUS) -> Optional[CsaWitness]:
     """First pair (a, v) in shortlex order with a != 1, [a, a^v] = 1 and
     [a, v] != 1.  A hit disproves CSA; a miss proves nothing."""
-    elements, comm, conj_commutes, columns = _search_context(spec, radius)
-    for i in range(len(elements)):
+    elements, rows, columns, comm, _, conj_commutes = \
+        _search_context(spec, radius)
+    for i in rows():
         for j in columns(i, True):
             if i != j and not comm(i, j) and conj_commutes(i, j):
                 return CsaWitness(elements[i], elements[j])
@@ -248,24 +319,25 @@ def falsify_csa(spec, radius=DEFAULT_RADIUS) -> Optional[CsaWitness]:
 
 def falsify_ct(spec, radius=DEFAULT_RADIUS) -> Optional[CtWitness]:
     """First triple with [a,b] = 1, [b,c] = 1 but [a,c] != 1."""
-    elements, comm, _, columns = _search_context(spec, radius)
-    rows = {}
+    elements, rows, columns, _, commutes, _ = _search_context(spec, radius)
+    listed = {}
 
     def row(i):
-        """The j != i with [a_i, a_j] = 1, listed on first use."""
-        r = rows.get(i)
+        """The j != i with [a_i, a_j] = 1, listed on first use; each j
+        has passed the commute filter in columns."""
+        r = listed.get(i)
         if r is None:
-            r = rows[i] = [j for j in columns(i, False)
-                           if j != i and comm(i, j)]
+            r = listed[i] = [j for j in columns(i, False)
+                             if j != i and commutes(i, j)]
         return r
 
-    for i, a in enumerate(elements):
+    for i in rows():
         # row(i) holds every k != i with [a_i, a_k] = 1
         commuting = set(row(i))
         for j in row(i):
             for k in row(j):
                 if k != i and k not in commuting:
-                    return CtWitness(a, elements[j], elements[k])
+                    return CtWitness(elements[i], elements[j], elements[k])
     return None
 
 

@@ -391,9 +391,11 @@ def test_no_quotient_falls_back_to_the_plain_scan():
     spec = _hnn(1, (1,), power((1,), 210))
     assert quotients.permutation_quotients(spec.ext) is None
     assert quotients.letter_tables(spec) is None
-    elements, _, _, columns = csa._search_context(spec, 1)
-    assert all(columns(i, t) == range(len(elements))
-               for i in range(len(elements)) for t in (False, True))
+    _, rows, columns, *_ = csa._search_context(spec, 1)
+    rows = list(rows())
+    # every row is given every word of the search ball
+    assert all(list(columns(i, t)) == rows
+               for i in rows for t in (False, True))
     want_csa, want_ct = _brute_force(spec, 1)
     assert _witnesses(spec, 1) == (want_csa, want_ct)
     assert want_csa == ((1,), (2,))
@@ -408,13 +410,13 @@ def test_ct_rows_are_listed_on_first_use(monkeypatch):
     context = csa._search_context
 
     def counting(spec, radius):
-        elements, comm, conj, columns = context(spec, radius)
+        elements, rows, columns, comm, commutes, conj = context(spec, radius)
 
         def counted(i, j):
             calls[0] += 1
-            return comm(i, j)
+            return commutes(i, j)
 
-        return elements, counted, conj, columns
+        return elements, rows, columns, comm, counted, conj
 
     monkeypatch.setattr(csa, "_search_context", counting)
     assert csa.falsify_ct(spec, 3) is not None
@@ -423,28 +425,37 @@ def test_ct_rows_are_listed_on_first_use(monkeypatch):
 
 def test_ct_tests_each_pair_only_to_list_a_row(monkeypatch):
     # row(i) holds every k != i that commutes with a_i, so the triple
-    # loop reads [a_i, a_k] off it: every comm call lists a row
+    # loop reads [a_i, a_k] off it: every commutes call lists a row, and
+    # as its columns have passed the commute filter, no pair asks the
+    # index again
     spec = QUADRANT_SPECS[1]
-    calls, listed = [0], [0]
+    calls, listed, filtered = [0], [0], [0]
     context = csa._search_context
+    commute = quotients.BallIndex.commute
 
     def counting(spec, radius):
-        elements, comm, conj, columns = context(spec, radius)
+        elements, rows, columns, comm, commutes, conj = context(spec, radius)
 
         def counted(i, j):
             calls[0] += 1
-            return comm(i, j)
+            return commutes(i, j)
 
         def row_columns(i, transport):
             out = list(columns(i, transport))
             listed[0] += sum(j != i for j in out)
             return out
 
-        return elements, counted, conj, row_columns
+        return elements, rows, row_columns, comm, counted, conj
+
+    def counting_commute(self, i, j):
+        filtered[0] += 1
+        return commute(self, i, j)
 
     monkeypatch.setattr(csa, "_search_context", counting)
+    monkeypatch.setattr(quotients.BallIndex, "commute", counting_commute)
     assert csa.falsify_ct(spec, 4) is None
     assert calls[0] == listed[0] > 0
+    assert filtered[0] == 0
 
 
 def test_inverse_rows_are_read_off_each_other():
@@ -473,9 +484,15 @@ def test_inverse_rows_are_read_off_each_other():
     assert pairs > 1000
 
 
+def search_ball(spec, radius):
+    """The words of every row of a full scan."""
+    elements, rows, *_ = csa._search_context(spec, radius)
+    return [elements[i] for i in rows()]
+
+
 def test_search_ball_holds_one_word_of_each_inverse_pair():
     for name, spec, _ in EXACTNESS:
-        elements = csa._search_context(spec, 3)[0]
+        elements = search_ball(spec, 3)
         assert not set(elements) & {inverse(w) for w in elements}, name
 
 
@@ -485,14 +502,14 @@ def test_ct_lists_one_row_of_each_inverse_pair(monkeypatch):
     context = csa._search_context
 
     def counting(spec, radius):
-        elements, comm, conj, columns = context(spec, radius)
+        elements, rows, columns, *tests = context(spec, radius)
 
         def row_columns(i, transport):
             assert not transport
             listed.add(elements[i])
             return columns(i, transport)
 
-        return elements, comm, conj, row_columns
+        return elements, rows, row_columns, *tests
 
     monkeypatch.setattr(csa, "_search_context", counting)
     assert csa.falsify_ct(spec, 4) is None
@@ -503,11 +520,28 @@ def test_ct_lists_one_row_of_each_inverse_pair(monkeypatch):
 
 
 def scan_witnesses(spec, radius):
-    """The falsifiers before the indexed join: every row scans every
-    column, the quotient images of each pair first, then the same
-    tests.  Returns the CSA and the CT witness."""
-    elements, comm, conj_commutes, _ = csa._search_context(spec, radius)
+    """The falsifiers before the indexed join, over the search ball
+    built from key_only_ball: every row scans every column, the quotient
+    images of each pair first, then the products of spec.search_forms,
+    as the search multiplies them.  Returns the CSA and the CT
+    witness."""
+    elements = first_of_inverse_pairs(key_only_ball(spec, radius))
     n = len(elements)
+    form, trivial = spec.search_forms()
+    forms = [form(w) for w in elements]
+    cache = {}
+
+    def comm(i, j):
+        key = (i, j) if i < j else (j, i)
+        if key not in cache:
+            (a, a_inv), (b, b_inv) = forms[i], forms[j]
+            cache[key] = trivial(a, b, a_inv, b_inv)
+        return cache[key]
+
+    def conj_commutes(i, j):
+        (a, a_inv), (v, v_inv) = forms[i], forms[j]
+        return trivial(a, v_inv, a, v, a_inv, v_inv, a_inv, v)
+
     image = word_images(spec)
     images = [image(w) for w in elements]
     tables = [quotients.table(p) for p in images]
@@ -613,6 +647,25 @@ def test_columns_hold_every_pair_the_index_passes(name, spec):
             [j for j in range(n) if index.transports(i, j)]
 
 
+def test_columns_pass_over_dropped_columns():
+    # a column marked in dropped is never given, whatever its image; a
+    # row whose image is the identity still gives every column
+    spec = QUADRANT_SPECS[1]
+    elements = csa.ball(spec, 3)
+    index = _ball_index(spec, elements)
+    n = len(elements)
+    index.dropped[::2] = b"\x01" * len(range(0, n, 2))
+    identity = bytes(range(len(index._images[0])))
+    for i in range(n):
+        if index._images[i] == identity:
+            assert index.columns(i, False) == range(n)
+            continue
+        assert list(index.columns(i, False)) == \
+            [j for j in range(1, n, 2) if index.commute(i, j)]
+        assert list(index.columns(i, True)) == \
+            [j for j in range(1, n, 2) if index.transports(i, j)]
+
+
 class _CountingImages(list):
     """A list of images that counts the reads of its items."""
 
@@ -664,20 +717,22 @@ def test_constant_quotient_falls_back_on_every_row(monkeypatch):
     monkeypatch.setattr(quotients, "permutation_quotients",
                         _constant_quotient)
     for name, spec, radius in EXACTNESS:
-        elements, _, _, columns = csa._search_context(spec, radius)
-        n = len(elements)
-        # C(1) = Sym(DEGREE) is larger than any ball
-        assert all(list(columns(i, t)) == list(range(n))
-                   for i in range(n) for t in (False, True)), name
+        _, rows, columns, *_ = csa._search_context(spec, radius)
+        rows = list(rows())
+        # C(1) = Sym(DEGREE) is larger than any ball: every row is given
+        # every word of the search ball
+        assert all(list(columns(i, t)) == rows
+                   for i in rows for t in (False, True)), name
         assert _witnesses(spec, radius) == scan_witnesses(spec, radius), name
 
 
 def test_join_scans_few_columns():
     spec = QUADRANT_SPECS[0]
-    elements, _, _, columns = csa._search_context(spec, 4)
-    n = len(elements)
+    _, rows, columns, *_ = csa._search_context(spec, 4)
+    rows = list(rows())
+    n = len(rows)
     for transport in (False, True):
-        looked = sum(len(list(columns(i, transport))) for i in range(n))
+        looked = sum(len(list(columns(i, transport))) for i in rows)
         assert looked < n * n / 20
 
 
@@ -889,7 +944,7 @@ def _counting_keys(monkeypatch):
 
 def test_search_ball_matches_key_only_ball():
     for name, spec, radius in BALLS:
-        assert csa._search_context(spec, radius)[0] == \
+        assert search_ball(spec, radius) == \
             first_of_inverse_pairs(key_only_ball(spec, radius)), name
 
 
@@ -905,21 +960,55 @@ def test_ball_without_separating_images_keys_every_word(monkeypatch, images):
     calls = _counting_keys(monkeypatch)
     for name, spec, radius in BALLS:
         calls[0] = 0
-        assert csa._search_context(spec, radius)[0] == \
+        assert search_ball(spec, radius) == \
             first_of_inverse_pairs(key_only_ball(spec, radius)), name
-        # every word shares one coarse key, so each is keyed once
-        assert calls[0] == len(reduced_words(num_generators(spec), radius))
+        searched = calls[0]
+        calls[0] = 0
+        firsts = {()} | set(csa.ball(spec, radius))
+        words = reduced_words(num_generators(spec), radius)
+        # every word shares one coarse key, so ball() keys the identity
+        # and each word whose prefix is the first word of its element
+        # once; a word with a duplicate prefix is a duplicate, unkeyed.
+        # The search keys no word ball() does not
+        assert searched <= calls[0] == \
+            1 + sum(w[:-1] in firsts for w in words[1:]), name
 
 
 def test_early_exit_balls_key_few_words(monkeypatch):
-    # the benchmark's early-exit family t^-1 u t = u^k, u a letter of F2
+    # the benchmark's early-exit family t^-1 u t = u^k, u a letter of F2:
+    # each search stops before it reaches a word that shares an image
     calls = _counting_keys(monkeypatch)
-    words = 0
+    searches = 0
     for u in ((1,), (-1,), (2,), (-2,)):
         for k in (-3, -2, -1, 2, 3):
             assert csa.falsify_csa(_hnn(2, u, power(u, k)), 3) is not None
-            words += len(reduced_words(3, 3))
-    assert calls[0] < words / 4
+            searches += 1
+    assert calls[0] <= searches
+
+
+def _shortlex_first_of_classes(spec, radius):
+    """The shortlex-first word of each nontrivial class {g, g^-1} with a
+    word in the ball, by canonical keys alone."""
+    seen = {canonical_key((), spec)}
+    out = []
+    for w in reduced_words(num_generators(spec), radius):
+        key, key_inv = canonical_key(w, spec), canonical_key(inverse(w), spec)
+        if key not in seen and key_inv not in seen:
+            out.append(w)
+        seen.update((key, key_inv))
+    return out
+
+
+def test_rows_hold_the_first_word_of_every_class():
+    # the invariant that keeps the first hit in place under lazy
+    # skipping: a full falsify_ct scan reaches the shortlex-first word of
+    # every element class {g, g^-1}, and no element twice
+    for name, spec, radius in BALLS:
+        rows = search_ball(spec, radius)
+        assert set(_shortlex_first_of_classes(spec, radius)) <= set(rows), \
+            name
+        keys = [canonical_key(w, spec) for w in rows]
+        assert len(set(keys)) == len(keys), name
 
 
 @pytest.mark.parametrize("rank,radius", [(0, 2), (1, 0), (1, 5), (2, 0),
