@@ -208,7 +208,8 @@ def _search_context(spec, radius):
     index's dropped, which later rows skip before their image test.
 
     commutes(i, j) is [a_i, a_j] = 1 by the group's own test, cached;
-    comm(i, j) asks it behind the index's commute filter; conj_commutes
+    comm(i, j) asks it behind the index's commute filter, and is
+    commutes itself under the constant quotient; conj_commutes
     (i, j) is [a, v^-1 a v] = 1, asked only about columns the transporter
     test has passed, with no filter.  The tests multiply the forms of
     spec.search_forms, built on first use.
@@ -280,8 +281,12 @@ def _search_context(spec, radius):
             r = cache[k] = trivial(a, b, a_inv, b_inv)
         return r
 
-    def comm(i, j):
-        return index.commute(i, j) and commutes(i, j)
+    if images is None:
+        # under the constant quotient every pair passes the filter
+        comm = commutes
+    else:
+        def comm(i, j):
+            return index.commute(i, j) and commutes(i, j)
 
     def conj_commutes(i, j):
         # [a, v^-1 a v] as a . v^-1 a v . a^-1 . v^-1 a^-1 v

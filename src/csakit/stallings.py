@@ -310,24 +310,59 @@ def _find(parent, p):
         p = r
 
 
-def _witnesses(A, B, seen):
-    """Witness words from the fiber components whose pairs are not in seen.
+def _edges_by_letter(G):
+    """Positive letter l -> the (source, target) of each l-edge of G."""
+    out = {}
+    for (v, l), (w, _tag) in G.succ.items():
+        if l > 0:
+            out.setdefault(l, []).append((v, w))
+    return out
+
+
+def _walk_cyclic(A, B, parent, cyclic, width, mirrored):
+    """Witness words from the components that a join pass found cyclic.
 
     Yields (g, h) with h != 1, h in A and g h g^-1 in B, one per
-    fundamental cycle; each component is rooted at its least pair.
+    fundamental cycle.  parent and cyclic are the pass's union-find
+    forest over pair ids, each root the least id of its class, and the
+    ids whose edges closed a cycle; a root r names the pair
+    divmod(r, width).  Roots are walked in increasing order with
+    _fiber_cycles, each component from its least pair.
 
-    One union-find pass over the product's positive edges finds the
-    components with a cycle: pair (u, v) has id u * |V_B| + v, a union
-    keeps the smaller id as the root, and an edge whose ends already
-    share a root closes a cycle.  Only those components are walked, in
-    increasing root order; the others have no fundamental cycle.  seen
-    holds whole components, so an edge is skipped by its first end."""
+    mirrored marks a pass over the unordered off-diagonal pairs of
+    A x A (_self_witnesses): a root is then the least pair of one
+    component C of the orbit {C, sigma C}, sigma(u, v) = (v, u), and
+    when (v, u) is not in C the walk goes on to sigma C, from its own
+    least pair, the least mirrored pair of C."""
+    pa = A.tree_paths()
+    pb = B.tree_paths()
+
+    def rooted(start, comp):
+        u, v = start
+        g = concat(pb[v], inverse(pa[u]))
+        for cyc in _fiber_cycles(A, B, start, comp):
+            yield g, concat(pa[u], cyc, inverse(pa[u]))
+
+    for root in sorted({_find(parent, p) for p in cyclic}):
+        u, v = divmod(root, width)
+        comp = set()
+        yield from rooted((u, v), comp)
+        if mirrored and (v, u) not in comp:
+            yield from rooted(min((b, a) for a, b in comp), set())
+
+
+def _witnesses(A, B):
+    """Witness words from every cyclic component of the fiber product of
+    A and B, as _walk_cyclic yields them.
+
+    One union-find pass over the product's positive edges finds those
+    components: each letter's edges of A are joined with that letter's
+    edges of B, pair (u, v) has id u * |V_B| + v, a union keeps the
+    smaller id as the root, and an edge whose ends already share a root
+    closes a cycle.  The other components have no fundamental cycle and
+    are never walked."""
     nb = B.num_vertices
-    skip = {u * nb + v for u, v in seen}
-    b_edges = {}
-    for (v, l), (w, _tag) in B.succ.items():
-        if l > 0:
-            b_edges.setdefault(l, []).append((v, w))
+    b_edges = _edges_by_letter(B)
     parent = {}
     cyclic = []
     for (u, l), (w, _tag) in A.succ.items():
@@ -336,8 +371,6 @@ def _witnesses(A, B, seen):
         src, dst = u * nb, w * nb
         for v, x in b_edges.get(l, ()):
             p, q = src + v, dst + x
-            if p in skip:
-                continue
             if p in parent:
                 p = _find(parent, p)
             if q in parent:
@@ -348,13 +381,48 @@ def _witnesses(A, B, seen):
                 parent[p] = q
             else:
                 cyclic.append(p)
-    pa = A.tree_paths()
-    pb = B.tree_paths()
-    for root in sorted({_find(parent, p) for p in cyclic}):
-        u, v = divmod(root, nb)
-        for cyc in _fiber_cycles(A, B, (u, v), seen):
-            yield (concat(pb[v], inverse(pa[u])),
-                   concat(pa[u], cyc, inverse(pa[u])))
+    return _walk_cyclic(A, B, parent, cyclic, nb, False)
+
+
+def _self_witnesses(H):
+    """The witnesses of _witnesses(H, H) less those of the diagonal
+    component, from one union-find pass over unordered pairs.
+
+    The diagonal pairs (w, w) form a component on their own: an edge
+    (w, w) -> (x, y) would need two edges with one label out of w.  Off
+    it, the swap sigma(u, v) = (v, u) moves every pair and every edge,
+    so the pass joins each mirror pair of edges once: the pair {u, v},
+    u < v, has id u * |V| + v, each letter's edges are sorted by source
+    and edge i is joined only with the edges j > i.  A component C with
+    sigma C != C maps isomorphically onto its image, and one with sigma
+    C = C double-covers it, with chi(C) = 2 chi(C / sigma), so neither
+    is a tree: C has a cycle exactly when its image does.  The least
+    id of a cyclic image is the least pair of a component C over it;
+    _walk_cyclic walks C and then, when it is not C itself, sigma C, so the
+    witnesses are those of the ordered pass."""
+    n = H.num_vertices
+    parent = {}
+    cyclic = []
+    for edges in _edges_by_letter(H).values():
+        # a folded graph has one edge of each label out of each vertex,
+        # so the sources of j > i exceed u and the ends x, y differ
+        edges.sort()
+        for i, (u, x) in enumerate(edges):
+            src = u * n
+            for v, y in edges[i + 1:]:
+                p = src + v
+                q = x * n + y if x < y else y * n + x
+                if p in parent:
+                    p = _find(parent, p)
+                if q in parent:
+                    q = _find(parent, q)
+                if p < q:
+                    parent[q] = p
+                elif q < p:
+                    parent[p] = q
+                else:
+                    cyclic.append(p)
+    return _walk_cyclic(H, H, parent, cyclic, n, True)
 
 
 def _witness_key(witness):
@@ -368,7 +436,7 @@ def conj_intersection_trivial(A, B):
     1 != h in A cap g^-1 B g (equivalently g h g^-1 in B)."""
     if A.is_trivial or B.is_trivial:
         return True, None
-    best = min(_witnesses(A, B, set()), key=_witness_key, default=None)
+    best = min(_witnesses(A, B), key=_witness_key, default=None)
     return best is None, best
 
 
@@ -387,14 +455,20 @@ class SubgroupReport:
 
 def is_malnormal(H):
     """H cap H^g = 1 for every g outside H, via the self fiber product
-    with the diagonal component ignored."""
+    less its diagonal component, whose pairs (w, w) give g = 1.
+
+    _self_witnesses joins each mirror pair of product edges once, over
+    the unordered pairs {u, v} numbered u * |V| + v with u < v: the swap
+    of the two coordinates moves every off-diagonal pair and edge, so a
+    component and its mirror image have a cycle together.  Each cyclic
+    orbit is walked from its least pair, and its mirror image, when that
+    is another component, from that component's least pair, so the
+    witness set is that of the ordered pass.  Every walk starts at (u,
+    v) with u != v, and H p_u = H p_v only when u = v in a folded graph,
+    so no g = p_v p_u^-1 lies in H."""
     if H.is_trivial:
         return SubgroupReport(True)
-    # the diagonal pairs (w, w) form one component, so marking them seen
-    # skips it; the others start at (u, v) with u != v, and H p_u = H p_v
-    # only when u = v in a folded graph, so no g = p_v p_u^-1 lies in H
-    diagonal = {(w, w) for w in range(H.num_vertices)}
-    found = ((inverse(g), h) for g, h in _witnesses(H, H, diagonal))
+    found = ((inverse(g), h) for g, h in _self_witnesses(H))
     best = min(found, key=_witness_key, default=None)
     return SubgroupReport(best is None, best)
 

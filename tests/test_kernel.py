@@ -458,6 +458,22 @@ def test_ct_tests_each_pair_only_to_list_a_row(monkeypatch):
     assert filtered[0] == 0
 
 
+def test_constant_quotient_csa_asks_no_commute_filter(monkeypatch):
+    # under the constant quotient every pair passes BallIndex.commute, so
+    # falsify_csa tests its pairs with the group's own test alone
+    commute = quotients.BallIndex.commute
+    filtered = [0]
+
+    def counting_commute(self, i, j):
+        filtered[0] += 1
+        return commute(self, i, j)
+
+    monkeypatch.setattr(quotients.BallIndex, "commute", counting_commute)
+    spec = FreeProductCyclicsSpec((2, 3, 0))
+    assert csa.falsify_csa(spec, 4) == csa.CsaWitness((1, 2, 1, -2), (1,))
+    assert filtered[0] == 0
+
+
 def test_inverse_rows_are_read_off_each_other():
     # the fact the search ball's inverse rule rests on: [a, c] = 1 iff
     # [a^-1, c] = 1, so over the whole ball the row of a^-1 is that of a

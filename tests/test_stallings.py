@@ -3,7 +3,7 @@ from collections import deque
 
 from csakit import stallings
 from csakit.errors import CapExceededError
-from csakit.stallings import CoreGraph, _witnesses
+from csakit.stallings import CoreGraph, _self_witnesses, _witnesses
 from csakit.stallings import (conj_intersection_trivial, fold, is_malnormal,
                               malnormal_closure,
                               pointed_intersection_nontrivial)
@@ -526,7 +526,7 @@ def two_pass_pointed(A, B):
 
 def assert_matches_two_pass(A, B):
     # every fundamental cycle, in order, not just the least witness
-    assert list(_witnesses(A, B, set())) == [
+    assert list(_witnesses(A, B)) == [
         w for comp, comp_edges in two_pass_components(A, B)
         for w in two_pass_witnesses(A, B, comp, comp_edges)]
     rep = is_malnormal(A)
@@ -601,10 +601,24 @@ def recording_fiber_cycles(monkeypatch):
     return starts
 
 
+def cyclic_off_diagonal(H):
+    """The cyclic components of H x H other than the diagonal, each as
+    its sorted pairs."""
+    return [comp for comp, comp_edges in two_pass_components(H, H)
+            if comp[0][0] != comp[0][1]
+            and len(comp_edges) > len(comp) - 1]
+
+
 def test_walked_roots_are_least_pairs_of_cyclic_components(monkeypatch):
+    """The ordered pass walks the least pair of each cyclic component,
+    in increasing order; the mirror pass walks, once each, the least
+    pairs of the cyclic off-diagonal components of H x H, both those
+    mapped to themselves by the swap sigma(u, v) = (v, u) and both
+    members of each orbit {C, sigma C}."""
     starts = recording_fiber_cycles(monkeypatch)
     rng = random.Random(84)
     cyclic = 0
+    kinds = {"fixed": 0, "orbit": 0}
     for _ in range(300):
         rank = rng.randint(1, 3)
         gens = [[rand_word(rng, rank, max_len=rng.randint(1, 6))
@@ -613,13 +627,22 @@ def test_walked_roots_are_least_pairs_of_cyclic_components(monkeypatch):
             gens[0].append(gens[0][0] * 2)
         A, B = fold(gens[0], rank), fold(gens[1], rank)
         starts.clear()
-        list(_witnesses(A, B, set()))
+        list(_witnesses(A, B))
         # comp is sorted, so comp[0] is the least pair
         assert starts == [comp[0] for comp, comp_edges
                           in two_pass_components(A, B)
                           if len(comp_edges) > len(comp) - 1]
         cyclic += len(starts)
+        starts.clear()
+        list(_self_witnesses(A))
+        want = cyclic_off_diagonal(A)
+        assert len(starts) == len(want)
+        assert set(starts) == {comp[0] for comp in want}
+        for comp in want:
+            u, v = comp[0]
+            kinds["fixed" if (v, u) in comp else "orbit"] += 1
     assert cyclic > 200
+    assert min(kinds.values()) > 10
 
 
 def test_forest_products_walk_nothing(monkeypatch):
@@ -638,7 +661,9 @@ def test_malnormality_witnesses_lie_outside_the_subgroup():
     """Every non-diagonal component of H x H is rooted at a pair (u, v)
     with u != v, and in a folded graph H p_u = H p_v only when u = v, so
     no witness g = p_v p_u^-1 lies in H: is_malnormal keeps each one
-    without a membership test."""
+    without a membership test.  The mirror pass walks both components of
+    each orbit {C, sigma C}, so this holds for the witnesses of the
+    second walk too."""
     rng = random.Random(61)
     witnesses = 0
     for _ in range(4000):
@@ -649,8 +674,91 @@ def test_malnormality_witnesses_lie_outside_the_subgroup():
         if rng.random() < 0.4:
             gens.append(gens[0] * 2)
         H = fold(gens, rank)
-        diagonal = {(w, w) for w in range(H.num_vertices)}
-        for g, _h in _witnesses(H, H, diagonal):
+        for g, _h in _self_witnesses(H):
             assert not H.member(g) and not H.member(inverse(g))
             witnesses += 1
     assert witnesses > 800
+
+
+def least_witness_component(H):
+    """The cyclic off-diagonal component of H x H whose walk gives
+    is_malnormal's witness, from the two-pass reference."""
+    best = is_malnormal(H).witness
+    for comp, comp_edges in two_pass_components(H, H):
+        if comp[0][0] != comp[0][1] and best in [
+                (inverse(g), h)
+                for g, h in two_pass_witnesses(H, H, comp, comp_edges)]:
+            return comp
+
+
+def test_mirror_pass_yields_the_ordered_witnesses():
+    """The mirror pass over unordered pairs yields the witnesses of the
+    ordered pass over H x H less the diagonal, whose witnesses alone
+    have g = 1 (the diagonal is rooted at (0, 0), and an off-diagonal
+    root (u, v) gives g = p_v p_u^-1 != 1).  Seeded subgroups, half with
+    a proper power, and two inputs whose least witness comes from each
+    orbit kind: <y, y^-1 x^2> from a component with sigma C = C, and
+    <x^4, y> from the second component walked of an orbit {C, sigma
+    C}, the one not holding the orbit's least unordered pair."""
+    fixed = fold([(2,), (-2, 1, 1), (2, 2)], 2)
+    comp = least_witness_component(fixed)
+    u, v = comp[0]
+    assert (v, u) in comp
+    assert is_malnormal(fixed).witness == ((-1,), (1, 1))
+    second = fold([(1, 1, 1, 1), (2,)], 2)
+    comp = least_witness_component(second)
+    assert (comp[0][1], comp[0][0]) not in comp
+    assert min((b, a) for a, b in comp) < comp[0]
+    assert is_malnormal(second).witness == ((1,), (1, 1, 1, 1))
+    rng = random.Random(85)
+    graphs = [fixed, second]
+    for _ in range(1000):
+        rank = rng.randint(1, 3)
+        gens = [rand_word(rng, rank, max_len=rng.randint(1, 6))
+                for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.5:
+            gens[0] = gens[0] * rng.randint(2, 3)
+        graphs.append(fold(gens, rank))
+    witnesses = 0
+    for H in graphs:
+        mirrored = sorted(_self_witnesses(H))
+        assert mirrored == sorted(w for w in _witnesses(H, H) if w[0])
+        witnesses += len(mirrored)
+    assert witnesses > 600
+
+
+def recording_joins(monkeypatch):
+    """Replace stallings._walk_cyclic, the step every join pass hands its
+    union-find forest to, by a wrapper that records the number of
+    product edges the pass joined: each join either makes one root a
+    child, adding one key to parent, or closes a cycle, adding one entry
+    to cyclic."""
+    joins = []
+    walk = stallings._walk_cyclic
+
+    def recorded(A, B, parent, cyclic, width, mirrored):
+        joins.append(len(parent) + len(cyclic))
+        return walk(A, B, parent, cyclic, width, mirrored)
+
+    monkeypatch.setattr(stallings, "_walk_cyclic", recorded)
+    return joins
+
+
+def test_self_product_joins_each_mirror_pair_once(monkeypatch):
+    """On the large graphs, is_malnormal joins sum_l |E_l| (|E_l| - 1) / 2
+    product edges, half the off-diagonal edges the ordered pass joins."""
+    joins = recording_joins(monkeypatch)
+    for H in large_graphs():
+        sizes = {}
+        for (_v, l) in H.succ:
+            if l > 0:
+                sizes[l] = sizes.get(l, 0) + 1
+        joins.clear()
+        is_malnormal(H)
+        assert joins == [sum(e * (e - 1) // 2 for e in sizes.values())]
+        joins.clear()
+        list(_witnesses(H, H))
+        # the ordered pass joins the |E_l| diagonal edges as well
+        assert joins == [sum(e * e for e in sizes.values())]
+        assert 2 * sum(e * (e - 1) // 2 for e in sizes.values()) == \
+            joins[0] - sum(sizes.values())
