@@ -32,19 +32,15 @@ class CoreGraph:
 
     # -- basic automaton queries -------------------------------------------
 
-    def walk(self, word):
-        """Follow word from the basepoint; returns end vertex or None."""
+    def member(self, word):
+        """Whether word reads a loop at the basepoint."""
         v = 0
-        for l in word:
+        for l in free_reduce(word, self.rank):
             hit = self.succ.get((v, l))
             if hit is None:
-                return None
+                return False
             v = hit[0]
-        return v
-
-    def member(self, word):
-        word = free_reduce(word, self.rank)
-        return self.walk(word) == 0
+        return v == 0
 
     def express(self, word):
         """Rewrite a basepoint loop as a word over the generator alphabet
@@ -77,7 +73,7 @@ class CoreGraph:
 
     @property
     def is_trivial(self):
-        return self.num_edges == 0
+        return not self.succ
 
     # -- spanning tree ------------------------------------------------------
 
@@ -320,7 +316,7 @@ def _edges_by_letter(G):
 
 
 def _walk_cyclic(A, B, parent, cyclic, width, mirrored):
-    """Witness words from the components that a join pass found cyclic.
+    """Witness words from the components that _witnesses found cyclic.
 
     Yields (g, h) with h != 1, h in A and g h g^-1 in B, one per
     fundamental cycle.  parent and cyclic are the pass's union-find
@@ -329,11 +325,11 @@ def _walk_cyclic(A, B, parent, cyclic, width, mirrored):
     divmod(r, width).  Roots are walked in increasing order with
     _fiber_cycles, each component from its least pair.
 
-    mirrored marks a pass over the unordered off-diagonal pairs of
-    A x A (_self_witnesses): a root is then the least pair of one
-    component C of the orbit {C, sigma C}, sigma(u, v) = (v, u), and
-    when (v, u) is not in C the walk goes on to sigma C, from its own
-    least pair, the least mirrored pair of C."""
+    mirrored marks the pass over the unordered off-diagonal pairs of
+    A x A: a root is then the least pair of one component C of the
+    orbit {C, sigma C}, sigma(u, v) = (v, u), and when (v, u) is not in
+    C the walk goes on to sigma C, from its own least pair, the least
+    mirrored pair of C."""
     pa = A.tree_paths()
     pb = B.tree_paths()
 
@@ -351,7 +347,7 @@ def _walk_cyclic(A, B, parent, cyclic, width, mirrored):
             yield from rooted(min((b, a) for a, b in comp), set())
 
 
-def _witnesses(A, B):
+def _witnesses(A, B, mirrored=False):
     """Witness words from every cyclic component of the fiber product of
     A and B, as _walk_cyclic yields them.
 
@@ -360,58 +356,41 @@ def _witnesses(A, B):
     edges of B, pair (u, v) has id u * |V_B| + v, a union keeps the
     smaller id as the root, and an edge whose ends already share a root
     closes a cycle.  The other components have no fundamental cycle and
-    are never walked."""
+    are never walked.  Neither the roots nor which components are cyclic
+    depend on the order of the joins.
+
+    mirrored, with B = A, leaves out the diagonal component and joins
+    each mirror pair of edges once.  The diagonal pairs (w, w) form a
+    component on their own: an edge (w, w) -> (x, y) would need two
+    edges with one label out of w.  Off it, the swap sigma(u, v) = (v, u)
+    moves every pair and every edge, so the pass runs over the unordered
+    pairs: {u, v}, u < v, has id u * |V| + v, each letter's edges are
+    sorted by source and edge i is joined only with the edges j > i.  A
+    component C with sigma C != C maps isomorphically onto its image,
+    and one with sigma C = C double-covers it, with chi(C) = 2 chi(C /
+    sigma), so neither is a tree: C has a cycle exactly when its image
+    does.  The least id of a cyclic image is the least pair of a
+    component C over it, and _walk_cyclic walks C and then, when it is
+    not C itself, sigma C, so the witnesses are those of the ordered
+    pass less the diagonal's, which alone have g = 1."""
     nb = B.num_vertices
-    b_edges = _edges_by_letter(B)
+    a_edges = _edges_by_letter(A)
+    b_edges = a_edges if mirrored else _edges_by_letter(B)
     parent = {}
     cyclic = []
-    for (u, l), (w, _tag) in A.succ.items():
-        if l < 0:
-            continue
-        src, dst = u * nb, w * nb
-        for v, x in b_edges.get(l, ()):
-            p, q = src + v, dst + x
-            if p in parent:
-                p = _find(parent, p)
-            if q in parent:
-                q = _find(parent, q)
-            if p < q:
-                parent[q] = p
-            elif q < p:
-                parent[p] = q
-            else:
-                cyclic.append(p)
-    return _walk_cyclic(A, B, parent, cyclic, nb, False)
-
-
-def _self_witnesses(H):
-    """The witnesses of _witnesses(H, H) less those of the diagonal
-    component, from one union-find pass over unordered pairs.
-
-    The diagonal pairs (w, w) form a component on their own: an edge
-    (w, w) -> (x, y) would need two edges with one label out of w.  Off
-    it, the swap sigma(u, v) = (v, u) moves every pair and every edge,
-    so the pass joins each mirror pair of edges once: the pair {u, v},
-    u < v, has id u * |V| + v, each letter's edges are sorted by source
-    and edge i is joined only with the edges j > i.  A component C with
-    sigma C != C maps isomorphically onto its image, and one with sigma
-    C = C double-covers it, with chi(C) = 2 chi(C / sigma), so neither
-    is a tree: C has a cycle exactly when its image does.  The least
-    id of a cyclic image is the least pair of a component C over it;
-    _walk_cyclic walks C and then, when it is not C itself, sigma C, so the
-    witnesses are those of the ordered pass."""
-    n = H.num_vertices
-    parent = {}
-    cyclic = []
-    for edges in _edges_by_letter(H).values():
-        # a folded graph has one edge of each label out of each vertex,
-        # so the sources of j > i exceed u and the ends x, y differ
-        edges.sort()
-        for i, (u, x) in enumerate(edges):
-            src = u * n
-            for v, y in edges[i + 1:]:
+    for l, edges in a_edges.items():
+        others = b_edges.get(l, ())
+        if mirrored:
+            # a folded graph has one edge of each label out of each
+            # vertex, so the sources of j > i exceed u and the ends differ
+            edges.sort()
+        for i, (u, w) in enumerate(edges):
+            src, dst = u * nb, w * nb
+            # an unordered end pair {w, x} is numbered from its less end
+            lo = w if mirrored else -1
+            for v, x in others[i + 1:] if mirrored else others:
                 p = src + v
-                q = x * n + y if x < y else y * n + x
+                q = dst + x if x > lo else x * nb + w
                 if p in parent:
                     p = _find(parent, p)
                 if q in parent:
@@ -422,7 +401,7 @@ def _self_witnesses(H):
                     parent[p] = q
                 else:
                     cyclic.append(p)
-    return _walk_cyclic(H, H, parent, cyclic, n, True)
+    return _walk_cyclic(A, B, parent, cyclic, nb, mirrored)
 
 
 def _witness_key(witness):
@@ -457,18 +436,14 @@ def is_malnormal(H):
     """H cap H^g = 1 for every g outside H, via the self fiber product
     less its diagonal component, whose pairs (w, w) give g = 1.
 
-    _self_witnesses joins each mirror pair of product edges once, over
-    the unordered pairs {u, v} numbered u * |V| + v with u < v: the swap
-    of the two coordinates moves every off-diagonal pair and edge, so a
-    component and its mirror image have a cycle together.  Each cyclic
-    orbit is walked from its least pair, and its mirror image, when that
-    is another component, from that component's least pair, so the
-    witness set is that of the ordered pass.  Every walk starts at (u,
-    v) with u != v, and H p_u = H p_v only when u = v in a folded graph,
-    so no g = p_v p_u^-1 lies in H."""
+    _witnesses(H, H, mirrored=True) joins each mirror pair of product
+    edges once and yields the witnesses of the ordered pass less the
+    diagonal's.  Every walk starts at (u, v) with u != v, and H p_u =
+    H p_v only when u = v in a folded graph, so no g = p_v p_u^-1 lies
+    in H."""
     if H.is_trivial:
         return SubgroupReport(True)
-    found = ((inverse(g), h) for g, h in _self_witnesses(H))
+    found = ((inverse(g), h) for g, h in _witnesses(H, H, True))
     best = min(found, key=_witness_key, default=None)
     return SubgroupReport(best is None, best)
 

@@ -9,10 +9,6 @@ from math import gcd
 
 from .errors import MalformedWordError
 
-Word = tuple  # tuple of nonzero ints
-
-IDENTITY: Word = ()
-
 
 def letter_key(letter):
     """Sort key putting letters in the order 1 < -1 < 2 < -2 < ..."""

@@ -3,7 +3,7 @@ from collections import deque
 
 from csakit import stallings
 from csakit.errors import CapExceededError
-from csakit.stallings import CoreGraph, _self_witnesses, _witnesses
+from csakit.stallings import CoreGraph, _witnesses
 from csakit.stallings import (conj_intersection_trivial, fold, is_malnormal,
                               malnormal_closure,
                               pointed_intersection_nontrivial)
@@ -552,9 +552,9 @@ def test_fiber_products_match_two_pass_bfs():
         rank = rng.randint(1, 4)
         gens = [[rand_word(rng, rank, max_len=rng.randint(1, 6))
                  for _ in range(rng.randint(1, 3))] for _ in range(2)]
-        # a squared generator makes malnormality fail
+        # a proper power in place of a generator makes malnormality fail
         if rng.random() < 0.4:
-            gens[0].append(gens[0][0] * 2)
+            gens[0][0] = gens[0][0] * 2
         A, B = fold(gens[0], rank), fold(gens[1], rank)
         assert_matches_two_pass(A, B)
         witnesses += not is_malnormal(A).verdict
@@ -624,7 +624,7 @@ def test_walked_roots_are_least_pairs_of_cyclic_components(monkeypatch):
         gens = [[rand_word(rng, rank, max_len=rng.randint(1, 6))
                  for _ in range(rng.randint(1, 3))] for _ in range(2)]
         if rng.random() < 0.4:
-            gens[0].append(gens[0][0] * 2)
+            gens[0][0] = gens[0][0] * 2
         A, B = fold(gens[0], rank), fold(gens[1], rank)
         starts.clear()
         list(_witnesses(A, B))
@@ -634,7 +634,7 @@ def test_walked_roots_are_least_pairs_of_cyclic_components(monkeypatch):
                           if len(comp_edges) > len(comp) - 1]
         cyclic += len(starts)
         starts.clear()
-        list(_self_witnesses(A))
+        list(_witnesses(A, A, mirrored=True))
         want = cyclic_off_diagonal(A)
         assert len(starts) == len(want)
         assert set(starts) == {comp[0] for comp in want}
@@ -670,11 +670,11 @@ def test_malnormality_witnesses_lie_outside_the_subgroup():
         rank = rng.randint(1, 4)
         gens = [rand_word(rng, rank, max_len=rng.randint(1, 6))
                 for _ in range(rng.randint(1, 3))]
-        # a squared generator makes malnormality fail
+        # a proper power in place of a generator makes malnormality fail
         if rng.random() < 0.4:
-            gens.append(gens[0] * 2)
+            gens[0] = gens[0] * 2
         H = fold(gens, rank)
-        for g, _h in _self_witnesses(H):
+        for g, _h in _witnesses(H, H, mirrored=True):
             assert not H.member(g) and not H.member(inverse(g))
             witnesses += 1
     assert witnesses > 800
@@ -721,7 +721,7 @@ def test_mirror_pass_yields_the_ordered_witnesses():
         graphs.append(fold(gens, rank))
     witnesses = 0
     for H in graphs:
-        mirrored = sorted(_self_witnesses(H))
+        mirrored = sorted(_witnesses(H, H, mirrored=True))
         assert mirrored == sorted(w for w in _witnesses(H, H) if w[0])
         witnesses += len(mirrored)
     assert witnesses > 600
