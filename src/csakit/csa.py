@@ -64,10 +64,10 @@ def _skeleton(rank, radius):
 
 
 def _walk(spec, radius, quotient=None):
-    """(skeleton, images, known, kept): the _skeleton of the ball of spec
-    and radius, the image of each word under quotient, or None, and
-    kept(k), True iff no earlier word of the ball is word k's element.
-    Raises BudgetExceededError before enumerating (_check_ball_size).
+    """(skeleton, images, kept): the _skeleton of the ball of spec and
+    radius, the image of each word under quotient, or None, and kept(k),
+    True iff no earlier word of the ball is word k's element.  Raises
+    BudgetExceededError before enumerating (_check_ball_size).
 
     quotient, when given, is (identity, tables) with tables[l] the
     translation table of letter l's image under a homomorphism, so each
@@ -80,10 +80,7 @@ def _walk(spec, radius, quotient=None):
     group, each keyed once, in order, when a later word of the group is
     first asked about.  A word whose prefix w[:-1] is known to be a
     duplicate is one too, with no key: if u' comes before u and equals
-    it, the reduced u'l comes before ul and equals it.  known[k] is 1
-    once word k is known to be kept, 2 once it is known to be a
-    duplicate and 0 before; the first words of the groups are known
-    from the start."""
+    it, the reduced u'l comes before ul and equals it."""
     rank = num_generators(spec)
     _check_ball_size(rank, radius)
     skeleton = _skeleton(rank, radius)
@@ -104,35 +101,39 @@ def _walk(spec, radius, quotient=None):
         c = coarse[k]
         after[k] = heads.get(c, 0)
         heads[c] = k
+    # 1 once word k is known to be kept, 2 once it is known to be a
+    # duplicate, 0 before; the first words of the groups are known at once
     known = bytearray(len(words))
     for k in heads.values():
         known[k] = 1
     resolved = {}   # coarse key -> [the keys of its words walked, the last]
 
     def kept(k):
-        if not known[k] and known[parent[k]] == 2:
+        if known[k]:
+            return known[k] == 1
+        if known[parent[k]] == 2:
             known[k] = 2
-        if not known[k]:
-            c = coarse[k]
-            state = resolved.get(c)
-            if state is None:
-                m = heads[c]
-                state = resolved[c] = [{canonical_key(words[m], spec)}, m]
-            keys, m = state
-            while not known[k]:
-                m = after[m]
-                if known[m]:
-                    continue
-                if known[parent[m]] == 2:
-                    known[m] = 2
-                    continue
-                key = canonical_key(words[m], spec)
-                known[m] = 2 if key in keys else 1
-                keys.add(key)
-            state[1] = m
+            return False
+        c = coarse[k]
+        state = resolved.get(c)
+        if state is None:
+            m = heads[c]
+            state = resolved[c] = [{canonical_key(words[m], spec)}, m]
+        keys, m = state
+        while not known[k]:
+            m = after[m]
+            if known[m]:
+                continue
+            if known[parent[m]] == 2:
+                known[m] = 2
+                continue
+            key = canonical_key(words[m], spec)
+            known[m] = 2 if key in keys else 1
+            keys.add(key)
+        state[1] = m
         return known[k] == 1
 
-    return skeleton, images, known, kept
+    return skeleton, images, kept
 
 
 def ball(spec, radius):
@@ -143,7 +144,7 @@ def ball(spec, radius):
     omitted.  Raises BudgetExceededError before enumerating when the
     reduced words are more than BALL_WORD_LIMIT or their letters more
     than BALL_LETTER_LIMIT."""
-    (words, *_), _, _, kept = _walk(spec, radius)
+    (words, *_), _, kept = _walk(spec, radius)
     return [words[k] for k in range(1, len(words)) if kept(k)]
 
 
@@ -193,19 +194,16 @@ def _search_context(spec, radius):
     """(elements, rows, columns, comm, commutes, conj_commutes): the
     search over the ball of spec and radius.
 
-    elements holds every word of the ball but the identity and the words
-    whose literal inverse comes earlier with an image no earlier word
-    has, which makes that inverse kept with no key computed.  The search
-    ball is ball() less every word whose literal inverse comes earlier
-    in it: rows() yields its indices in elements, increasing, and
+    elements holds every reduced word of the ball that comes before its
+    literal inverse.  The search ball is those of them that ball()
+    keeps: rows() yields its indices in elements, increasing, and
     columns(i, transport) yields, increasing and one at a time, those
     whose quotient images pass the test of row i
     (quotients.BallIndex.columns): the commutation test when transport
     is False, the transporter test when it is True.  Whether a word is
-    in the search ball is settled when rows or columns first reaches it
-    (_walk's kept), so a search that stops early keys only the words it
-    has reached; the words found not to be in it are marked in the
-    index's dropped, which later rows skip before their image test.
+    kept is settled when rows or columns first reaches it (_walk's
+    kept), so a search that stops early keys only the words it has
+    reached.
 
     commutes(i, j) is [a_i, a_j] = 1 by the group's own test, cached;
     comm(i, j) asks it behind the index's commute filter, and is
@@ -219,48 +217,25 @@ def _search_context(spec, radius):
     does, (a, v) is a CSA hit iff (a, v^-1) is, and iff (a^-1, v) is,
     and a CT hit (a, b, c) stays a hit when any of a, b, c is inverted.
     So that first hit is made of words that are each the shortlex-first
-    word of their class {g, g^-1}, and the search ball holds every such
-    word.  A word is skipped only when the scan reaches it, and only as
-    a duplicate of an earlier word or as the literal inverse of an
-    earlier word of the search ball, so no such word is skipped and the
-    scan meets the hits in the same order."""
+    word of their class {g, g^-1}.  Such a word is kept and comes before
+    its literal inverse, a word of g^-1, so the search ball holds it,
+    and the scan meets the hits in the same order."""
     # imported on first use, so a command that runs no search does not
     # pay for its import
     from . import quotients
-    (words, _, _, inv_at), images, known, kept = _walk(
+    (words, _, _, inv_at), images, kept = _walk(
         spec, radius, quotients.letter_tables(spec))
-    # a word whose literal inverse comes earlier with a new image is never
-    # searched; any other may be, once its own image group is resolved
-    where = [k for k in range(1, len(words))
-             if not (inv_at[k] < k and known[inv_at[k]] == 1)]
+    where = [k for k in range(1, len(words)) if inv_at[k] > k]
     elements = [words[k] for k in where]
     index = quotients.BallIndex(
         [quotients.IDENTITY] * len(where) if images is None
         else [images[k] for k in where])
-    # 1 once a_i is known to be in the search ball, from the start when
-    # its image is new and its literal inverse comes later; dropped[i] is
-    # 1 once it is known not to be
-    searched = bytearray(inv_at[k] > k and known[k] for k in where)
-    dropped = index.dropped
-
-    def is_searched(i):
-        """Whether a_i is in the search ball, settled on first use."""
-        if not (searched[i] or dropped[i]):
-            k = where[i]
-            m = inv_at[k]
-            if (m < k and kept(m)) or not kept(k):
-                dropped[i] = 1
-            else:
-                searched[i] = 1
-        return searched[i]
 
     def rows():
-        return (i for i in range(len(where)) if searched[i] or is_searched(i))
+        return (i for i, k in enumerate(where) if kept(k))
 
     def columns(i, transport):
-        for j in index.columns(i, transport):
-            if searched[j] or is_searched(j):
-                yield j
+        return (j for j in index.columns(i, transport) if kept(where[j]))
 
     form, trivial = spec.search_forms()
     forms = [None] * len(elements)
@@ -512,17 +487,4 @@ def residually_p_obstruction(m, n, p):
         raise ValueError(f"{p} is not prime")
     if m == n:
         return n % p != 0
-    blocked = (n - m) % p != 0
-    # cross-check against the abelianization: for m != n the generator x
-    # has order |n - m| in H1, so it dies in every p-quotient exactly
-    # when p does not divide n - m.
-    relator = concat((2,), power((1,), m), (-2,), power((1,), -n))
-    torsion, free_rank = abelianization_one_relator(relator, 2)
-    x_order = torsion[0] if torsion else (0 if free_rank == 2 else 1)
-    if x_order == 0:
-        x_dies_in_p = False
-    else:
-        x_dies_in_p = x_order % p != 0
-    if x_dies_in_p != blocked:
-        raise AssertionError("abelianization cross-check failed")
-    return blocked
+    return (n - m) % p != 0

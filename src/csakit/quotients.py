@@ -408,12 +408,9 @@ class BallIndex:
     rho([a_i, a_j]) != 1, and transports(i, j) when rho([a_i, a_j^-1
     a_i a_j]) != 1: exact filters, since a homomorphism sends a trivial
     commutator to 1.  columns(i, transport) yields the j of row i that
-    pass them and are not dropped.  The images in each Sym(DEGREE) block
-    are read when a row is reached, and a block's index of the columns
-    by their image there is built when a row first picks that block.
-
-    dropped, all 0 at first, is the caller's to mark: once dropped[j] is
-    set, columns passes over j before testing its image."""
+    pass them.  The images in each Sym(DEGREE) block are read when a
+    row is reached, and a block's index of the columns by their image
+    there is built when a row first picks that block."""
 
     def __init__(self, images):
         self._images = images
@@ -421,7 +418,6 @@ class BallIndex:
         self._identity = _BYTES[:len(images[0])] if images else b""
         self._blocks = [None] * (len(self._identity) // DEGREE)
         self._every = range(len(images))
-        self.dropped = bytearray(len(images))
 
     def commute(self, i, j):
         images, tables = self._images, self._tables
@@ -481,24 +477,23 @@ class BallIndex:
 
     def columns(self, i, transport):
         """Exactly the j with commute(i, j), or transports(i, j) when
-        transport is True, less those dropped, increasing, each tested
-        when it is asked for: a scan that stops at its first hit tests
-        no later column.  Only the j with rho_k(a_j) in C(rho_k(a_i)),
-        or T(rho_k(a_i)), for every block k can pass, so the row tests
-        the members of its smallest such set (_candidates).  A row whose
-        image is the identity gives every column, as a range, untested
-        and dropped ones too."""
-        images, tables, dropped = self._images, self._tables, self.dropped
+        transport is True, increasing, each tested when it is asked
+        for: a scan that stops at its first hit tests no later column.
+        Only the j with rho_k(a_j) in C(rho_k(a_i)), or T(rho_k(a_i)),
+        for every block k can pass, so the row tests the members of its
+        smallest such set (_candidates).  A row whose image is the
+        identity gives every column, as a range, untested."""
+        images, tables = self._images, self._tables
         a, ta = images[i], tables[i]
         if a == self._identity:
             return self._every
         candidates = self._candidates(a, transport)
         if not transport:
-            return (j for j in candidates if not dropped[j]
-                    and a.translate(tables[j]) == images[j].translate(ta))
+            return (j for j in candidates
+                    if a.translate(tables[j]) == images[j].translate(ta))
         # a_j^-1 a_i a_j sends g_j[x] to (a_i g_j)[x], g_j the image of a_j
         d, maketrans = len(a), bytes.maketrans
-        return (j for j in candidates if not dropped[j]
-                and a.translate(c := maketrans(images[j],
-                                               a.translate(tables[j])))
+        return (j for j in candidates
+                if a.translate(c := maketrans(images[j],
+                                              a.translate(tables[j])))
                 == c[:d].translate(ta))

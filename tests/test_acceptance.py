@@ -218,8 +218,9 @@ def test_criterion_6_britton_laws():
 def test_criterion_7_residually_p_grid():
     with criterion(7, "residually-p obstruction matches the closed form "
                       "and the abelianization on the full grid"):
-        for m in range(1, 5):
-            for n in range(1, 5):
+        grid = [m for m in range(-4, 5) if m]
+        for m in grid:
+            for n in grid:
                 relator = concat((2,), words.power((1,), m), (-2,),
                                  words.power((1,), -n))
                 ab = csa.abelianization_one_relator(relator, 2)
@@ -229,8 +230,15 @@ def test_criterion_7_residually_p_grid():
                     d = abs(n - m)
                     assert ab == (((d,) if d > 1 else ()), 1)
                 for p in (2, 3, 5):
-                    expected = (n % p != 0) if m == n else ((n - m) % p != 0)
-                    assert csa.residually_p_obstruction(m, n, p) == expected
+                    blocked = csa.residually_p_obstruction(m, n, p)
+                    if m == n:
+                        assert blocked == (n % p != 0)
+                        continue
+                    # x has order |n - m| in H1, so it dies in every
+                    # p-quotient exactly when p does not divide that order
+                    x_order = ab[0][0] if ab[0] else 1
+                    assert blocked == (x_order % p != 0) == \
+                        ((n - m) % p != 0), (m, n, p)
 
 
 GOG_CASES = [

@@ -607,6 +607,13 @@ REJECTED = [
     (["gog-check",
       "gog { vertex u = < a, b >; vertex v = < c >; edge u -> v : 1 ~ c; }"],
      "phi cannot pair a trivial generator with a nontrivial one"),
+    (["classify", "< x, y $ >"], "unexpected character '$'"),
+    (["reduce", "< x, y >", "--word", ")"], "expected a word"),
+    (["classify", "{ }"], "expected a group, found '{'"),
+    (["falsify-csa", "< x, y >", "--radius", "1000000000"],
+     "with at least 2000000001 words"),
+    (["check-strict-separated", "< x, y, t | t^-1 x t = y >", "--cap", "0"],
+     "cap must be >= 1"),
     (None, "unknown command 'nope'"),
 ]
 
@@ -636,6 +643,18 @@ def test_trivial_edge_group_is_free():
         assert "relators" not in rep.details
     rep, _ = run("classify", "hnn(< x, y >; A -> B via 1 -> 1)", {})
     assert (rep.verdict, rep.citations) == ("FREE-PRODUCT csa*", [])
+
+
+def test_cyclic_graph_of_groups_gives_predicates_only():
+    """A graph of groups with a cycle has no tree presentation, so
+    gog-check answers unknown with the three predicates and says why."""
+    rep, code = run("gog-check",
+                    "gog { vertex u = < a, b >; vertex v = < c, d >; "
+                    "edge u -> v : a ~ c; edge v -> u : d ~ b; }", {})
+    assert (rep.verdict, rep.citations, code) == ("unknown", [], 0)
+    assert rep.details == {"quasi-malnormal": True, "malnormal": True,
+                           "separated": True,
+                           "shape": "not a tree; csa verdict unavailable"}
 
 
 def test_amalgam_answers_as_its_one_edge_tree():

@@ -47,6 +47,10 @@ def test_witness_validators_reject_garbage():
     spec = FreeProductCyclicsSpec((2, 0))
     assert not csa.verify_ct_witness(
         csa.CtWitness((1,), (1,), (1,)), spec)
+    # x^2 = 1 commutes with x and y, and [x, y] != 1: only the trivial b
+    # stops this triple
+    assert not csa.verify_ct_witness(
+        csa.CtWitness((1,), (1, 1), (2,)), spec)
 
 
 def test_falsify_ct():
