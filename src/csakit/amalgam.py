@@ -122,19 +122,23 @@ def _normal_in_closure(images_graph, closure, sub_gens):
 
 
 def gog_predicates(gog: GraphOfGroups, cap=CLOSURE_CAP) -> GogReport:
+    checked = {}    # (vertex, reduced words) -> (core graph, is_malnormal)
+
+    def check(v, words):
+        gens = tuple(free_reduce(w, gog.vertices[v]) for w in words)
+        if (v, gens) not in checked:
+            H = fold(gens, gog.vertices[v])
+            checked[v, gens] = H, is_malnormal(H)
+        return (gens,) + checked[v, gens]
+
     per_edge = {}
     for idx, e in enumerate(gog.edges):
-        r_src, r_dst = gog.vertices[e.src], gog.vertices[e.dst]
-        E = fold(e.gens, r_src)
-        im = fold(e.images, r_dst)
-        mal_src = is_malnormal(E)
-        mal_dst = is_malnormal(im)
+        _, E, mal_src = check(e.src, e.gens)
+        gens, im, mal_dst = check(e.dst, e.images)
         witness = mal_src.witness or mal_dst.witness
         try:
             closure = malnormal_closure(im, cap, report=mal_dst)
-            normal = _normal_in_closure(im, closure,
-                                        [free_reduce(w, r_dst)
-                                         for w in e.images])
+            normal = _normal_in_closure(im, closure, gens)
         except CapExceededError:
             normal = None
         separated = None

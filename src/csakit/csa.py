@@ -25,55 +25,41 @@ DEFAULT_RADIUS = 3
 
 @lru_cache(maxsize=16)
 def _skeleton(rank, radius):
-    """(words, parent, last, inv_at): the freely reduced words of length
-    <= radius over rank generators in shortlex order, the identity
-    first, and for each the index of its prefix w[:-1], its last letter
-    (0 and 0 for the identity) and the index of its literal inverse.
-    Shared by every ball of that size, as it holds no group data.
-
-    No word is hashed: a word's children are contiguous, so the child
-    of p by letter l is found by index, and the inverse of w = a v is
-    the child of v^-1 by a^-1, where the suffix v of w = u l is the
-    child of u's suffix by l."""
+    """(words, parent, last, searched): the freely reduced words of
+    length <= radius over rank generators in shortlex order, the
+    identity first, the index of each word's prefix w[:-1] and its last
+    letter (0 and 0 for the identity), and the indices, increasing, of
+    the words that come before their literal inverse.  Shared by every
+    ball of that size, as it holds no group data."""
     letters = [l for g in range(1, rank + 1) for l in (g, -g)]
-    follow = {l: [m for m in letters if m != -l] for l in letters}
-    follow[0] = letters
-    # last letter of p -> letter l -> the place of p l among p's children
-    place = {l: {m: i for i, m in enumerate(ms)} for l, ms in follow.items()}
-    words, parent, last = [()], [0], [0]
-    children = []   # p -> the index of p's first child
-    start = 0
-    for _ in range(radius):
-        end = len(words)
-        for p in range(start, end):
-            w = words[p]
-            children.append(len(words))
-            for l in follow[last[p]]:
+    words, parent, last, inverses = [()], [0], [0], [()]
+    for p, w in enumerate(words):   # read while it grows, length by length
+        if len(w) == radius:
+            break
+        v, back = inverses[p], -last[p]
+        for l in letters:
+            if l != back:
                 words.append(w + (l,))
+                inverses.append((-l,) + v)
                 parent.append(p)
                 last.append(l)
-        start = end
-    suffix, inv_at = [0] * len(words), [0] * len(words)
-    for k in range(1, len(words)):
-        v = suffix[parent[k]]
-        if parent[k]:
-            v = suffix[k] = children[v] + place[last[v]][last[k]]
-        i = inv_at[v]
-        inv_at[k] = children[i] + place[last[i]][-words[k][0]]
-    return tuple(words), tuple(parent), tuple(last), tuple(inv_at)
+    at = {w: k for k, w in enumerate(words)}
+    searched = [k for k, v in enumerate(inverses) if at[v] > k]
+    return tuple(words), tuple(parent), tuple(last), tuple(searched)
 
 
 def _walk(spec, radius, quotient=None):
     """(skeleton, images, kept): the _skeleton of the ball of spec and
-    radius, the image of each word under quotient, or None, and kept(k),
-    True iff no earlier word of the ball is word k's element.  Raises
+    radius, the image of each word under quotient, and kept(k), True iff
+    no earlier word of the ball is word k's element.  Raises
     BudgetExceededError before enumerating (_check_ball_size).
 
-    quotient, when given, is (identity, tables) with tables[l] the
-    translation table of letter l's image under a homomorphism, so each
-    image is its prefix's image moved by one table.  Words of one
-    element have one image, so keys are compared only within a group of
-    words of one image, the identity word heading the identity's group.
+    quotient is (identity, tables) with tables[l] the translation table
+    of letter l's image under a homomorphism, so each image is its
+    prefix's image moved by one table; with none, each image is b"",
+    under the quotient onto the trivial group.  Words of one element
+    have one image, so keys are compared only within a group of words
+    of one image, the identity word heading the identity's group.
     No key is computed here: kept settles a word when it is first asked
     about.  The first word of a group is kept.  A later one is kept iff
     its canonical_key differs from those of the earlier words of its
@@ -86,19 +72,17 @@ def _walk(spec, radius, quotient=None):
     skeleton = _skeleton(rank, radius)
     words, parent, last, _ = skeleton
     if quotient is None:
-        images = None
-        coarse = [None] * len(words)
+        images = [b""] * len(words)
     else:
         identity, tables = quotient
         images = [identity]
         append = images.append
         for p, l in islice(zip(parent, last), 1, None):
             append(images[p].translate(tables[l]))
-        coarse = images
-    heads = {}      # coarse key -> its first word
-    after = [0] * len(words)    # the next word of k's coarse key, or 0
+    heads = {}      # image -> its first word
+    after = [0] * len(words)    # the next word of k's image, or 0
     for k in range(len(words) - 1, -1, -1):
-        c = coarse[k]
+        c = images[k]
         after[k] = heads.get(c, 0)
         heads[c] = k
     # 1 once word k is known to be kept, 2 once it is known to be a
@@ -106,7 +90,7 @@ def _walk(spec, radius, quotient=None):
     known = bytearray(len(words))
     for k in heads.values():
         known[k] = 1
-    resolved = {}   # coarse key -> [the keys of its words walked, the last]
+    resolved = {}   # image -> [the keys of its words walked, the last]
 
     def kept(k):
         if known[k]:
@@ -114,7 +98,7 @@ def _walk(spec, radius, quotient=None):
         if known[parent[k]] == 2:
             known[k] = 2
             return False
-        c = coarse[k]
+        c = images[k]
         state = resolved.get(c)
         if state is None:
             m = heads[c]
@@ -139,8 +123,8 @@ def _walk(spec, radius, quotient=None):
 def ball(spec, radius):
     """Freely reduced words of length <= radius over the displayed
     generators, in shortlex order, one per element through the group's
-    canonical form: _walk's kept, asked about every word in order, with
-    no images, so every word shares one group.  The identity is
+    canonical form: _walk's kept, asked about every word in order, under
+    the trivial quotient, so every word shares one group.  The identity is
     omitted.  Raises BudgetExceededError before enumerating when the
     reduced words are more than BALL_WORD_LIMIT or their letters more
     than BALL_LETTER_LIMIT."""
@@ -194,11 +178,11 @@ def _search_context(spec, radius):
     """(elements, rows, columns, comm, commutes, conj_commutes): the
     search over the ball of spec and radius.
 
-    elements holds every reduced word of the ball that comes before its
-    literal inverse.  The search ball is those of them that ball()
-    keeps: rows() yields its indices in elements, increasing, and
-    columns(i, transport) yields, increasing and one at a time, those
-    whose quotient images pass the test of row i
+    elements holds the skeleton's searched words, those of the ball
+    that come before their literal inverse.  The search ball is those of
+    them that ball() keeps: rows() yields its indices in elements,
+    increasing, and columns(i, transport) yields, increasing and one at
+    a time, those whose quotient images pass the test of row i
     (quotients.BallIndex.columns): the commutation test when transport
     is False, the transporter test when it is True.  Whether a word is
     kept is settled when rows or columns first reaches it (_walk's
@@ -207,7 +191,7 @@ def _search_context(spec, radius):
 
     commutes(i, j) is [a_i, a_j] = 1 by the group's own test, cached;
     comm(i, j) asks it behind the index's commute filter, and is
-    commutes itself under the constant quotient; conj_commutes
+    commutes itself under the trivial quotient; conj_commutes
     (i, j) is [a, v^-1 a v] = 1, asked only about columns the transporter
     test has passed, with no filter.  The tests multiply the forms of
     spec.search_forms, built on first use.
@@ -223,19 +207,16 @@ def _search_context(spec, radius):
     # imported on first use, so a command that runs no search does not
     # pay for its import
     from . import quotients
-    (words, _, _, inv_at), images, kept = _walk(
-        spec, radius, quotients.letter_tables(spec))
-    where = [k for k in range(1, len(words)) if inv_at[k] > k]
-    elements = [words[k] for k in where]
-    index = quotients.BallIndex(
-        [quotients.IDENTITY] * len(where) if images is None
-        else [images[k] for k in where])
+    quotient = quotients.letter_tables(spec)
+    (words, _, _, searched), images, kept = _walk(spec, radius, quotient)
+    elements = [words[k] for k in searched]
+    index = quotients.BallIndex([images[k] for k in searched])
 
     def rows():
-        return (i for i, k in enumerate(where) if kept(k))
+        return (i for i, k in enumerate(searched) if kept(k))
 
     def columns(i, transport):
-        return (j for j in index.columns(i, transport) if kept(where[j]))
+        return (j for j in index.columns(i, transport) if kept(searched[j]))
 
     form, trivial = spec.search_forms()
     forms = [None] * len(elements)
@@ -256,8 +237,8 @@ def _search_context(spec, radius):
             r = cache[k] = trivial(a, b, a_inv, b_inv)
         return r
 
-    if images is None:
-        # under the constant quotient every pair passes the filter
+    if quotient is None:
+        # under the trivial quotient every pair passes the filter
         comm = commutes
     else:
         def comm(i, j):

@@ -405,12 +405,12 @@ _SHIFTS = tuple(bytes((x - DEGREE * k) % 256 for x in range(256))
 class BallIndex:
     """The quotient images of a ball, images[i] that of element a_i, and
     what they decide about its pairs.  commute(i, j) is False when
-    rho([a_i, a_j]) != 1, and transports(i, j) when rho([a_i, a_j^-1
-    a_i a_j]) != 1: exact filters, since a homomorphism sends a trivial
-    commutator to 1.  columns(i, transport) yields the j of row i that
-    pass them.  The images in each Sym(DEGREE) block are read when a
-    row is reached, and a block's index of the columns by their image
-    there is built when a row first picks that block."""
+    rho([a_i, a_j]) != 1, and columns(i, transport) yields the j of row
+    i with rho([a_i, a_j]) = 1, or rho([a_i, a_j^-1 a_i a_j]) = 1: exact
+    filters, since a homomorphism sends a trivial commutator to 1.  The
+    images in each Sym(DEGREE) block are read when a row is reached, and
+    a block's index of the columns by their image there is built when a
+    row first picks that block."""
 
     def __init__(self, images):
         self._images = images
@@ -423,11 +423,6 @@ class BallIndex:
         images, tables = self._images, self._tables
         return images[i].translate(tables[j]) == \
             images[j].translate(tables[i])
-
-    def transports(self, i, j):
-        a, ta = self._images[i], self._tables[i]
-        c = inv(self._images[j]).translate(ta).translate(self._tables[j])
-        return a.translate(table(c)) == c.translate(ta)
 
     def _block(self, k):
         """Image in block k -> the columns with it, increasing."""
@@ -476,13 +471,13 @@ class BallIndex:
         return out
 
     def columns(self, i, transport):
-        """Exactly the j with commute(i, j), or transports(i, j) when
-        transport is True, increasing, each tested when it is asked
-        for: a scan that stops at its first hit tests no later column.
-        Only the j with rho_k(a_j) in C(rho_k(a_i)), or T(rho_k(a_i)),
-        for every block k can pass, so the row tests the members of its
-        smallest such set (_candidates).  A row whose image is the
-        identity gives every column, as a range, untested."""
+        """Exactly the j with commute(i, j), or with rho([a_i, a_j^-1
+        a_i a_j]) = 1 when transport is True, increasing, each tested
+        when it is asked for: a scan that stops at its first hit tests
+        no later column.  Only the j with rho_k(a_j) in C(rho_k(a_i)),
+        or T(rho_k(a_i)), for every block k can pass, so the row tests
+        the members of its smallest such set (_candidates).  A row whose
+        image is the identity gives every column, as a range, untested."""
         images, tables = self._images, self._tables
         a, ta = images[i], tables[i]
         if a == self._identity:

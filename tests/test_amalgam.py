@@ -217,6 +217,14 @@ def test_gog_predicates_checks_each_graph_once(monkeypatch):
     rep = gog_predicates(g, cap=1)
     assert rep.per_edge[0].normal_in_closure is None
     assert len(seen) == len({id(H) for H in seen}) == 3
+    # the two edges of badtree-gog share <a> in u, which is folded and
+    # checked once: <a>, <c^2>, the closure of <c^2>, <f^2> and its closure
+    del seen[:]
+    g = _gog([GogEdge("u", "v", ((1,),), ((1, 1),)),
+              GogEdge("u", "w", ((1,),), ((1, 1),))], u=2, v=2, w=2)
+    rep = gog_predicates(g)
+    assert (rep.quasi_malnormal, rep.malnormal) == (True, False)
+    assert len(seen) == len({id(H) for H in seen}) == 5
 
 
 def test_gog_loop_separated():

@@ -681,3 +681,36 @@ def test_trivial_edge_beside_a_cyclic_edge():
                     "edge u -> v : 1 ~ 1; edge u -> w : a ~ d; }", {})
     assert (rep.verdict, rep.citations, code) == ("csa*", ["Thm-amalgiff"], 0)
     assert rep.details["relators"] == "u_1 w_1^-1"
+
+
+def test_two_cyclic_edges_without_a_shared_subgroup_stay_unknown():
+    """Two cyclic edges at u, with no image maximal abelian, whose
+    maximal abelian edge groups <a> and <b> meet trivially: no rule
+    applies, so gog-check answers unknown with the predicates."""
+    rep, code = run("gog-check", "gog { vertex u = < a, b >; "
+                    "vertex v = < c, d >; vertex w = < f, g >; "
+                    "edge u -> v : a ~ c^2; edge u -> w : b ~ f^2; }", {})
+    assert (rep.verdict, rep.citations, code) == ("unknown", [], 0)
+    assert {k: rep.details[k] for k in
+            ("quasi-malnormal", "malnormal", "separated")} == \
+        {"quasi-malnormal": True, "malnormal": False, "separated": True}
+
+
+@pytest.mark.parametrize("pairs", ["a ~ c^2, b ~ d c^2 d^-1",
+                                   "a ~ c, b ~ d c d^-1"])
+def test_images_not_normal_in_their_closure(pairs):
+    """The image <c^2, d c^2 d^-1>, or <c, d c d^-1>, is not normal in
+    its malnormal closure: one of its generators leaves it when
+    conjugated by a closure generator g (the first image), or only when
+    conjugated by g^-1 (the second), so u - v is not quasi-malnormal."""
+    rep, code = run("gog-check", "gog { vertex u = < a, b >; "
+                    f"vertex v = < c, d >; edge u -> v : {pairs}; }}", {})
+    assert (rep.verdict, code) == ("unknown", 0)
+    assert rep.details["quasi-malnormal"] is False
+
+
+def test_resp_obstruction_reads_no_source(capsys):
+    # resp-obstruction takes its group from --m and --n alone
+    assert main(["resp-obstruction", "--m", "2", "--n", "3", "--p", "2"]) == 1
+    assert "verdict: obstructed" in capsys.readouterr().out.splitlines()
+

@@ -122,6 +122,9 @@ def test_phi_examples():
     assert EX1.phi_inv((1, 3)) == (2,)
     with pytest.raises(ValueError):
         EX1.phi((3,))
+    # x is not in B = <y> of t^-1 x t = y
+    with pytest.raises(ValueError, match="not in the associated subgroup B"):
+        HnnPresentation(2, [(1,)], [(2,)]).phi_inv((1,))
 
 
 def test_phi_through_a_merged_self_loop():
