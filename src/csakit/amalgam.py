@@ -10,8 +10,7 @@ from . import words
 from .errors import CLOSURE_CAP, CapExceededError, UnsupportedShapeError
 from .hnn import HnnPresentation, TWord, check_pairs
 from .stallings import (_find, conj_intersection_trivial, fold,
-                        is_malnormal, malnormal_closure,
-                        pointed_intersection_nontrivial)
+                        is_malnormal, malnormal_closure)
 from .words import concat, free_reduce, inverse, is_maximal_abelian_in_free
 
 
@@ -123,24 +122,27 @@ def _normal_in_closure(images_graph, closure, sub_gens):
 
 def gog_predicates(gog: GraphOfGroups, cap=CLOSURE_CAP) -> GogReport:
     checked = {}    # (vertex, reduced words) -> (core graph, is_malnormal)
+    normal_in = {}  # the same keys -> normal in the malnormal closure
 
     def check(v, words):
-        gens = tuple(free_reduce(w, gog.vertices[v]) for w in words)
-        if (v, gens) not in checked:
-            H = fold(gens, gog.vertices[v])
-            checked[v, gens] = H, is_malnormal(H)
-        return (gens,) + checked[v, gens]
+        key = v, tuple(free_reduce(w, gog.vertices[v]) for w in words)
+        if key not in checked:
+            H = fold(key[1], gog.vertices[v])
+            checked[key] = H, is_malnormal(H)
+        return (key,) + checked[key]
 
     per_edge = {}
     for idx, e in enumerate(gog.edges):
         _, E, mal_src = check(e.src, e.gens)
-        gens, im, mal_dst = check(e.dst, e.images)
+        key, im, mal_dst = check(e.dst, e.images)
         witness = mal_src.witness or mal_dst.witness
-        try:
-            closure = malnormal_closure(im, cap, report=mal_dst)
-            normal = _normal_in_closure(im, closure, gens)
-        except CapExceededError:
-            normal = None
+        if key not in normal_in:
+            try:
+                closure = malnormal_closure(im, cap, report=mal_dst)
+                normal_in[key] = _normal_in_closure(im, closure, key[1])
+            except CapExceededError:
+                normal_in[key] = None
+        normal = normal_in[key]
         separated = None
         if e.src == e.dst:
             ok, wit = conj_intersection_trivial(E, im)
@@ -298,8 +300,9 @@ def _piece_csa_verdict(gog):
             if e1.src != e2.src or not (s1 and s2) or d1 or d2:
                 continue
             rank = gog.vertices[e1.src]
-            u1 = fold([e1.gens[0]], rank)
-            u2 = fold([e2.gens[0]], rank)
-            if pointed_intersection_nontrivial(u1, u2):
+            u1 = free_reduce(e1.gens[0], rank)
+            # maximal cyclic subgroups of a free group are malnormal, so
+            # <u1> and <u2> meet only when equal: when u2 = u1^+-1
+            if free_reduce(e2.gens[0], rank) in (u1, inverse(u1)):
                 return "not-csa", "Prop-BadTree"
     return "unknown", None

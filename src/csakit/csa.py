@@ -14,7 +14,7 @@ from .hnn import HnnPresentation
 from .wpengine import (HnnSpec, canonical_key, commutes, is_trivial,
                        num_generators)
 from .words import (check_radius, commutator, concat, conjugate, free_reduce,
-                    gcd_many, inverse, power, reduced_words)
+                    gcd_many, inverse, power)
 
 # the radius of a falsifier ball or an obstacle ball when none is given
 DEFAULT_RADIUS = 3
@@ -337,7 +337,7 @@ def _obstacle_ball(kind, radius, n=None):
     if kind == OBSTACLE_CALB:
         # w z^m for each reduced w over p, q with |w| + |m| <= R
         _check_ball_size(3, radius)
-        return [w + power((3,), m) for w in reduced_words(2, radius)
+        return [w + power((3,), m) for w in _skeleton(2, radius)[0]
                 for m in range(len(w) - radius, radius - len(w) + 1)]
     # dinf: the alternating words u w u ... and w u w ...
     _check_ball_size(1, radius)

@@ -255,13 +255,15 @@ FREE_PRODUCT = "FREE-PRODUCT"
 @dataclass
 class Classification:
     case: str
-    csa: str              # "csa*", "not-csa" or "unknown"
+    csa: str              # "csa*" or "not-csa"
     conjugator: Optional[tuple] = None  # s with u^s = phi(u), for case 2
 
 
 def classify_abelian_hnn(P: HnnPresentation) -> Classification:
     """Sort an extension with cyclic associated subgroups <u> -> <v> into
-    the four mutually exclusive cases and predict the CSA verdict."""
+    the four mutually exclusive cases and predict the CSA verdict.  When
+    u is a proper power and v is not, the extension is read the other way
+    round, as <v> -> <u>."""
     if len(P.a_gens) != 1 or len(P.b_gens) != 1:
         raise ValueError("classifier needs cyclic associated subgroups")
     u, v = P.a_gens[0], P.b_gens[0]
@@ -270,8 +272,11 @@ def classify_abelian_hnn(P: HnnPresentation) -> Classification:
     cu, _ = cyclic_reduce(u)
     cv, _ = cyclic_reduce(v)
     if is_proper_power(cu):
-        verdict = "not-csa" if is_proper_power(cv) else "unknown"
-        return Classification(NOT_MAXIMAL_A, verdict)
+        if is_proper_power(cv):
+            return Classification(NOT_MAXIMAL_A, "not-csa")
+        # with s = t^-1 the group is s^-1 v s = u, and the cases below
+        # assume only that u is not a proper power
+        u, v, cv = v, u, cu
     meets = not conj_intersection_trivial(fold([u], P.base_rank),
                                           fold([v], P.base_rank))[0]
     if not meets:

@@ -264,7 +264,7 @@ def fold(generators, rank):
 
 def _fiber_cycles(A, B, start, seen):
     """Fundamental cycles of the component of start in the unpointed fiber
-    product of A and B.
+    product of A and B, one that _witnesses found cyclic.
 
     One BFS from start, trying letters in letter_key order, records each
     pair's tree path as it discovers the pair and adds the pair to seen.
@@ -428,9 +428,6 @@ class SubgroupReport:
     verdict: bool
     witness: Optional[tuple] = None
 
-    def __bool__(self):
-        return self.verdict
-
 
 def is_malnormal(H):
     """H cap H^g = 1 for every g outside H, via the self fiber product
@@ -465,11 +462,3 @@ def malnormal_closure(H, cap=CLOSURE_CAP, report=None):
         g, _h = report.witness
         H = fold(H.generators + (g,), H.rank)
         report = None
-
-
-def pointed_intersection_nontrivial(A, B):
-    """True iff A cap B != 1 (basepoint component of the pullback has a
-    cycle)."""
-    if A.is_trivial or B.is_trivial:
-        return False
-    return next(_fiber_cycles(A, B, (0, 0), set()), None) is not None

@@ -39,19 +39,6 @@ def check_radius(radius):
         raise ValueError(f"radius must be >= 0, got {radius}")
 
 
-def reduced_words(rank, radius):
-    """Freely reduced words of length <= radius over 1..rank in shortlex
-    order, the identity first."""
-    check_radius(radius)
-    letters = [l for g in range(1, rank + 1) for l in (g, -g)]
-    out, frontier = [()], [()]
-    for _ in range(radius):
-        frontier = [w + (l,) for w in frontier for l in letters
-                    if not (w and w[-1] == -l)]
-        out.extend(frontier)
-    return out
-
-
 def inverse(w):
     return tuple(-l for l in reversed(w))
 

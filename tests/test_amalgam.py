@@ -9,9 +9,10 @@ from csakit.amalgam import (AmalgamPresentation, GogEdge, GraphOfGroups,
                             shift_word)
 from csakit.errors import UnsupportedShapeError
 from csakit.hnn import britton_reduce, is_identity, normal_form
-from csakit.stallings import fold, is_malnormal
-from csakit.words import free_reduce, power, reduced_words
+from csakit.stallings import fold, is_malnormal, malnormal_closure
+from csakit.words import free_reduce, power
 from test_hnn import tword_from_word
+from test_words import reduced_words
 
 
 def malnormal_persistence_check(P: AmalgamPresentation, h_gens, radius=3):
@@ -199,16 +200,23 @@ def test_gog_predicates_checks_each_graph_once(monkeypatch):
     # a ~ c^2 folds <a> and <c^2>, and the closure of <c^2> joins c; the
     # closure starts from the report on <c^2> instead of computing it again
     seen = []
+    closed = []
 
     def counting(H):
         seen.append(H)
         return is_malnormal(H)
 
+    def closing(H, *args, **kwargs):
+        closed.append(H)
+        return malnormal_closure(H, *args, **kwargs)
+
     monkeypatch.setattr(amalgam, "is_malnormal", counting)
     monkeypatch.setattr(stallings, "is_malnormal", counting)
+    monkeypatch.setattr(amalgam, "malnormal_closure", closing)
     g = _gog([GogEdge("u", "v", ((1,),), ((1, 1),))], u=2, v=2)
     rep = gog_predicates(g)
     assert len(seen) == len({id(H) for H in seen}) == 3
+    assert len(closed) == 1
     assert (rep.quasi_malnormal, rep.malnormal) == (True, False)
     assert rep.per_edge[0].normal_in_closure is True
     # <c^2, d^2> needs two joins, so one leaves the closure undecided
@@ -225,6 +233,18 @@ def test_gog_predicates_checks_each_graph_once(monkeypatch):
     rep = gog_predicates(g)
     assert (rep.quasi_malnormal, rep.malnormal) == (True, False)
     assert len(seen) == len({id(H) for H in seen}) == 5
+    # c ~ a^2 and f ~ a^2 share the image <a^2> in u, which is closed
+    # once: <c>, <a^2>, <a> in its closure, and <f>; each edge reports
+    # what it reports alone
+    del seen[:], closed[:]
+    edges = [GogEdge("v", "u", ((1,),), ((1, 1),)),
+             GogEdge("w", "u", ((1,),), ((1, 1),))]
+    rep = gog_predicates(_gog(edges, u=2, v=2, w=2))
+    assert len(seen) == len({id(H) for H in seen}) == 4
+    assert len(closed) == 1
+    for idx, e in enumerate(edges):
+        alone = gog_predicates(_gog([e], u=2, v=2, w=2))
+        assert rep.per_edge[idx] == alone.per_edge[0]
 
 
 def test_gog_loop_separated():

@@ -696,6 +696,19 @@ def test_two_cyclic_edges_without_a_shared_subgroup_stay_unknown():
         {"quasi-malnormal": True, "malnormal": False, "separated": True}
 
 
+@pytest.mark.parametrize("second,want", [
+    ("a^-1", ("not-csa", ["Prop-BadTree"], 1)),
+    ("b a b^-1", ("unknown", [], 0))])
+def test_two_cyclic_edges_sharing_a_generator(second, want):
+    """<a> and <a^-1> are one maximal abelian subgroup, so Prop-BadTree
+    applies; <a> and <b a b^-1> meet trivially, so no rule does."""
+    rep, code = run("gog-check", "gog { vertex u = < a, b >; "
+                    "vertex v = < c, d >; vertex w = < f, g >; "
+                    f"edge u -> v : a ~ c^2; edge u -> w : {second} ~ f^2; }}",
+                    {})
+    assert (rep.verdict, rep.citations, code) == want
+
+
 @pytest.mark.parametrize("pairs", ["a ~ c^2, b ~ d c^2 d^-1",
                                    "a ~ c, b ~ d c d^-1"])
 def test_images_not_normal_in_their_closure(pairs):

@@ -1,13 +1,16 @@
+import itertools
 import random
 
 import pytest
 
+from csakit import csa
 from csakit.hnn import (CASE1_SEPARATED, CASE2_CENTRALIZER_EXT, CASE3, CASE4,
                         FREE_PRODUCT, NOT_MAXIMAL_A, HnnPresentation, TWord,
                         britton_reduce, classify_abelian_hnn, is_identity,
                         is_separated, is_strictly_separated, normal_form)
 from csakit.words import (concat, conjugate, cyclic_reduce, free_reduce,
-                          inverse)
+                          inverse, is_proper_power)
+from csakit.wpengine import HnnSpec
 
 EX1 = HnnPresentation(3, [(1,), (2,)], [(2,), (1, 3)])
 B12 = HnnPresentation(1, [(1,)], [(1, 1)])
@@ -265,8 +268,10 @@ def test_classifier_quadrants():
 def test_classifier_edge_cases():
     free = classify_abelian_hnn(HnnPresentation(1, [()], [()]))
     assert free.case == FREE_PRODUCT and free.csa == "csa*"
+    # t^-1 x^2 t = y is read as t y t^-1 = x^2, where <y> and <x^2> are
+    # conjugacy separated: the group is F(x, t)
     notmax = classify_abelian_hnn(HnnPresentation(2, [(1, 1)], [(2,)]))
-    assert notmax.case == NOT_MAXIMAL_A and notmax.csa == "unknown"
+    assert notmax.case == CASE1_SEPARATED and notmax.csa == "csa*"
     both_powers = classify_abelian_hnn(
         HnnPresentation(1, [(1, 1)], [(1, 1, 1)]))
     assert both_powers.case == NOT_MAXIMAL_A and both_powers.csa == "not-csa"
@@ -275,6 +280,32 @@ def test_classifier_edge_cases():
     assert both.case == NOT_MAXIMAL_A and both.csa == "not-csa"
     with pytest.raises(ValueError):
         classify_abelian_hnn(EX1)
+
+
+def test_classifier_reads_a_proper_power_u_the_other_way_round():
+    """The length <= 3 table: t^-1 u t = v over F(x, y) for the 44
+    cyclically reduced u and v of length 1..3.  No verdict is unknown.
+    Those with u a proper power and v not are read as t v t^-1 = u; each
+    such not-csa verdict has a radius-3 CSA or CT witness, and no such
+    csa* verdict has one."""
+    letters = (1, -1, 2, -2)
+    words = [w for n in range(1, 4) for w in itertools.product(letters,
+                                                                repeat=n)
+             if all(a != -b for a, b in zip(w, w[1:] + w[:1]))]
+    assert len(words) == 44
+    verdicts = {"csa*": 0, "not-csa": 0}
+    turned = {"csa*": 0, "not-csa": 0}
+    for u, v in itertools.product(words, repeat=2):
+        P = HnnPresentation(2, [u], [v])
+        cls = classify_abelian_hnn(P)
+        verdicts[cls.csa] += 1
+        if is_proper_power(u) and not is_proper_power(v):
+            turned[cls.csa] += 1
+            spec = HnnSpec(P)
+            hit = csa.falsify_csa(spec, 3) or csa.falsify_ct(spec, 3)
+            assert (hit is not None) == (cls.csa == "not-csa"), (u, v)
+    assert verdicts == {"csa*": 1748, "not-csa": 188}
+    assert turned == {"csa*": 272, "not-csa": 16}
 
 
 def test_classifier_cases_exclusive():

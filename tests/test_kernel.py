@@ -16,11 +16,12 @@ from csakit.errors import BALL_WORD_LIMIT, MalformedWordError
 from csakit.hnn import HnnPresentation, TWord, britton_reduce, normal_form
 from csakit.stallings import fold
 from csakit.words import (concat, conjugate, free_reduce, inverse, power,
-                          reduced_words, shortlex_key)
+                          shortlex_key)
 from csakit.wpengine import (AmalgamSpec, FreeByCyclicSpec,
                              FreeProductCyclicsSpec, FreeSpec, HnnSpec,
                              canonical_key, commutes, is_trivial,
                              num_generators)
+from test_words import reduced_words
 
 AMALGAM = AmalgamPresentation(2, 2, [(1,)], [(1, 1)])
 GROUPS = {
@@ -342,11 +343,12 @@ def test_quotient_is_a_homomorphism(name):
 
 def word_images(spec):
     """The map from a word to its image under the quotient of spec's
-    searches, letter by letter; the constant map to the identity of
-    Sym(DEGREE) when there is no quotient."""
+    searches, letter by letter; when there is no quotient, the constant
+    map to b"", the image under the trivial quotient that csa._walk
+    gives those searches."""
     quotient = quotients.letter_tables(spec)
     if quotient is None:
-        return lambda w: quotients.IDENTITY
+        return lambda w: b""
     identity, tables = quotient
 
     def image(w):
@@ -661,6 +663,9 @@ INDEXED = [(name, spec) for name, spec, _ in SEARCHES + GENERIC_SEARCHES] \
 @pytest.mark.parametrize("name,spec", INDEXED,
                          ids=[name for name, _ in INDEXED])
 def test_columns_hold_every_pair_the_index_passes(name, spec):
+    # the images are those of the index a search builds
+    (words, *_), walked, _ = csa._walk(spec, 3, quotients.letter_tables(spec))
+    assert walked == [word_images(spec)(w) for w in words]
     # exactly the columns that pass the per-pair tests, increasing
     elements = csa.ball(spec, 3)
     index = _ball_index(spec, elements)

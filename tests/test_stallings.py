@@ -1,13 +1,14 @@
 import random
 from collections import deque
 
-from csakit import stallings
+from csakit import amalgam, stallings
+from csakit.amalgam import GogEdge, GraphOfGroups
 from csakit.errors import CapExceededError
 from csakit.stallings import CoreGraph, _witnesses
 from csakit.stallings import (conj_intersection_trivial, fold, is_malnormal,
-                              malnormal_closure,
-                              pointed_intersection_nontrivial)
-from csakit.words import (concat, conjugate, free_reduce, inverse, letter_key,
+                              malnormal_closure)
+from csakit.words import (concat, conjugate, free_reduce, inverse,
+                          is_maximal_abelian_in_free, letter_key,
                           shortlex_key)
 
 
@@ -128,14 +129,6 @@ def test_malnormal_closure_cap():
         assert exc.cap == 1
     else:
         raise AssertionError("expected CapExceededError")
-
-
-def test_pointed_intersection():
-    A = fold([(1,)], 2)
-    B = fold([(1, 1)], 2)
-    assert pointed_intersection_nontrivial(A, B)
-    C = fold([(2,)], 2)
-    assert not pointed_intersection_nontrivial(A, C)
 
 
 def test_random_membership_against_products():
@@ -524,6 +517,38 @@ def two_pass_pointed(A, B):
     return False
 
 
+def rand_maximal_cyclic(rng, rank):
+    """A random word that generates a maximal cyclic subgroup of F(rank)."""
+    while True:
+        w = rand_word(rng, rank)
+        if w and is_maximal_abelian_in_free(w):
+            return w
+
+
+def test_shared_maximal_cyclic_edge_groups_meet_iff_equal():
+    # edges u -> v : u1 ~ c^2 and u -> w : u2 ~ f^2 with <u1>, <u2>
+    # maximal cyclic are Prop-BadTree's tree exactly when <u1> cap <u2> != 1,
+    # which the basepoint component of the fiber product decides; the
+    # verdict compares the reduced words instead
+    rng = random.Random(29)
+    seen = {True: 0, False: 0}
+    for n in range(400):
+        rank = rng.randint(1, 3)
+        u1 = rand_maximal_cyclic(rng, rank)
+        g = rand_word(rng, rank)
+        # equal, inverted, conjugated (written unreduced) and unrelated
+        u2 = (u1, inverse(u1), inverse(g) + u1 + g,
+              rand_maximal_cyclic(rng, rank))[n % 4]
+        gog = GraphOfGroups({"u": rank, "v": 1, "w": 1},
+                            [GogEdge("u", "v", (u1,), ((1, 1),)),
+                             GogEdge("u", "w", (u2,), ((1, 1),))])
+        meets = two_pass_pointed(fold([u1], rank), fold([u2], rank))
+        want = ("not-csa", "Prop-BadTree") if meets else ("unknown", None)
+        assert amalgam._tree_csa_verdict(gog) == want, (u1, u2)
+        seen[meets] += 1
+    assert min(seen.values()) > 50, seen
+
+
 def assert_matches_two_pass(A, B):
     # every fundamental cycle, in order, not just the least witness
     assert list(_witnesses(A, B)) == [
@@ -532,7 +557,6 @@ def assert_matches_two_pass(A, B):
     rep = is_malnormal(A)
     assert (rep.verdict, rep.witness) == two_pass_malnormal(A)
     assert conj_intersection_trivial(A, B) == two_pass_conj(A, B)
-    assert pointed_intersection_nontrivial(A, B) == two_pass_pointed(A, B)
 
 
 def long_word(rng, rank, length):

@@ -17,6 +17,19 @@ def rand_word(rng, rank=3, max_len=6):
     return free_reduce(w)
 
 
+def reduced_words(rank, radius):
+    """Freely reduced words of length <= radius over 1..rank in shortlex
+    order, the identity first, frontier by frontier: the reference that
+    csa._skeleton is checked against."""
+    letters = [l for g in range(1, rank + 1) for l in (g, -g)]
+    out, frontier = [()], [()]
+    for _ in range(radius):
+        frontier = [w + (l,) for w in frontier for l in letters
+                    if not (w and w[-1] == -l)]
+        out.extend(frontier)
+    return out
+
+
 def test_free_reduce_cancels():
     assert free_reduce([1, -1]) == ()
     assert free_reduce([1, 2, -2, -1, 3]) == (3,)
