@@ -814,7 +814,8 @@ def _read_source(arg, command):
         raise CsakitError(f"{command} needs a presentation source")
     if arg == "-":
         return sys.stdin.read()
-    if any(c in arg for c in "<({"):
+    # a file's path may hold the characters that mark inline text
+    if any(c in arg for c in "<({") and not os.path.isfile(arg):
         return arg
     with open(arg, encoding="utf-8") as fh:
         return fh.read()

@@ -6,6 +6,7 @@ Baumslag-Solitar groups, and the residually-p obstruction.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
+from math import gcd
 from typing import Optional
 
 from . import wpengine
@@ -14,7 +15,7 @@ from .hnn import HnnPresentation
 from .wpengine import (HnnSpec, canonical_key, commutes, is_trivial,
                        num_generators)
 from .words import (check_radius, commutator, concat, conjugate, free_reduce,
-                    gcd_many, inverse, power)
+                    inverse, power)
 
 # the radius of a falsifier ball or an obstacle ball when none is given
 DEFAULT_RADIUS = 3
@@ -419,7 +420,7 @@ def abelianization_one_relator(relator, num_gens):
     sums = [0] * num_gens
     for l in free_reduce(relator, num_gens):
         sums[abs(l) - 1] += 1 if l > 0 else -1
-    d = gcd_many(sums)
+    d = gcd(*sums)
     if d == 0:
         return (), num_gens
     torsion = (d,) if d > 1 else ()

@@ -277,9 +277,9 @@ def classify_abelian_hnn(P: HnnPresentation) -> Classification:
         # with s = t^-1 the group is s^-1 v s = u, and the cases below
         # assume only that u is not a proper power
         u, v, cv = v, u, cu
-    meets = not conj_intersection_trivial(fold([u], P.base_rank),
-                                          fold([v], P.base_rank))[0]
-    if not meets:
+    # <u> and <v> are P.A and P.B, in one order or the other, and whether
+    # they meet up to conjugation does not depend on the order
+    if conj_intersection_trivial(P.A, P.B)[0]:
         return Classification(CASE1_SEPARATED, "csa*")
     s = conjugating_element(u, v)
     if s is not None:

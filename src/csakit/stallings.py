@@ -10,9 +10,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from . import words
 from .errors import CLOSURE_CAP, CapExceededError
-from .words import concat, free_reduce, inverse, shortlex_key
+from .words import concat, free_reduce, inverse, letter_key, shortlex_key
 
 
 class CoreGraph:
@@ -20,27 +19,66 @@ class CoreGraph:
 
     ``succ[(v, letter)] -> (w, tag)`` for letters of both signs; the tag is
     the expression-word contribution of traversing that edge.
+
+    The constructor numbers the vertices of the connected graph succ,
+    whatever their names: one BFS from the basepoint 0, trying letters
+    in letter_key order, numbers each vertex as it is discovered.  The same
+    pass records each vertex's tree path (``tree_paths[v]``, each vertex
+    listed after its tree parent) and each positive letter's
+    ``(source, target)`` edges, sorted by source (``edges[l]``).
     """
 
-    def __init__(self, rank, num_vertices, succ, generators):
+    def __init__(self, rank, succ, generators):
         self.rank = rank
-        self.num_vertices = num_vertices
-        self.succ = succ
         self.generators = generators  # input generator words (reduced, nontrivial)
-        self._tree_paths = None
+        letters = sorted({l for (_, l) in succ}, key=letter_key)
+        self.succ = {}
+        self.edges = {l: [] for l in letters if l > 0}
+        self.tree_paths = paths = [()]
+        names = [0]     # the name in succ of each numbered vertex
+        number = {0: 0}
+        for v, name in enumerate(names):
+            for l in letters:
+                hit = succ.get((name, l))
+                if hit is None:
+                    continue
+                w = number.get(hit[0])
+                if w is None:
+                    w = number[hit[0]] = len(names)
+                    names.append(hit[0])
+                    paths.append(paths[v] + (l,))
+                self.succ[(v, l)] = (w, hit[1])
+                if l > 0:
+                    self.edges[l].append((v, w))
+        self.num_vertices = len(names)
         self._tree_back_exprs = None
 
     # -- basic automaton queries -------------------------------------------
 
+    def _read(self, word):
+        """Read a freely reduced word over 1..rank from the basepoint
+        until it leaves the graph: (the vertex where reading stops, the
+        number of letters read, the reduced product of the tags read)."""
+        succ = self.succ
+        v = 0
+        expr = []
+        for i, l in enumerate(word):
+            hit = succ.get((v, l))
+            if hit is None:
+                return v, i, expr
+            v, tag = hit
+            for t in tag:
+                if expr and expr[-1] == -t:
+                    expr.pop()
+                else:
+                    expr.append(t)
+        return v, len(word), expr
+
     def member(self, word):
         """Whether word reads a loop at the basepoint."""
-        v = 0
-        for l in free_reduce(word, self.rank):
-            hit = self.succ.get((v, l))
-            if hit is None:
-                return False
-            v = hit[0]
-        return v == 0
+        word = free_reduce(word, self.rank)
+        v, i, _ = self._read(word)
+        return v == 0 and i == len(word)
 
     def express(self, word):
         """Rewrite a basepoint loop as a word over the generator alphabet
@@ -49,23 +87,12 @@ class CoreGraph:
 
     def _express(self, word):
         """express for a freely reduced word over 1..rank, unchecked."""
-        v = 0
-        expr = []
-        for l in word:
-            hit = self.succ.get((v, l))
-            if hit is None:
-                return None
-            v, tag = hit
-            for t in tag:
-                if expr and expr[-1] == -t:
-                    expr.pop()
-                else:
-                    expr.append(t)
-        return tuple(expr) if v == 0 else None
+        v, i, expr = self._read(word)
+        return tuple(expr) if v == 0 and i == len(word) else None
 
     @property
     def num_edges(self):
-        return sum(1 for (v, l) in self.succ if l > 0)
+        return len(self.succ) // 2
 
     @property
     def free_rank(self):
@@ -77,37 +104,15 @@ class CoreGraph:
 
     # -- spanning tree ------------------------------------------------------
 
-    def tree_paths(self):
-        """BFS path word from the basepoint to each vertex (deterministic
-        letter order)."""
-        if self._tree_paths is None:
-            paths = {0: ()}
-            queue = deque([0])
-            letters = sorted(
-                {l for (_, l) in self.succ}, key=words.letter_key)
-            while queue:
-                v = queue.popleft()
-                for l in letters:
-                    hit = self.succ.get((v, l))
-                    if hit is not None and hit[0] not in paths:
-                        paths[hit[0]] = paths[v] + (l,)
-                        queue.append(hit[0])
-            self._tree_paths = paths
-        return self._tree_paths
-
     def _tree_back(self):
         """For each vertex, the expression of its tree path inverted:
         the tags read from the vertex back to the basepoint along the
-        tree (cached like tree_paths)."""
+        tree (computed once, on first use)."""
         if self._tree_back_exprs is None:
-            back = {}
-            # tree_paths lists each vertex after its tree parent
-            for v, path in self.tree_paths().items():
-                if path:
-                    u, tag = self.succ[(v, -path[-1])]
-                    back[v] = concat(tag, back[u])
-                else:
-                    back[v] = ()
+            back = [()]
+            for v, path in enumerate(self.tree_paths[1:], 1):
+                u, tag = self.succ[(v, -path[-1])]
+                back.append(concat(tag, back[u]))
             self._tree_back_exprs = back
         return self._tree_back_exprs
 
@@ -118,37 +123,19 @@ class CoreGraph:
         the rep is tree-path-to-exit plus the unread tail.
         """
         word = free_reduce(word, self.rank)
-        v = 0
-        for i, l in enumerate(word):
-            hit = self.succ.get((v, l))
-            if hit is None:
-                return concat(self.tree_paths()[v], word[i:])
-            v = hit[0]
-        return self.tree_paths()[v]
+        v, i, _ = self._read(word)
+        return concat(self.tree_paths[v], word[i:])
 
     def _coset_split(self, word):
-        """(coset_rep(word), express(word * rep^-1)) from one walk, for a
+        """(coset_rep(word), express(word * rep^-1)) from one read, for a
         freely reduced word over 1..rank, unchecked.
 
-        The walk reads word up to the vertex v where it leaves the graph
-        (or ends); word * rep^-1 is that read prefix followed by v's tree
-        path backwards, so its expression is the tags read so far followed
-        by v's inverted tree-path expression."""
-        v = 0
-        expr = []
-        rest = ()
-        for i, l in enumerate(word):
-            hit = self.succ.get((v, l))
-            if hit is None:
-                rest = word[i:]
-                break
-            v, tag = hit
-            for t in tag:
-                if expr and expr[-1] == -t:
-                    expr.pop()
-                else:
-                    expr.append(t)
-        return (concat(self.tree_paths()[v], rest),
+        The read stops at the vertex v where word leaves the graph (or
+        ends); word * rep^-1 is the read prefix followed by v's tree path
+        backwards, so its expression is the tags read followed by v's
+        inverted tree-path expression."""
+        v, i, expr = self._read(word)
+        return (concat(self.tree_paths[v], word[i:]),
                 concat(expr, self._tree_back()[v]))
 
 
@@ -238,25 +225,14 @@ def fold(generators, rank):
                     work.append(u)
                     queued.add(u)
 
-    # canonical BFS renumbering from the basepoint, which is never merged
-    # away; nothing to trim: every other vertex lies on a reduced loop at
-    # the basepoint (the folded image of a petal), so has degree >= 2
+    # the basepoint is never merged away, and CoreGraph numbers the rest;
+    # nothing to trim: every other vertex lies on a reduced loop at the
+    # basepoint (the folded image of a petal), so has degree >= 2
     succ = {}
     for src, letter, dst, tag in edges.values():
         succ[(src, letter)] = (dst, tag)
         succ[(dst, -letter)] = (src, inverse(tag))
-    letters = sorted({l for (_, l) in succ}, key=words.letter_key)
-    order = {0: 0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for l in letters:
-            hit = succ.get((v, l))
-            if hit is not None and hit[0] not in order:
-                order[hit[0]] = len(order)
-                queue.append(hit[0])
-    succ = {(order[v], l): (order[w], t) for (v, l), (w, t) in succ.items()}
-    return CoreGraph(rank, len(order), succ, gens)
+    return CoreGraph(rank, succ, gens)
 
 
 # -- fiber products ---------------------------------------------------------
@@ -306,15 +282,6 @@ def _find(parent, p):
         p = r
 
 
-def _edges_by_letter(G):
-    """Positive letter l -> the (source, target) of each l-edge of G."""
-    out = {}
-    for (v, l), (w, _tag) in G.succ.items():
-        if l > 0:
-            out.setdefault(l, []).append((v, w))
-    return out
-
-
 def _walk_cyclic(A, B, parent, cyclic, width, mirrored):
     """Witness words from the components that _witnesses found cyclic.
 
@@ -330,8 +297,8 @@ def _walk_cyclic(A, B, parent, cyclic, width, mirrored):
     orbit {C, sigma C}, sigma(u, v) = (v, u), and when (v, u) is not in
     C the walk goes on to sigma C, from its own least pair, the least
     mirrored pair of C."""
-    pa = A.tree_paths()
-    pb = B.tree_paths()
+    pa = A.tree_paths
+    pb = B.tree_paths
 
     def rooted(start, comp):
         u, v = start
@@ -374,16 +341,15 @@ def _witnesses(A, B, mirrored=False):
     not C itself, sigma C, so the witnesses are those of the ordered
     pass less the diagonal's, which alone have g = 1."""
     nb = B.num_vertices
-    a_edges = _edges_by_letter(A)
-    b_edges = a_edges if mirrored else _edges_by_letter(B)
+    a_edges = A.edges
+    b_edges = a_edges if mirrored else B.edges
     parent = {}
     cyclic = []
     for l, edges in a_edges.items():
         others = b_edges.get(l, ())
-        if mirrored:
-            # a folded graph has one edge of each label out of each
-            # vertex, so the sources of j > i exceed u and the ends differ
-            edges.sort()
+        # mirrored: the edges are sorted by source and a folded graph has
+        # one edge of each label out of each vertex, so the sources of
+        # j > i exceed u and the ends differ
         for i, (u, w) in enumerate(edges):
             src, dst = u * nb, w * nb
             # an unordered end pair {w, x} is numbered from its less end

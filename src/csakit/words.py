@@ -5,8 +5,6 @@ A word is a tuple of nonzero ints: letter ``k > 0`` is the k-th generator,
 be compared directly for equality in the ambient free group.
 """
 
-from math import gcd
-
 from .errors import MalformedWordError
 
 
@@ -135,10 +133,3 @@ def conjugating_element(u, v):
             # cv = w^-1 cu w with w = cu[:r]
             return concat(pu, cu[:r], inverse(pv))
     return None
-
-
-def gcd_many(values):
-    g = 0
-    for v in values:
-        g = gcd(g, abs(v))
-    return g

@@ -543,6 +543,18 @@ def test_main_stdin(monkeypatch):
     assert main(["classify", "-"]) == 1
 
 
+def test_source_path_with_a_bracket_is_read_as_a_file(tmp_path, capsys):
+    """A SOURCE naming a file is read from it even when its path holds a
+    character that marks inline text."""
+    folder = tmp_path / "run(1)"
+    folder.mkdir()
+    path = folder / "case1.txt"
+    path.write_text("< a, b, t | t^-1 a t = b >", encoding="utf-8")
+    assert main(["classify", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "verdict: CASE1-SEPARATED csa*" in out
+
+
 def test_exit_codes_stable_across_seed():
     for seed in (None, 1, 2):
         _, code = run("falsify-csa", B12, {"radius": 1, "seed": seed})

@@ -225,8 +225,7 @@ def trimming_finish(incident, find, rank, gens):
             continue  # disconnected junk cannot occur for flowers
         succ[(order[a], l)] = (order[b], t)
         succ[(order[b], -l)] = (order[a], inverse(t))
-    n = len(order) if order else 1
-    return CoreGraph(rank, n, succ, gens)
+    return CoreGraph(rank, succ, gens)
 
 
 def three_branch_fold(generators, rank):
@@ -415,6 +414,64 @@ def test_fold_leaves_no_vertex_to_trim():
     assert checked > 2000
 
 
+def edges_by_letter(G):
+    """Positive letter l -> the (source, target) of each l-edge of G, in
+    succ order: the lists each fiber product built anew before CoreGraph
+    recorded them while numbering the graph."""
+    out = {}
+    for (v, l), (w, _tag) in G.succ.items():
+        if l > 0:
+            out.setdefault(l, []).append((v, w))
+    return out
+
+
+def bfs_tree_paths(G):
+    """BFS path word from the basepoint to each vertex, trying letters in
+    letter_key order, in the order the BFS discovers the vertices."""
+    letters = sorted({l for (_, l) in G.succ}, key=letter_key)
+    paths = {0: ()}
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for l in letters:
+            hit = G.succ.get((v, l))
+            if hit is not None and hit[0] not in paths:
+                paths[hit[0]] = paths[v] + (l,)
+                queue.append(hit[0])
+    return paths
+
+
+def test_core_graph_records_edges_and_tree_paths_when_built():
+    """A folded graph is BFS-numbered, each vertex's tree path is its BFS
+    path and each letter's edges are listed by source."""
+    for seed in (61, 62, 63):
+        for gens, rank in seeded_fold_sets(seed, 2000):
+            H = fold(gens, rank)
+            assert H.edges == {l: sorted(e, key=lambda e: e[0])
+                               for l, e in edges_by_letter(H).items()}
+            paths = bfs_tree_paths(H)
+            assert list(paths) == list(range(H.num_vertices))
+            assert H.tree_paths == list(paths.values())
+            assert H.num_edges == sum(1 for (_v, l) in H.succ if l > 0)
+
+
+def test_core_graph_keeps_a_bfs_numbering_and_renumbers_any_other():
+    """A graph already BFS-numbered keeps its numbering; renamed
+    vertices, the basepoint kept at 0, are numbered back to it."""
+    rng = random.Random(65)
+    for gens, rank in seeded_fold_sets(64, 1000):
+        H = fold(gens, rank)
+        names = [0] + rng.sample(range(1, 10 * H.num_vertices),
+                                 H.num_vertices - 1)
+        renamed = {(names[v], l): (names[w], t)
+                   for (v, l), (w, t) in H.succ.items()}
+        for succ in (H.succ, renamed):
+            G = CoreGraph(rank, succ, H.generators)
+            assert G.succ == H.succ
+            assert (G.num_vertices, G.tree_paths, G.edges) == \
+                (H.num_vertices, H.tree_paths, H.edges)
+
+
 def two_pass_components(A, B):
     """The fiber-product components before the spanning tree was recorded
     during the one BFS: (sorted pairs, positive edges) per component."""
@@ -462,8 +519,8 @@ def two_pass_witnesses(A, B, comp, comp_edges):
             if q not in tree:
                 tree[q] = tree[p] + (l,)
                 queue.append(q)
-    pa = A.tree_paths()
-    pb = B.tree_paths()
+    pa = A.tree_paths
+    pb = B.tree_paths
     for (p, l, q) in comp_edges:
         cyc = free_reduce(tree[p] + (l,) + inverse(tree[q]))
         if not cyc:
