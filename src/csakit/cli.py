@@ -814,8 +814,10 @@ def _read_source(arg, command):
         raise CsakitError(f"{command} needs a presentation source")
     if arg == "-":
         return sys.stdin.read()
-    # a file's path may hold the characters that mark inline text
-    if any(c in arg for c in "<({") and not os.path.isfile(arg):
+    # a file's path may hold the characters that mark inline text; the
+    # grammar has no path separator, so text that holds one is a path
+    if (os.sep not in arg and any(c in arg for c in "<({")
+            and not os.path.isfile(arg)):
         return arg
     with open(arg, encoding="utf-8") as fh:
         return fh.read()

@@ -1,6 +1,6 @@
 """Bounded falsifiers for the CSA and commutative-transitivity properties,
-obstacle-witness verification, the power-conjugation identity in
-Baumslag-Solitar groups, and the residually-p obstruction.
+obstacle-witness verification, Baumslag-Solitar groups as HNN extensions,
+and the residually-p obstruction.
 """
 
 from dataclasses import dataclass
@@ -9,7 +9,6 @@ from itertools import islice
 from math import gcd
 from typing import Optional
 
-from . import wpengine
 from .errors import BALL_LETTER_LIMIT, BALL_WORD_LIMIT, check_budget
 from .hnn import HnnPresentation
 from .wpengine import (HnnSpec, canonical_key, commutes, is_trivial,
@@ -395,20 +394,6 @@ def bs_spec(m, n):
     if m == 0 or n == 0:
         raise ValueError("mn must be nonzero")
     return HnnSpec(HnnPresentation(1, [power((1,), m)], [power((1,), n)]))
-
-
-def power_conj_identity(m, n, i):
-    """Check x^((mn)^i) = (x^(m^(2i)))^(z^i) = (x^(n^(2i)))^(z^-i)
-    in B_{m,n}, the letters of the three sides under the word limit."""
-    if i < 1:
-        raise ValueError("i must be >= 1")
-    check_budget(abs(m * n) ** i + m ** (2 * i) + n ** (2 * i) + 4 * i)
-    spec = bs_spec(m, n)
-    x, z = (1,), (2,)
-    lhs = power(x, (m * n) ** i)
-    r1 = conjugate(power(x, m ** (2 * i)), power(z, i))
-    r2 = conjugate(power(x, n ** (2 * i)), power(z, -i))
-    return wpengine.equal(lhs, r1, spec) and wpengine.equal(lhs, r2, spec)
 
 
 # -- abelianization and the residually-p obstruction ------------------------

@@ -34,7 +34,7 @@ class GroupSpec:
     falsifier search draws its permutation quotients from it
     (``quotients.letter_tables``).  It is None for free products of
     cyclics and the free-by-cyclic group, which reduce words their own
-    way and whose searches take the constant quotient."""
+    way and whose searches run under the trivial quotient."""
 
     ext = None
 

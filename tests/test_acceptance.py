@@ -12,6 +12,8 @@ from csakit.hnn import (CASE1_SEPARATED, CASE2_CENTRALIZER_EXT, CASE3, CASE4,
                         classify_abelian_hnn, normal_form)
 from csakit.wpengine import HnnSpec
 from csakit.words import concat, conjugate, free_reduce, inverse, shortlex_key
+from test_csa import power_conj_identity
+from test_words import reduced_words
 
 EX1 = "< x1, x2, x3, t | t^-1 x1 t = x2, t^-1 x2 t = x1 x3 >"
 
@@ -69,7 +71,7 @@ def test_criterion_3_power_conjugation():
         for m in (2, -2, 3, -3):
             for n in (2, -2, 3, -3):
                 for i in (1, 2):
-                    assert csa.power_conj_identity(m, n, i)
+                    assert power_conj_identity(m, n, i)
                     checked += 1
         assert checked == 32
 
@@ -91,22 +93,6 @@ def test_criterion_4_obstacles():
         assert rep.verdict == "no-witness" and code == 0
         rep, code = run("falsify-csa", "< x, y | x^2 >", {"radius": 4})
         assert rep.verdict == "witness-found" and code == 1
-
-
-def _reduced_ball(rank, radius):
-    out = [()]
-    frontier = [()]
-    letters = [l for g in range(1, rank + 1) for l in (g, -g)]
-    for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            for l in letters:
-                if w and w[-1] == -l:
-                    continue
-                nxt.append(w + (l,))
-        out.extend(nxt)
-        frontier = nxt
-    return out
 
 
 def _product_set(gens, depth):
@@ -141,8 +127,8 @@ def test_criterion_5_random_subgroups_vs_brute_force():
     with criterion(5, "membership and malnormality agree with brute force "
                       "on 100 random subgroups of F3"):
         rng = random.Random(2024)
-        ball6 = _reduced_ball(3, 6)
-        ball4 = [w for w in _reduced_ball(3, 4) if w]
+        ball6 = reduced_words(3, 6)
+        ball4 = [w for w in reduced_words(3, 4) if w]
         for trial in range(100):
             gens = _rand_subgroup(rng)
             H = stallings.fold(gens, 3)

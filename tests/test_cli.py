@@ -600,7 +600,8 @@ def test_run_names_each_missing_flag():
 
 
 # (argv, message) for rejected inputs that reach main's exit 2 through
-# each error path; "@file" is a file holding "< x, y, x >", and None runs
+# each error path; "@file" is a file holding "< x, y, x >", "@missing" a
+# path into a missing folder whose name holds a bracket, and None runs
 # run("nope", ...), which main's command choices never let through
 REJECTED = [
     (["classify", "hnn(< x, y >; A -> B x -> y)"], "expected 'via'"),
@@ -626,6 +627,23 @@ REJECTED = [
      "with at least 2000000001 words"),
     (["check-strict-separated", "< x, y, t | t^-1 x t = y >", "--cap", "0"],
      "cap must be >= 1"),
+    (["classify", "< x, y, x >"], "duplicate generator name 'x'"),
+    (["gog-check", "gog { vertex u = < a, b >; vertex v = < c >; "
+      "edge u -> v : b ~ c; vertex u = < a >; }"], "duplicate vertex name 'u'"),
+    (["falsify-csa", "amalgam(< a >, < c | c^2 >; a ~ c)"],
+     "amalgam factors must be free (at position 15)"),
+    (["classify", "@missing"], "No such file or directory"),
+    # --m and --n are exponents written out as powers, under the word limit
+    (["resp-obstruction", "--m", "300000000", "--n", "3", "--p", "2"],
+     f"300000000 letters is over the limit of {WORD_LETTER_LIMIT} (from --m)"),
+    # a ball on one generator is held to the letter limit: 4,801 words pass
+    # the word limit, their 5,762,400 letters do not
+    (["falsify-csa", "< x >", "--radius", "2400"],
+     f"5762400 letters is over the limit of {BALL_LETTER_LIMIT}"),
+    # x ~ x^210 draws no quotient, and at radius 3 a Britton reduction
+    # outgrows the word limit
+    (["falsify-ct", "< x, t | t^-1 x t = x^210 >", "--radius", "3"],
+     f"letters is over the limit of {WORD_LETTER_LIMIT}"),
     (None, "unknown command 'nope'"),
 ]
 
@@ -639,20 +657,110 @@ def test_rejected_input_exits_2(argv, message, tmp_path, capsys):
         return
     path = tmp_path / "source.txt"
     path.write_text("< x, y, x >", encoding="utf-8")
-    argv = [str(path) if a == "@file" else a for a in argv]
+    paths = {"@file": str(path),
+             "@missing": str(tmp_path / "run(2)" / "case1.txt")}
+    argv = [paths.get(a, a) for a in argv]
+    # every limit is met before the work that would outgrow it, or at its
+    # first step over it
+    start = time.perf_counter()
     assert main(argv) == 2
+    assert time.perf_counter() - start < 2
     assert message in capsys.readouterr().err
 
 
-def test_trivial_edge_group_is_free():
+# (argv, exit code, stdout line, seconds) for inputs that get a verdict:
+# exit 0 for a computed verdict and 1 for a violation witness, printed
+# within the stated seconds
+ANSWERED = [
+    # a sub block on an HNN source is checked after A and B
+    (["check-malnormal", "< x, y, t | t^-1 x t = y > sub H = { x^2 }"], 1,
+     "witness: h = x^2, g = x^-1, subgroup = H", 2),
+    # an hnn(...) header names its subgroups
+    (["check-malnormal", "hnn(< x, y >; P -> Q via x -> y)"], 0,
+     "P: malnormal", 2),
+    # malnormality witnesses from both kinds of mirror orbit in H x H: the
+    # second component walked of an orbit {C, sigma C}, and a component
+    # that the swap of coordinates maps to itself
+    (["check-malnormal", "< x, y > sub H = { x^4, y }"], 1,
+     "witness: h = x^4, g = x, subgroup = H", 2),
+    (["check-malnormal", "< x, y > sub H = { y, y^-1 x x, y y }"], 1,
+     "witness: h = x^2, g = x^-1, subgroup = H", 2),
+    # a proper power u with v not one is read the other way round, so both
+    # spellings of B(1, 2) get one verdict, and t^-1 x^2 t = y is F(x, t)
+    (["classify", "< x, t | t x t^-1 = x^2 >"], 1, "verdict: CASE4 not-csa", 2),
+    (["classify", "< x, z | z^-1 x z = x^2 >"], 1, "verdict: CASE4 not-csa", 2),
+    (["classify", "hnn(< x, y >; A -> B via x^2 -> y)"], 0,
+     "verdict: CASE1-SEPARATED csa*", 2),
+    # <a> and <a^-1> are one maximal abelian edge group at u
+    (["gog-check", "gog { vertex u = < a, b >; vertex v = < c, d >; "
+      "vertex w = < f, g >; edge u -> v : a ~ c^2; "
+      "edge u -> w : a^-1 ~ f^2; }"], 1, "citations: Prop-BadTree", 2),
+    # an amalgam's stable letter is named apart from a factor generator t
+    (["reduce", "amalgam(< t, a >, < c >; t ~ c^2)", "--word", "a c"], 0,
+     "verdict: s^-1 a s c", 2),
+    # a pinch through A = <y^-1 x y, y>, whose fold merges a vertex that
+    # carries a self-loop
+    (["reduce", "< x, y, z, t | t^-1 y^-1 x y t = x, t^-1 y t = z >",
+      "--word", "t^-1 x t"], 0, "verdict: z x z^-1", 2),
+    # the b1n obstacle ball, which no golden reaches
+    (["verify-obstacle", "< x, z | z^-1 x z = x^2 >", "--obstacle", "b1n",
+      "--n", "2", "--images", "x, z^-1", "--radius", "6"], 0,
+     "verdict: verified", 2),
+    # a free-group search, which no golden runs
+    (["falsify-ct", "< a, b >", "--radius", "3"], 0, "verdict: no-witness", 2),
+    # F4 as an HNN extension of F3 over trivial subgroups draws quotients,
+    # so its 3,201-word radius-4 ball is searched through the index
+    (["falsify-csa", "< a, b, c, d >", "--radius", "4"], 0,
+     "verdict: no-witness", 10),
+    # a free product of cyclics searches under the trivial quotient: every
+    # row is an identity row, given every column, so every pair of its
+    # radius-4 ball is tested
+    (["falsify-ct", "< x, y, z | x^2, y^3 >", "--radius", "4"], 0,
+     "verdict: no-witness", 10),
+    (["falsify-csa", "< x, y, z | x^2, y^3 >", "--radius", "4"], 1,
+     "witness: a = x y x y^-1, v = x", 10),
+    # an HNN extension for which no quotient is drawn: x ~ x^210 forces the
+    # image of x to 1 in Sym(10), so every pair is tested by Britton
+    # reduction
+    (["falsify-csa", "< x, t | t^-1 x t = x^210 >", "--radius", "3"], 1,
+     "witness: a = x, v = t", 10),
+    (["falsify-ct", "< x, t | t^-1 x t = x^210 >", "--radius", "2"], 0,
+     "verdict: no-witness", 10),
+    (["falsify-ct", "< x >", "--radius", "100"], 0, "verdict: no-witness", 10),
+    # a full radius-5 scan (2,582-element ball) through the indexed join
+    (["falsify-csa", "< x, y, t | t^-1 x t = y >", "--radius", "5"], 0,
+     "verdict: no-witness", 30),
+    # the slowest radius-5 search: powers of x and t commute with many
+    # elements
+    (["falsify-ct", "< x, y, t | t^-1 x t = x >", "--radius", "5"], 0,
+     "verdict: no-witness", 30),
+    # the deepest early exit under the ball limit, a 4,687-word ball: the
+    # search stops at its second row, so no normal form is computed
+    (["falsify-csa", "< x, y, t | t^-1 y t = y^3 >", "--radius", "5"], 1,
+     "witness: a = y, v = t", 10),
+]
+
+
+@pytest.mark.parametrize("argv, code, line, seconds", ANSWERED)
+def test_answered_input(argv, code, line, seconds, capsys):
+    start = time.perf_counter()
+    assert main(argv) == code
+    assert time.perf_counter() - start < seconds
+    assert line in capsys.readouterr().out.splitlines()
+
+
+def test_trivial_edge_group_is_free(capsys):
     """An amalgam or one-edge graph of groups over the trivial subgroup is
-    a free product of free groups, so free: csa* with no citation."""
+    a free product of free groups, so free: csa* with no citation and no
+    relator."""
     for source in ("amalgam(< a, b >, < c >; 1 ~ 1)",
                    "gog { vertex u = < a, b >; vertex v = < c >; "
                    "edge u -> v : 1 ~ 1; }"):
-        rep, code = run("gog-check", source, {})
-        assert (rep.verdict, rep.citations, code) == ("csa*", [], 0)
-        assert "relators" not in rep.details
+        assert main(["gog-check", source]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "verdict: csa*"
+        assert not any(line.startswith(("citations:", "relators:"))
+                       for line in lines)
     rep, _ = run("classify", "hnn(< x, y >; A -> B via 1 -> 1)", {})
     assert (rep.verdict, rep.citations) == ("FREE-PRODUCT csa*", [])
 
@@ -684,15 +792,16 @@ def test_amalgam_answers_as_its_one_edge_tree():
             assert (rep.verdict, rep.citations, code) == want, source
 
 
-def test_trivial_edge_beside_a_cyclic_edge():
+def test_trivial_edge_beside_a_cyclic_edge(capsys):
     """(F(a, b) *_{a = d} Z) * Z is free: the 1 ~ 1 edge cuts the tree,
     the piece u - w is csa* by Thm-amalgiff, and only a ~ d is a
     relator."""
-    rep, code = run("gog-check", "gog { vertex u = < a, b >; "
-                    "vertex v = < c >; vertex w = < d >; "
-                    "edge u -> v : 1 ~ 1; edge u -> w : a ~ d; }", {})
-    assert (rep.verdict, rep.citations, code) == ("csa*", ["Thm-amalgiff"], 0)
-    assert rep.details["relators"] == "u_1 w_1^-1"
+    assert main(["gog-check", "gog { vertex u = < a, b >; "
+                 "vertex v = < c >; vertex w = < d >; "
+                 "edge u -> v : 1 ~ 1; edge u -> w : a ~ d; }"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:3] == ["verdict: csa*", "citations: Thm-amalgiff"]
+    assert "relators: u_1 w_1^-1" in lines
 
 
 def test_two_cyclic_edges_without_a_shared_subgroup_stay_unknown():

@@ -234,7 +234,7 @@ def test_falsifiers_match_brute_force():
 
 # free groups, Britton specs over trivial associated subgroups, and the
 # two classes whose word problem is not Britton reduction, whose tests
-# multiply words under the constant quotient
+# multiply words under the trivial quotient
 GENERIC_SEARCHES = [
     ("f1", FreeSpec(1), 4),
     ("f2", FreeSpec(2), 3),
@@ -470,7 +470,7 @@ def test_ct_tests_each_pair_only_to_list_a_row(monkeypatch):
 
 
 def test_constant_quotient_csa_asks_no_commute_filter(monkeypatch):
-    # under the constant quotient every pair passes BallIndex.commute, so
+    # under the trivial quotient every pair passes BallIndex.commute, so
     # falsify_csa tests its pairs with the group's own test alone
     commute = quotients.BallIndex.commute
     filtered = [0]
@@ -715,7 +715,7 @@ def test_columns_are_tested_as_they_are_asked_for(name, spec):
             if rest:
                 assert images.reads > read_first
                 lazy += 1
-    # under the constant quotient every row is an identity row
+    # under the trivial quotient every row is an identity row
     assert lazy > 0 or rows == 0
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import deque
 
 from csakit import amalgam, stallings
@@ -646,6 +647,20 @@ def test_fiber_products_match_two_pass_bfs():
     assert not is_malnormal(big).verdict
     assert not conj_intersection_trivial(big, other)[0]
     assert_matches_two_pass(big, other)
+
+
+def test_fiber_products_of_a_2000_vertex_graph():
+    """is_malnormal and conj_intersection_trivial on a seeded subgroup of
+    F3 with about 2,000 vertices finish in under 20 s: only the
+    components that have a cycle are walked."""
+    start = time.perf_counter()
+    rng = random.Random(14)
+    H = fold([long_word(rng, 3, 500) for _ in range(4)], 3)
+    K = fold([long_word(rng, 3, 333) for _ in range(3)], 3)
+    assert H.num_vertices > 1900, H.num_vertices
+    assert is_malnormal(H).verdict
+    assert conj_intersection_trivial(H, K) == (True, None)
+    assert time.perf_counter() - start < 20
 
 
 def large_graphs():
