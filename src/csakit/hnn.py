@@ -112,15 +112,15 @@ class TWord:
         return len(self.tail)
 
     def inv(self):
-        if not self.tail:
-            return TWord(inverse(self.head))
-        segs = []
-        prev = inverse(self.tail[-1][1])
-        for i in range(len(self.tail) - 1, -1, -1):
-            e = -self.tail[i][0]
-            g = inverse(self.tail[i - 1][1]) if i > 0 else inverse(self.head)
-            segs.append((e, g))
-        return TWord(prev, tuple(segs))
+        """g0 t^e1 ... t^en gn inverts to gn^-1 t^-en ... t^-e1 g0^-1:
+        each sign, negated, pairs with the inverse of the segment before
+        it, and one reversal puts the pairs in order."""
+        syls = []
+        g = self.head
+        for e, h in self.tail:
+            syls.append((-e, inverse(g)))
+            g = h
+        return TWord(inverse(g), tuple(reversed(syls)))
 
     def mul(self, other):
         if not self.tail:
@@ -172,35 +172,25 @@ def britton_reduce(w: TWord, P: HnnPresentation, *factors, memo=None) -> TWord:
     if memo is None:
         memo = {}
     cached = memo.get
-    head = w.head
-    stack = []  # syllables (e, g) = t^e g, pinch-free
+    stack = [(0, ())]  # the head as t^0 g0, which no pinch pops (no sign is 0)
     push = stack.append
-    first = True
     for f in (w,) + factors:
-        if first:
-            first = False
-        elif stack:
-            e, g = stack[-1]
-            stack[-1] = (e, concat(g, f.head))
-        else:
-            head = concat(head, f.head)
+        # segments are freely reduced, so an empty top takes f.head as is
+        e, g = stack[-1]
+        stack[-1] = (e, concat(g, f.head) if g else f.head)
         for syl in f.tail:
-            if stack:
-                top = stack[-1]
-                if top[0] == -syl[0]:
-                    mid = cached(top, _UNSEEN)
-                    if mid is _UNSEEN:
-                        mid = memo[top] = P.pinch(*top)
-                    if mid is not None:
-                        stack.pop()
-                        if stack:
-                            e, g = stack[-1]
-                            stack[-1] = (e, concat(g, mid, syl[1]))
-                        else:
-                            head = concat(head, mid, syl[1])
-                        continue
+            top = stack[-1]
+            if top[0] == -syl[0]:
+                mid = cached(top, _UNSEEN)
+                if mid is _UNSEEN:
+                    mid = memo[top] = P.pinch(*top)
+                if mid is not None:
+                    stack.pop()
+                    e, g = stack[-1]
+                    stack[-1] = (e, concat(g, mid, syl[1]))
+                    continue
             push(syl)
-    return TWord(head, tuple(stack))
+    return TWord(stack[0][1], tuple(stack[1:]))
 
 
 def is_identity(w: TWord, P: HnnPresentation, *factors, memo=None) -> bool:
@@ -212,26 +202,22 @@ def is_identity(w: TWord, P: HnnPresentation, *factors, memo=None) -> bool:
 def normal_form(w: TWord, P: HnnPresentation) -> tuple:
     """Canonical form: after Britton reduction, replace each base segment
     (right to left) by its canonical coset representative, hopping the
-    subgroup part leftward across the adjacent stable letter.
+    subgroup part leftward across the adjacent stable letter into the
+    segment before it, the head being segment 0, syllable t^0 g0.
 
     Two TWords are equal in the extension iff their normal forms match.
     """
     r = britton_reduce(w, P)
-    head = r.head
-    tail = list(r.tail)
-    for i in range(len(tail) - 1, -1, -1):
-        e, g = tail[i]
+    syls = [(0, r.head), *r.tail]
+    for i in range(len(syls) - 1, 0, -1):
         # t * b = phi^-1(b) * t ; t^-1 * a = phi(a) * t^-1, with b = g rep^-1
         # in B or a = g rep^-1 in A, both from one walk along g
+        e, g = syls[i]
         rep, expr = (P.A if e < 0 else P.B)._coset_split(g)
-        tail[i] = (e, rep)
-        hop = P._image(e, expr)
-        if i == 0:
-            head = concat(head, hop)
-        else:
-            pe, pg = tail[i - 1]
-            tail[i - 1] = (pe, concat(pg, hop))
-    return (head, tuple(tail))
+        syls[i] = (e, rep)
+        pe, pg = syls[i - 1]
+        syls[i - 1] = (pe, concat(pg, P._image(e, expr)))
+    return (syls[0][1], tuple(syls[1:]))
 
 
 def is_separated(P: HnnPresentation) -> SubgroupReport:

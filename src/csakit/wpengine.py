@@ -157,55 +157,38 @@ def fpc_normal_form(word, orders):
 # -- the fixed free-by-cyclic group ----------------------------------------
 
 
-def _push_twisted(out, l, k):
-    """Push the image of the fiber letter l under the k-th power of the
-    automorphism (x -> x d^-k, x^-1 -> d^k x^-1, d -> d) onto the
-    freely reduced stack out."""
-    if l == FIB_X:
-        _push_power(out, FIB_X, 1)
-        _push_power(out, FIB_D, -k)
-    elif l == -FIB_X:
-        _push_power(out, FIB_D, k)
-        _push_power(out, FIB_X, -1)
-    else:
-        _push_power(out, l, 1)
-
-
-def _push_power(out, letter, k):
-    """Push letter^k onto the freely reduced stack out."""
-    step = letter if k > 0 else -letter
-    n = abs(k)
-    while n and out and out[-1] == -step:
-        out.pop()
-        n -= 1
-    out.extend([step] * n)
-
-
-# displayed letter -> fiber letter
-_FIBER = {FBC_X: FIB_X, -FBC_X: -FIB_X, FBC_D: FIB_D, -FBC_D: -FIB_D}
-
-
 def fc_normal_form(word):
     """Unique (fiber word over {d=1, x=2}, y-exponent) for a word over
     the displayed generators x, y, d.
 
     One pass keeps the running y-exponent k and a freely reduced stack
-    of fiber letters: y^k f = twist^k(f) y^k, so each fiber letter f is
-    pushed twisted by the y-exponent read before it.  The cost is linear
-    in the input plus the d-runs the twists push, under the word limit."""
+    of fiber letters: y^k f = twist^k(f) y^k with twist^k = (x -> x d^-k,
+    x^-1 -> d^k x^-1, d -> d), so each fiber letter pushes at most two
+    runs (letter, signed count), each cancelled against the stack top
+    and then pushed whole.  The cost is linear in the input plus the
+    d-runs the twists push, under the word limit."""
     out = []
     k = written = 0
     for l in free_reduce(word, 3):
-        if l == FBC_Y:
-            k += 1
-        elif l == -FBC_Y:
-            k -= 1
+        s = 1 if l > 0 else -1
+        if abs(l) == FBC_Y:
+            k += s
+            continue
+        if abs(l) == FBC_D:
+            runs = ((FIB_D, s),)
         else:
-            if l == FBC_X or l == -FBC_X:
-                written += 1 + abs(k)
-                if written > WORD_LETTER_LIMIT:     # no call per x letter
-                    check_budget(written)
-            _push_twisted(out, _FIBER[l], k)
+            written += 1 + abs(k)
+            if written > WORD_LETTER_LIMIT:     # no call per x letter
+                check_budget(written)
+            runs = ((FIB_X, 1), (FIB_D, -k)) if s > 0 else \
+                ((FIB_D, k), (FIB_X, -1))
+        for step, n in runs:
+            if n < 0:
+                step, n = -step, -n
+            while n and out and out[-1] == -step:
+                out.pop()
+                n -= 1
+            out.extend([step] * n)
     return tuple(out), k
 
 

@@ -157,6 +157,25 @@ def test_tword_group_laws():
         assert tword_pow(u, 2).flatten(t) == u.mul(u).flatten(t)
 
 
+def test_tword_inv_is_the_syllable_reversal():
+    # w * w^-1 reducing to 1 would also pass an unreduced inverse; these
+    # pin inv to reversing the segments and the signs, t-length kept
+    rng = random.Random(6)
+    t = 4
+    seen = set()
+    for _ in range(300):
+        w = rand_tword(rng, 3)
+        seen.add("empty head" if not w.head else "head")
+        seen.add("t-length 0" if not w.tail else "tail")
+        if any(not g for _, g in w.tail[:-1]):
+            seen.add("empty middle segment")
+        assert w.inv().inv() == w
+        assert w.inv().t_length == w.t_length
+        assert w.inv().flatten(t) == inverse(w.flatten(t))
+    assert seen == {"empty head", "head", "t-length 0", "tail",
+                    "empty middle segment"}
+
+
 def test_britton_pinch():
     w = TWord((), ((-1, (1,)), (1, ())))
     r = britton_reduce(w, EX1)

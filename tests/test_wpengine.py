@@ -7,7 +7,7 @@ from csakit.errors import MalformedWordError, UnsupportedBaseError
 from csakit.hnn import HnnPresentation
 from csakit.wpengine import (FBC_D, FBC_X, FBC_Y, FIB_D, FIB_X, AmalgamSpec,
                              FreeByCyclicSpec, FreeProductCyclicsSpec,
-                             FreeSpec, HnnSpec, _push_twisted, canonical_key,
+                             FreeSpec, HnnSpec, canonical_key,
                              commutes, equal, fc_normal_form, fpc_normal_form,
                              is_trivial, num_generators)
 from csakit.amalgam import AmalgamPresentation
@@ -23,22 +23,11 @@ def rand_word(rng, rank=2, max_len=6):
     return tuple(w)
 
 
-def _fbc_twist(w, k):
-    """Apply the k-th power of the defining automorphism (x -> x d^-1,
-    d -> d) to a fiber word."""
-    if k == 0:
-        return w
-    out = []
-    for l in w:
-        _push_twisted(out, l, k)
-    return tuple(out)
-
-
 def fc_mul(a, b):
     """Semidirect multiplication (w1, k1) * (w2, k2) =
     (w1 * twist^k1(w2), k1 + k2)."""
     (w1, k1), (w2, k2) = a, b
-    return (concat(w1, _fbc_twist(w2, k1)), k1 + k2)
+    return (concat(w1, reference_twist(w2, k1)), k1 + k2)
 
 
 def remerging_fpc_normal_form(word, orders):
@@ -150,8 +139,8 @@ def test_fc_mul_is_homomorphic():
 
 
 def reference_twist(w, k):
-    """twist^k of a fiber word, letter by letter, kept apart from the
-    library's helpers so that it checks them independently."""
+    """twist^k of a fiber word, letter by letter, kept apart from
+    fc_normal_form so that it checks it independently."""
     out = []
     for l in w:
         image = [l]
@@ -199,6 +188,14 @@ def test_fc_normal_form_matches_fc_mul_fold():
             reached.add(k)
         assert fc_normal_form(word) == fold_fc_mul(word), word
     assert {50, -50} <= reached
+
+
+def test_fc_normal_form_far_past_the_fold_test():
+    # y^900 x^1000 = (x d^-900)^1000 y^900: 901,000 fiber letters, each
+    # d-run pushed whole, under the word limit
+    word = (FBC_Y,) * 900 + (FBC_X,) * 1000
+    assert fc_normal_form(word) == \
+        (((FIB_X,) + (-FIB_D,) * 900) * 1000, 900)
 
 
 def test_fc_normal_form_rejects_letters_outside_rank():
