@@ -23,11 +23,10 @@ class AmalgamPresentation:
     B in the right (local letters each starting at 1)."""
 
     def __init__(self, left_rank, right_rank, a_gens, b_gens):
-        check_pairs(a_gens, b_gens, "amalgamated subgroup")
         self.left_rank = left_rank
         self.right_rank = right_rank
-        self.a_gens = tuple(free_reduce(g, left_rank) for g in a_gens)
-        self.b_gens = tuple(free_reduce(g, right_rank) for g in b_gens)
+        self.a_gens, self.b_gens, _, _ = check_pairs(
+            a_gens, b_gens, "amalgamated subgroup", left_rank, right_rank)
         self.free_product_rank = left_rank + right_rank
         self.extension = HnnPresentation(
             self.free_product_rank,
@@ -64,11 +63,6 @@ def amalgam_csa_verdict(P: AmalgamPresentation):
         {"left": P.left_rank, "right": P.right_rank}, [edge]))
 
 
-def _max_abelian(w, rank):
-    w = free_reduce(w, rank)
-    return bool(w) and is_maximal_abelian_in_free(w)
-
-
 # -- graphs of groups -------------------------------------------------------
 
 
@@ -83,14 +77,21 @@ class GogEdge:
 @dataclass
 class GraphOfGroups:
     vertices: dict  # name -> free rank (vertex groups are free)
-    edges: list     # of GogEdge
+    edges: list     # of GogEdge, stored with the pairs check_pairs returns
 
     def __post_init__(self):
+        if not self.vertices:
+            raise ValueError("a graph of groups needs a vertex")
+        edges = []
         for e in self.edges:
             if e.src not in self.vertices or e.dst not in self.vertices:
                 raise ValueError(f"edge {e.src}->{e.dst} references "
                                  "an unknown vertex")
-            check_pairs(e.gens, e.images, "edge subgroup")
+            gens, images, _, _ = check_pairs(
+                e.gens, e.images, "edge subgroup",
+                self.vertices[e.src], self.vertices[e.dst])
+            edges.append(GogEdge(e.src, e.dst, gens, images))
+        self.edges = edges
 
 
 @dataclass
@@ -121,13 +122,13 @@ def _normal_in_closure(images_graph, closure, sub_gens):
 
 
 def gog_predicates(gog: GraphOfGroups, cap=CLOSURE_CAP) -> GogReport:
-    checked = {}    # (vertex, reduced words) -> (core graph, is_malnormal)
+    checked = {}    # (vertex, edge words) -> (core graph, is_malnormal)
     normal_in = {}  # the same keys -> normal in the malnormal closure
 
     def check(v, words):
-        key = v, tuple(free_reduce(w, gog.vertices[v]) for w in words)
+        key = v, words
         if key not in checked:
-            H = fold(key[1], gog.vertices[v])
+            H = fold(words, gog.vertices[v])
             checked[key] = H, is_malnormal(H)
         return (key,) + checked[key]
 
@@ -220,13 +221,9 @@ def fundamental_group_presentation(gog: GraphOfGroups):
         rank = gog.vertices[v]
         gen_names.extend(f"{v}_{i + 1}" for i in range(rank))
         total += rank
-    relators = []
-    for e in gog.edges:
-        for g, im in zip(e.gens, e.images):
-            r = concat(shift_word(free_reduce(g), offsets[e.src]),
-                       inverse(shift_word(free_reduce(im), offsets[e.dst])))
-            if r:   # a trivial edge generator pairs 1 with 1
-                relators.append(r)
+    relators = [concat(shift_word(g, offsets[e.src]),
+                       inverse(shift_word(im, offsets[e.dst])))
+                for e in gog.edges for g, im in zip(e.gens, e.images)]
 
     csa, cite = _tree_csa_verdict(gog)
     return TreePresentation(gen_names, relators, csa, cite)
@@ -248,17 +245,9 @@ def _tree_csa_verdict(gog):
 
 
 def _pieces(gog):
-    """The subtrees left when the tree is cut at its trivial edges (every
-    generator reduces to 1), in the order of their first vertices.  The
-    other edges keep only their pairs other than 1 ~ 1, which generate
-    the same edge group."""
-    kept = []
-    for e in gog.edges:
-        pairs = [(g, im) for g, im in zip(e.gens, e.images)
-                 if free_reduce(g, gog.vertices[e.src])]
-        if pairs:
-            gens, images = zip(*pairs)
-            kept.append(GogEdge(e.src, e.dst, gens, images))
+    """The subtrees left when the tree is cut at its trivial edges, those
+    with no pair, in the order of their first vertices."""
+    kept = [e for e in gog.edges if e.gens]
     label, _ = _components(gog.vertices, kept)
     return [GraphOfGroups({v: r for v, r in gog.vertices.items()
                            if label[v] == i},
@@ -267,16 +256,16 @@ def _pieces(gog):
 
 
 def _piece_csa_verdict(gog):
-    """(verdict, tag) of a tree of free groups with no trivial edge and
-    no 1 ~ 1 pair: a vertex alone is free, so csa*."""
+    """(verdict, tag) of a tree of free groups with no trivial edge: a
+    vertex alone is free, so csa*."""
     if not gog.edges:
         return "csa*", None
     cyclic = all(len(e.gens) == 1 for e in gog.edges)
     if not cyclic:
         return "unknown", None
 
-    edge_data = [(e, _max_abelian(e.gens[0], gog.vertices[e.src]),
-                  _max_abelian(e.images[0], gog.vertices[e.dst]))
+    edge_data = [(e, is_maximal_abelian_in_free(e.gens[0]),
+                  is_maximal_abelian_in_free(e.images[0]))
                  for e in gog.edges]
 
     if len(edge_data) == 1:
@@ -299,10 +288,9 @@ def _piece_csa_verdict(gog):
         for (e2, s2, d2) in edge_data[i + 1:]:
             if e1.src != e2.src or not (s1 and s2) or d1 or d2:
                 continue
-            rank = gog.vertices[e1.src]
-            u1 = free_reduce(e1.gens[0], rank)
+            u1 = e1.gens[0]
             # maximal cyclic subgroups of a free group are malnormal, so
             # <u1> and <u2> meet only when equal: when u2 = u1^+-1
-            if free_reduce(e2.gens[0], rank) in (u1, inverse(u1)):
+            if e2.gens[0] in (u1, inverse(u1)):
                 return "not-csa", "Prop-BadTree"
     return "unknown", None

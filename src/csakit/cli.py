@@ -308,14 +308,13 @@ class Parser:
         name_map = letters_of(base)
         a_gens, b_gens = self.parse_pairs(name_map, name_map, "arrow")
         self.expect("sym", ")")
-        src = ParsedSource(
-            "hnn", HnnSpec(HnnPresentation(len(base), a_gens, b_gens)),
-            base + [stable_name(base)])
-        src.subs = {a_name: list(a_gens), b_name.value: list(b_gens)}
+        pres = HnnPresentation(len(base), a_gens, b_gens)
+        src = ParsedSource("hnn", HnnSpec(pres), base + [stable_name(base)])
+        src.subs = {a_name: a_gens, b_name.value: b_gens}
         src.subgroup_names = (a_name, b_name.value)
         t = len(base) + 1
         src.relators = [concat((-t,), a, (t,), inverse(b))
-                        for a, b in zip(a_gens, b_gens)]
+                        for a, b in zip(pres.a_gens, pres.b_gens)]
         return src
 
     def parse_amalgam(self):
@@ -404,8 +403,8 @@ def resolve_presentation(names, relators):
         i = r.index(-t)
         r2 = r[i:] + r[:i]
         j = r2.index(t)
-        a_gens.append(free_reduce(r2[1:j]))
-        b_gens.append(inverse(free_reduce(r2[j + 1:])))
+        a_gens.append(r2[1:j])
+        b_gens.append(inverse(r2[j + 1:]))
     spec = HnnSpec(HnnPresentation(n - 1, a_gens, b_gens))
     return ParsedSource("hnn", spec, names, relators)
 
@@ -470,20 +469,18 @@ def word_to_str(w, names):
 
 def render_source(src: ParsedSource):
     """Canonical text; parses back to an equivalent source."""
-    # an hnn(...) header that renamed A and B is printed as a header, so
-    # that the names survive
+    # an hnn(...) header that renamed A and B is printed as a header, with
+    # the pairs as its sub lists hold them, so that the names survive
     header = () if src.subgroup_names == ("A", "B") else src.subgroup_names
     if header:
-        base, pres = src.names[:-1], src.spec.pres
+        base = src.names[:-1]
         pairs = ", ".join(
             f"{word_to_str(a, base)} -> {word_to_str(b, base)}"
-            for a, b in zip(pres.a_gens, pres.b_gens))
+            for a, b in zip(*(src.subs[nm] for nm in header)))
         text = f"hnn(< {', '.join(base)} >; {' -> '.join(header)} via {pairs})"
     elif src.kind in ("free", "fpc", "hnn", "pres"):
         body = ", ".join(src.names)
-        # a trivial relator, such as that of an HNN pair 1 -> 1, is left
-        # out, as the parser drops it
-        rels = [word_to_str(r, src.names) for r in src.relators if r]
+        rels = [word_to_str(r, src.names) for r in src.relators]
         if rels:
             body += " | " + ", ".join(rels)
         text = f"< {body} >"
@@ -492,9 +489,10 @@ def render_source(src: ParsedSource):
     elif src.kind == "amalgam":
         ln, rn = src.factor_names
         pres = src.spec.pres
+        # a trivial amalgamated or edge subgroup has no pair left: 1 ~ 1
         pairs = ", ".join(
             f"{word_to_str(a, ln)} ~ {word_to_str(b, rn)}"
-            for a, b in zip(pres.a_gens, pres.b_gens))
+            for a, b in zip(pres.a_gens, pres.b_gens)) or "1 ~ 1"
         text = f"amalgam(< {', '.join(ln)} >, < {', '.join(rn)} >; {pairs})"
     else:   # gog
         parts = []
@@ -504,7 +502,7 @@ def render_source(src: ParsedSource):
             sn = src.vertex_names[e.src]
             dn = src.vertex_names[e.dst]
             pairs = ", ".join(f"{word_to_str(g, sn)} ~ {word_to_str(im, dn)}"
-                              for g, im in zip(e.gens, e.images))
+                              for g, im in zip(e.gens, e.images)) or "1 ~ 1"
             parts.append(f"edge {e.src} -> {e.dst} : {pairs};")
         text = "gog { " + " ".join(parts) + " }"
     for nm, gens in src.subs.items():
@@ -581,7 +579,7 @@ def _cmd_check_malnormal(src, flags):
     else:
         raise CsakitError("check-malnormal needs sub blocks or an hnn source")
     for nm, gens in src.subs.items():
-        if tuple(gens) in restated:
+        if tuple(g for g in gens if g) in restated:
             continue
         if nm in targets:
             raise CsakitError(f"sub block {nm} is named like an "

@@ -16,49 +16,49 @@ from .words import (concat, conjugating_element, free_reduce, inverse,
                     is_proper_power, cyclic_reduce)
 
 
-def check_pairs(gens, images, what):
-    """Raise ValueError unless gens and images pair off one to one, each
-    trivial word with a trivial one."""
+def check_pairs(gens, images, what, rank, image_rank):
+    """(gens, images, G, H): the pairs gens[i] ~ images[i] freely reduced
+    over rank and image_rank (a letter outside raises MalformedWordError)
+    and without their 1 ~ 1 pairs, and the folded graphs of the two
+    sides.  ValueError unless the lists pair off one to one, trivial with
+    trivial, and each side is a free basis, so that the pairing extends
+    to an isomorphism G -> H."""
     if len(gens) != len(images):
         raise ValueError(f"{what} generator counts differ")
-    if any(bool(free_reduce(g)) != bool(free_reduce(w))
-           for g, w in zip(gens, images)):
+    pairs = [(free_reduce(g, rank), free_reduce(w, image_rank))
+             for g, w in zip(gens, images)]
+    if any(bool(g) != bool(w) for g, w in pairs):
         raise ValueError("phi cannot pair a trivial generator with "
                          "a nontrivial one")
+    gens = tuple(g for g, _ in pairs if g)
+    images = tuple(w for _, w in pairs if w)
+    G, H = fold(gens, rank), fold(images, image_rank)
+    if G.free_rank != len(gens) or H.free_rank != len(gens):
+        raise ValueError(f"{what} generators are not a basis")
+    return gens, images, G, H
 
 
 class HnnPresentation:
     """HNN extension of a free group of rank base_rank.
 
-    The generator tuples must each be a free basis of the subgroup they
-    generate (checked via the folded graphs), so that phi extends to an
-    isomorphism A -> B.
+    a_gens and b_gens are the pairs as check_pairs returns them, so phi
+    extends to an isomorphism A -> B, and the i-th generator is the i-th
+    basis element of its folded graph A or B.
     """
 
     def __init__(self, base_rank, a_gens, b_gens):
         if base_rank < 0:
             raise ValueError(f"base rank {base_rank} is negative")
-        check_pairs(a_gens, b_gens, "associated subgroup")
         self.base_rank = base_rank
-        self.a_gens = tuple(free_reduce(g, base_rank) for g in a_gens)
-        self.b_gens = tuple(free_reduce(g, base_rank) for g in b_gens)
-        self.A = fold(self.a_gens, base_rank)
-        self.B = fold(self.b_gens, base_rank)
-        # expression indices refer to the nontrivial generators only, in
-        # input order (matching the folded graphs)
-        self._a_basis = tuple(a for a in self.a_gens if a)
-        self._b_basis = tuple(b for b in self.b_gens if b)
-        n_a = len(self._a_basis)
-        if self.A.free_rank != n_a or self.B.free_rank != n_a:
-            raise ValueError("associated subgroup generators are not a basis")
-
+        self.a_gens, self.b_gens, self.A, self.B = check_pairs(
+            a_gens, b_gens, "associated subgroup", base_rank, base_rank)
         # generator index (negative for inverses) -> image word, keyed by
         # the sign e of the pinch t^e g t^-e it resolves
-        self._images = {-1: _index_images(self._b_basis),
-                        1: _index_images(self._a_basis)}
+        self._images = {-1: _index_images(self.b_gens),
+                        1: _index_images(self.a_gens)}
         # an expression of at most limit / _longest parts writes out no more
         # letters than the word limit, so _image counts only longer ones
-        self._longest = max(map(len, self._a_basis + self._b_basis), default=0)
+        self._longest = max(map(len, self.a_gens + self.b_gens), default=0)
 
     def pinch(self, e, g):
         """Image of the base word g across the pinch t^e g t^-e: phi(g)
@@ -249,12 +249,13 @@ def classify_abelian_hnn(P: HnnPresentation) -> Classification:
     """Sort an extension with cyclic associated subgroups <u> -> <v> into
     the four mutually exclusive cases and predict the CSA verdict.  When
     u is a proper power and v is not, the extension is read the other way
-    round, as <v> -> <u>."""
-    if len(P.a_gens) != 1 or len(P.b_gens) != 1:
+    round, as <v> -> <u>.  With no pair, A and B are trivial and the
+    extension is a free product."""
+    if not P.a_gens:
+        return Classification(FREE_PRODUCT, "csa*")
+    if len(P.a_gens) != 1:
         raise ValueError("classifier needs cyclic associated subgroups")
     u, v = P.a_gens[0], P.b_gens[0]
-    if not u or not v:
-        return Classification(FREE_PRODUCT, "csa*")
     cu, _ = cyclic_reduce(u)
     cv, _ = cyclic_reduce(v)
     if is_proper_power(cu):

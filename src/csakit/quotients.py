@@ -192,8 +192,7 @@ def _power_cycle_lengths(g, edges):
     which separates nothing; with no length allowed there is no draw."""
     k = 1
     for a, b in edges:
-        if a and b and len(a) != len(b) and \
-                all(abs(l) == g for l in a + b):
+        if len(a) != len(b) and all(abs(l) == g for l in a + b):
             k *= sum(l // g for l in a) * sum(l // g for l in b)
     if k == 1:
         return None

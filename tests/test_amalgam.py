@@ -7,8 +7,9 @@ from csakit.amalgam import (AmalgamPresentation, GogEdge, GraphOfGroups,
                             amalgam_csa_verdict,
                             fundamental_group_presentation, gog_predicates,
                             shift_word)
-from csakit.errors import UnsupportedShapeError
-from csakit.hnn import britton_reduce, is_identity, normal_form
+from csakit.errors import MalformedWordError, UnsupportedShapeError
+from csakit.hnn import (HnnPresentation, britton_reduce, is_identity,
+                        normal_form)
 from csakit.stallings import fold, is_malnormal, malnormal_closure
 from csakit.words import free_reduce, power
 from test_hnn import tword_from_word
@@ -156,6 +157,34 @@ def test_trivial_edge_groups():
                          (((1,),), ((),))):
         with pytest.raises(ValueError, match="cannot pair a trivial"):
             _gog([GogEdge("u", "v", gens, images)], u=2, v=1)
+
+
+def test_constructors_store_checked_pairs():
+    """Each constructor stores its pairs reduced and without their 1 ~ 1
+    pairs, and raises unless both sides are free bases over their ranks;
+    an edge with no pair left is the trivial edge."""
+    gens, images = ((1, -1), (2, 1, -1)), ((), (1,))
+    for P in (HnnPresentation(2, gens, images),
+              AmalgamPresentation(2, 1, gens, images)):
+        assert (P.a_gens, P.b_gens) == (((2,),), ((1,),))
+    g = _gog([GogEdge("u", "v", gens, images),
+              GogEdge("u", "v", ((1, -1),), ((),))], u=2, v=1)
+    assert g.edges == [GogEdge("u", "v", ((2,),), ((1,),)),
+                       GogEdge("u", "v", (), ())]
+    with pytest.raises(MalformedWordError):
+        _gog([GogEdge("u", "v", ((2,),), ((1,),))], u=1, v=1)
+    # a ~ c, a^2 ~ c: <a> has the basis a, not a and a^2
+    gens, images = ((1,), (1, 1)), ((1,), (1,))
+    for build, what in (
+            (lambda: HnnPresentation(1, gens, images), "associated"),
+            (lambda: AmalgamPresentation(1, 1, gens, images), "amalgamated"),
+            (lambda: _gog([GogEdge("u", "v", gens, images)], u=1, v=1),
+             "edge")):
+        with pytest.raises(ValueError,
+                           match=f"^{what} subgroup generators are not a "):
+            build()
+    with pytest.raises(ValueError, match="a graph of groups needs a vertex"):
+        GraphOfGroups({}, [])
 
 
 def test_trivial_edges_cut_the_tree():

@@ -177,18 +177,36 @@ def test_roundtrip_fuzz():
 
 
 def test_roundtrip_constructors():
+    gog = "gog { vertex u = < a, b >; vertex v = < c >; edge u -> v : {}; }"
     for text in ("fbc()",
                  "amalgam(< a, b >, < c, d >; a ~ c^2)",
                  "gog { vertex u = < a, b >; vertex v = < c, d >; "
                  "edge u -> v : a ~ c^2; }",
-                 EX1 + " sub A = { x1, x2 }"):
+                 EX1 + " sub A = { x1, x2 }",
+                 # the pairs of a renamed header are printed from its sub
+                 # lists, as written, 1 -> 1 pairs and all
+                 "hnn(< x, y >; P -> Q via 1 -> 1)",
+                 "hnn(< x, y >; P -> Q via 1 -> 1, x -> y)",
+                 # a 1 ~ 1 pair beside others is left out, and a trivial
+                 # subgroup, with no pair left, is printed as 1 ~ 1
+                 "amalgam(< a, b >, < c >; 1 ~ 1, a ~ c^2)",
+                 "amalgam(< a, b >, < c >; 1 ~ 1)",
+                 gog.replace("{}", "1 ~ 1"),
+                 gog.replace("{}", "1 ~ 1, a ~ c")):
         printed = render_source(parse_source(text))
         assert render_source(parse_source(printed)) == printed
+    for text, want in (
+            ("hnn(< x, y >; P -> Q via 1 -> 1, x -> y)", "1 -> 1, x -> y"),
+            ("amalgam(< a, b >, < c >; 1 ~ 1, a ~ c^2)", "; a ~ c^2)"),
+            ("amalgam(< a, b >, < c >; 1 ~ 1)", "; 1 ~ 1)"),
+            (gog.replace("{}", "1 ~ 1"), ": 1 ~ 1;"),
+            (gog.replace("{}", "1 ~ 1, a ~ c"), ": a ~ c;")):
+        assert want in render_source(parse_source(text)), text
 
 
 def test_roundtrip_leaves_out_trivial_relators():
-    # each pair 1 -> 1 gives the relator t^-1 1 t 1^-1, which reduces to
-    # the empty word; the parser drops it, so the printer must too
+    # a pair 1 -> 1 is left out of the presentation, so it gives no
+    # relator, and the sub blocks keep it as written
     printed = render_source(parse_source("hnn(< x, y >; A -> B via 1 -> 1)"))
     assert printed == "< x, y, t > sub A = { 1 } sub B = { 1 }"
     assert render_source(parse_source(printed)) == printed
@@ -645,6 +663,13 @@ REJECTED = [
     (["falsify-ct", "< x, t | t^-1 x t = x^210 >", "--radius", "3"],
      f"letters is over the limit of {WORD_LETTER_LIMIT}"),
     (None, "unknown command 'nope'"),
+    # an edge, like an amalgam, must pair free bases of its two sides
+    (["gog-check", "gog { vertex u = < a >; vertex v = < c >; "
+      "edge u -> v : a ~ c, a^2 ~ c; }"],
+     "edge subgroup generators are not a basis"),
+    (["gog-check", "amalgam(< a >, < c >; a ~ c, a^2 ~ c)"],
+     "amalgamated subgroup generators are not a basis"),
+    (["gog-check", "gog { }"], "a graph of groups needs a vertex"),
 ]
 
 
@@ -738,6 +763,15 @@ ANSWERED = [
     # search stops at its second row, so no normal form is computed
     (["falsify-csa", "< x, y, t | t^-1 y t = y^3 >", "--radius", "5"], 1,
      "witness: a = y, v = t", 10),
+    # a sub block that restates A, up to its 1 words, is not checked again
+    (["check-malnormal", "< x, y, t | t^-1 x t = y > sub A = { 1, x }"], 0,
+     "verdict: malnormal", 2),
+    # a 1 -> 1 pair gives no generator and no relator, so both commands
+    # read the group t^-1 x^2 t = x^-1
+    (["classify", "hnn(< x >; A -> B via x^2 -> x^-1, 1 -> 1)"], 1,
+     "verdict: CASE4 not-csa", 2),
+    (["abelianize", "hnn(< x >; A -> B via x^2 -> x^-1, 1 -> 1)"], 0,
+     "verdict: Z + Z/3", 2),
 ]
 
 

@@ -287,6 +287,9 @@ def test_classifier_quadrants():
 def test_classifier_edge_cases():
     free = classify_abelian_hnn(HnnPresentation(1, [()], [()]))
     assert free.case == FREE_PRODUCT and free.csa == "csa*"
+    # a 1 -> 1 pair is left out, so t^-1 x^2 t = x^-1 stays cyclic
+    b12 = classify_abelian_hnn(HnnPresentation(1, [(1, 1), ()], [(-1,), ()]))
+    assert b12.case == CASE4 and b12.csa == "not-csa"
     # t^-1 x^2 t = y is read as t y t^-1 = x^2, where <y> and <x^2> are
     # conjugacy separated: the group is F(x, t)
     notmax = classify_abelian_hnn(HnnPresentation(2, [(1, 1)], [(2,)]))
