@@ -9,8 +9,8 @@ from typing import Optional
 from . import words
 from .errors import CLOSURE_CAP, CapExceededError, UnsupportedShapeError
 from .hnn import HnnPresentation, TWord, check_pairs
-from .stallings import (_find, conj_intersection_trivial, fold,
-                        is_malnormal, malnormal_closure)
+from .stallings import (_find, conj_intersection_trivial, is_malnormal,
+                        malnormal_closure)
 from .words import concat, free_reduce, inverse, is_maximal_abelian_in_free
 
 
@@ -57,10 +57,10 @@ class AmalgamPresentation:
 
 def amalgam_csa_verdict(P: AmalgamPresentation):
     """(verdict, tag) of the amalgam, read off its one-edge tree, so
-    that it answers as the same group spelled as a graph of groups."""
+    that it answers as the same group spelled as a graph of groups; over
+    the trivial subgroup the tree falls apart into two free pieces."""
     edge = GogEdge("left", "right", P.a_gens, P.b_gens)
-    return _tree_csa_verdict(GraphOfGroups(
-        {"left": P.left_rank, "right": P.right_rank}, [edge]))
+    return _piece_csa_verdict([edge] if P.a_gens else [])
 
 
 # -- graphs of groups -------------------------------------------------------
@@ -83,14 +83,18 @@ class GraphOfGroups:
         if not self.vertices:
             raise ValueError("a graph of groups needs a vertex")
         edges = []
+        # (vertex, edge words) -> the folded graph check_pairs returned
+        self.graphs = {}
         for e in self.edges:
             if e.src not in self.vertices or e.dst not in self.vertices:
                 raise ValueError(f"edge {e.src}->{e.dst} references "
                                  "an unknown vertex")
-            gens, images, _, _ = check_pairs(
+            gens, images, G, H = check_pairs(
                 e.gens, e.images, "edge subgroup",
                 self.vertices[e.src], self.vertices[e.dst])
             edges.append(GogEdge(e.src, e.dst, gens, images))
+            self.graphs.setdefault((e.src, gens), G)
+            self.graphs.setdefault((e.dst, images), H)
         self.edges = edges
 
 
@@ -122,31 +126,25 @@ def _normal_in_closure(images_graph, closure, sub_gens):
 
 
 def gog_predicates(gog: GraphOfGroups, cap=CLOSURE_CAP) -> GogReport:
-    checked = {}    # (vertex, edge words) -> (core graph, is_malnormal)
-    normal_in = {}  # the same keys -> normal in the malnormal closure
-
-    def check(v, words):
-        key = v, words
-        if key not in checked:
-            H = fold(words, gog.vertices[v])
-            checked[key] = H, is_malnormal(H)
-        return (key,) + checked[key]
-
+    graphs = gog.graphs
+    reports = {key: is_malnormal(H) for key, H in graphs.items()}
+    normal_in = {}  # the keys of images -> normal in the malnormal closure
     per_edge = {}
     for idx, e in enumerate(gog.edges):
-        _, E, mal_src = check(e.src, e.gens)
-        key, im, mal_dst = check(e.dst, e.images)
+        src, dst = (e.src, e.gens), (e.dst, e.images)
+        mal_src, mal_dst = reports[src], reports[dst]
         witness = mal_src.witness or mal_dst.witness
-        if key not in normal_in:
+        if dst not in normal_in:
+            im = graphs[dst]
             try:
                 closure = malnormal_closure(im, cap, report=mal_dst)
-                normal_in[key] = _normal_in_closure(im, closure, key[1])
+                normal_in[dst] = _normal_in_closure(im, closure, e.images)
             except CapExceededError:
-                normal_in[key] = None
-        normal = normal_in[key]
+                normal_in[dst] = None
+        normal = normal_in[dst]
         separated = None
         if e.src == e.dst:
-            ok, wit = conj_intersection_trivial(E, im)
+            ok, wit = conj_intersection_trivial(graphs[src], graphs[dst])
             separated = ok
             witness = witness or wit
         per_edge[idx] = EdgeReport(mal_src.verdict, normal,
@@ -192,25 +190,19 @@ def _components(vertices, edges):
     return {v: _find(parent, i) for v, i in position.items()}, cycle
 
 
-def _underlying_is_tree(gog):
-    label, cycle = _components(gog.vertices, gog.edges)
-    return not cycle and len(set(label.values())) == 1
-
-
-def _is_oriented_line(gog):
-    outdeg, indeg = {}, {}
-    for e in gog.edges:
-        outdeg[e.src] = outdeg.get(e.src, 0) + 1
-        indeg[e.dst] = indeg.get(e.dst, 0) + 1
-    return all(outdeg.get(v, 0) <= 1 and indeg.get(v, 0) <= 1
-               for v in gog.vertices)
+def _is_oriented_line(edges):
+    """Whether the edges of a tree leave each vertex at most once and
+    enter it at most once, so that they run along one oriented line."""
+    srcs, dsts = [e.src for e in edges], [e.dst for e in edges]
+    return len(set(srcs)) == len(srcs) and len(set(dsts)) == len(dsts)
 
 
 def fundamental_group_presentation(gog: GraphOfGroups):
     """Presentation of the fundamental group of a finite tree (or line) of
     free groups by iterated amalgamation, with a CSA verdict when all edge
     groups are cyclic."""
-    if not _underlying_is_tree(gog):
+    label, cycle = _components(gog.vertices, gog.edges)
+    if cycle or len(set(label.values())) != 1:
         raise UnsupportedShapeError("underlying graph must be a finite tree")
 
     names = sorted(gog.vertices)
@@ -245,28 +237,26 @@ def _tree_csa_verdict(gog):
 
 
 def _pieces(gog):
-    """The subtrees left when the tree is cut at its trivial edges, those
-    with no pair, in the order of their first vertices."""
+    """The edge lists of the subtrees left when the tree is cut at its
+    trivial edges, those with no pair, in the order of their first
+    vertices; a vertex left alone gives an empty list."""
     kept = [e for e in gog.edges if e.gens]
     label, _ = _components(gog.vertices, kept)
-    return [GraphOfGroups({v: r for v, r in gog.vertices.items()
-                           if label[v] == i},
-                          [e for e in kept if label[e.src] == i])
+    return [[e for e in kept if label[e.src] == i]
             for i in sorted(set(label.values()))]
 
 
-def _piece_csa_verdict(gog):
-    """(verdict, tag) of a tree of free groups with no trivial edge: a
-    vertex alone is free, so csa*."""
-    if not gog.edges:
+def _piece_csa_verdict(edges):
+    """(verdict, tag) of the tree of free groups on these edges, none of
+    them trivial: with no edge it is a vertex alone, free, so csa*."""
+    if not edges:
         return "csa*", None
-    cyclic = all(len(e.gens) == 1 for e in gog.edges)
-    if not cyclic:
+    if not all(len(e.gens) == 1 for e in edges):
         return "unknown", None
 
     edge_data = [(e, is_maximal_abelian_in_free(e.gens[0]),
                   is_maximal_abelian_in_free(e.images[0]))
-                 for e in gog.edges]
+                 for e in edges]
 
     if len(edge_data) == 1:
         # G *_{u = v} H is csa* iff u or v is maximal abelian
@@ -278,8 +268,8 @@ def _piece_csa_verdict(gog):
     if all(src_max and dst_max for (_e, src_max, dst_max) in edge_data):
         return "csa*", "Prop-TreeProdAb"
 
-    if _is_oriented_line(gog) and all(src_max for (_e, src_max, _d)
-                                      in edge_data):
+    if _is_oriented_line(edges) and all(src_max for (_e, src_max, _d)
+                                        in edge_data):
         return "csa*", "Thm-GraphGroups"
 
     # two coincident maximal abelian edge groups at a common initial

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from csakit import amalgam, stallings
+from csakit import amalgam, cli, hnn, stallings
 from csakit.amalgam import (AmalgamPresentation, GogEdge, GraphOfGroups,
                             amalgam_csa_verdict,
                             fundamental_group_presentation, gog_predicates,
@@ -298,9 +298,15 @@ def test_tree_verdicts():
     single = _gog([GogEdge("u", "v", ((1,),), ((1, 1),))], u=2, v=2)
     tree = fundamental_group_presentation(single)
     assert tree.csa == "csa*" and tree.citation == "Thm-amalgiff"
-    # matches the direct amalgam verdict
-    P = AmalgamPresentation(2, 2, [(1,)], [(1, 1)])
-    assert amalgam_csa_verdict(P)[0] == tree.csa
+    # the amalgam reads its one edge without building the tree, and
+    # answers as the tree does on every u ~ v with 1 <= |u|, |v| <= 2
+    # and on 1 ~ 1
+    short = reduced_words(2, 2)[1:]
+    for u, v in [(u, v) for u in short for v in short] + [((), ())]:
+        P = AmalgamPresentation(2, 2, [u], [v])
+        tree = fundamental_group_presentation(
+            _gog([GogEdge("u", "v", (u,), (v,))], u=2, v=2))
+        assert amalgam_csa_verdict(P) == (tree.csa, tree.citation), (u, v)
 
     both_max = _gog([GogEdge("u", "v", ((1,),), ((1,),)),
                      GogEdge("u", "w", ((2,),), ((1,),))],
@@ -312,6 +318,59 @@ def test_tree_verdicts():
                 u=2, v=2, w=2)
     t3 = fundamental_group_presentation(line)
     assert t3.csa == "csa*" and t3.citation == "Thm-GraphGroups"
+
+
+def test_graph_groups_needs_an_oriented_line():
+    """Thm-GraphGroups covers two edges whose sources are a vertex's
+    first or second letter, maximal abelian, and whose images are the
+    square of a letter, not, only when they run along one oriented line;
+    no other rule covers the other three orientations."""
+    a, b, c2, d2 = ((1,),), ((2,),), ((1, 1),), ((2, 2),)
+    for edges, want in (
+            ([GogEdge("u", "v", a, c2), GogEdge("v", "w", b, c2)],
+             ("csa*", "Thm-GraphGroups")),
+            ([GogEdge("v", "u", a, c2), GogEdge("w", "u", b, d2)],
+             ("unknown", None)),
+            ([GogEdge("u", "v", a, c2), GogEdge("u", "w", b, c2)],
+             ("unknown", None)),
+            ([GogEdge("u", "v", a, c2), GogEdge("w", "v", b, d2)],
+             ("unknown", None))):
+        tree = fundamental_group_presentation(_gog(edges, u=2, v=2, w=2))
+        assert (tree.csa, tree.citation) == want, edges
+
+
+def test_edges_are_checked_and_folded_once(monkeypatch):
+    """Only the constructors check pairs: the tree verdicts read the
+    checked edges, and gog_predicates reads the graphs that check_pairs
+    folded, so it folds only the joins of malnormal closures."""
+    calls = {"check_pairs": 0, "fold": 0}
+
+    def counting(name, f):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapped
+
+    for module in (hnn, amalgam, stallings):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counting(name, getattr(module, name)))
+    badtree = _gog([GogEdge("u", "v", ((1,),), ((1, 1),)),
+                    GogEdge("u", "w", ((1,),), ((1, 1),))], u=2, v=2, w=2)
+    P = AmalgamPresentation(2, 2, [(1,)], [(1, 1)])
+    calls.update(check_pairs=0, fold=0)
+    assert fundamental_group_presentation(badtree).csa == "not-csa"
+    assert amalgam_csa_verdict(P) == ("csa*", "Thm-amalgiff")
+    assert calls == {"check_pairs": 0, "fold": 0}
+    # badtree-gog folds <a> on each edge, <c^2>, <f^2> and the join of
+    # each closure; amalgiff-amalgam folds A and B over the factors and
+    # again in the extension
+    goldens = {g["name"]: g.get("source") for g in cli.load_goldens()}
+    for name, folds in (("badtree-gog", 6), ("amalgiff-amalgam", 4)):
+        calls.update(check_pairs=0, fold=0)
+        cli.run("gog-check", goldens[name])
+        assert calls == {"check_pairs": 2, "fold": folds}, name
 
 
 def test_tree_presentation_relators():

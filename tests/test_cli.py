@@ -204,6 +204,52 @@ def test_roundtrip_constructors():
         assert want in render_source(parse_source(text)), text
 
 
+
+GOG_VERTICES = (("u", "a", "b"), ("v", "c", "d"), ("w", "f", "g"))
+
+
+def rand_gog(rng):
+    """A tree on the first 1-3 of GOG_VERTICES: each later vertex joins
+    an earlier one by an edge of either orientation that carries one or
+    two pairs of words of 1-3 letters."""
+    def word(letters):
+        return " ".join(rng.choice(letters) + rng.choice(("", "^-1"))
+                        for _ in range(rng.randint(1, 3)))
+
+    vertices = GOG_VERTICES[:rng.randint(1, 3)]
+    parts = [f"vertex {v} = < {x}, {y} >;" for v, x, y in vertices]
+    for i in range(1, len(vertices)):
+        src, dst = vertices[rng.randrange(i)], vertices[i]
+        if rng.random() < 0.5:
+            src, dst = dst, src
+        pairs = ", ".join(f"{word(src[1:])} ~ {word(dst[1:])}"
+                          for _ in range(rng.randint(1, 2)))
+        parts.append(f"edge {src[0]} -> {dst[0]} : {pairs};")
+    return "gog { " + " ".join(parts) + " }"
+
+
+def test_gog_roundtrip_fuzz():
+    """A printed graph of groups parses back to the same text, and
+    gog-check answers it as it answers the drawn text: 214 of the 300
+    draws parse, the rest pair a trivial word with a nontrivial one or
+    give an edge no basis."""
+    rng = random.Random(35)
+    parsed = 0
+    for _ in range(300):
+        text = rand_gog(rng)
+        try:
+            src = parse_source(text)
+        except ValueError:
+            continue
+        parsed += 1
+        printed = render_source(src)
+        assert render_source(parse_source(printed)) == printed
+        drawn, _ = run("gog-check", text)
+        again, _ = run("gog-check", printed)
+        assert (again.verdict, again.citations, again.details) == \
+            (drawn.verdict, drawn.citations, drawn.details), text
+    assert parsed == 214
+
 def test_roundtrip_leaves_out_trivial_relators():
     # a pair 1 -> 1 is left out of the presentation, so it gives no
     # relator, and the sub blocks keep it as written
