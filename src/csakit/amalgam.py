@@ -11,11 +11,7 @@ from .errors import CLOSURE_CAP, CapExceededError, UnsupportedShapeError
 from .hnn import HnnPresentation, TWord, check_pairs
 from .stallings import (_find, conj_intersection_trivial, is_malnormal,
                         malnormal_closure)
-from .words import concat, free_reduce, inverse, is_maximal_abelian_in_free
-
-
-def shift_word(word, offset):
-    return tuple(l + offset if l > 0 else l - offset for l in word)
+from .words import concat, free_reduce, inverse, shift_word
 
 
 class AmalgamPresentation:
@@ -23,15 +19,15 @@ class AmalgamPresentation:
     B in the right (local letters each starting at 1)."""
 
     def __init__(self, left_rank, right_rank, a_gens, b_gens):
-        self.left_rank = left_rank
-        self.right_rank = right_rank
-        self.a_gens, self.b_gens, _, _ = check_pairs(
-            a_gens, b_gens, "amalgamated subgroup", left_rank, right_rank)
-        self.free_product_rank = left_rank + right_rank
-        self.extension = HnnPresentation(
-            self.free_product_rank,
-            self.a_gens,
-            tuple(shift_word(g, left_rank) for g in self.b_gens))
+        if (least := min(left_rank, right_rank)) < 0:
+            raise ValueError(f"factor rank {least} is negative")
+        self.left_rank, self.right_rank = left_rank, right_rank
+        A, B = check_pairs(a_gens, b_gens, "amalgamated subgroup",
+                           left_rank, right_rank)
+        self.a_gens, self.b_gens = A.generators, B.generators
+        self.free_product_rank = rank = left_rank + right_rank
+        self.extension = HnnPresentation.from_graphs(
+            A.shifted(0, rank), B.shifted(left_rank, rank))
 
     def embed(self, word):
         """Word over the amalgam's displayed generators (left 1..rl, then
@@ -82,6 +78,8 @@ class GraphOfGroups:
     def __post_init__(self):
         if not self.vertices:
             raise ValueError("a graph of groups needs a vertex")
+        if (least := min(self.vertices.values())) < 0:
+            raise ValueError(f"vertex rank {least} is negative")
         edges = []
         # (vertex, edge words) -> the folded graph check_pairs returned
         self.graphs = {}
@@ -89,12 +87,11 @@ class GraphOfGroups:
             if e.src not in self.vertices or e.dst not in self.vertices:
                 raise ValueError(f"edge {e.src}->{e.dst} references "
                                  "an unknown vertex")
-            gens, images, G, H = check_pairs(
-                e.gens, e.images, "edge subgroup",
-                self.vertices[e.src], self.vertices[e.dst])
-            edges.append(GogEdge(e.src, e.dst, gens, images))
-            self.graphs.setdefault((e.src, gens), G)
-            self.graphs.setdefault((e.dst, images), H)
+            G, H = check_pairs(e.gens, e.images, "edge subgroup",
+                               self.vertices[e.src], self.vertices[e.dst])
+            edges.append(GogEdge(e.src, e.dst, G.generators, H.generators))
+            self.graphs.setdefault((e.src, G.generators), G)
+            self.graphs.setdefault((e.dst, H.generators), H)
         self.edges = edges
 
 
@@ -254,8 +251,8 @@ def _piece_csa_verdict(edges):
     if not all(len(e.gens) == 1 for e in edges):
         return "unknown", None
 
-    edge_data = [(e, is_maximal_abelian_in_free(e.gens[0]),
-                  is_maximal_abelian_in_free(e.images[0]))
+    edge_data = [(e, words.is_maximal_abelian_in_free(e.gens[0]),
+                  words.is_maximal_abelian_in_free(e.images[0]))
                  for e in edges]
 
     if len(edge_data) == 1:

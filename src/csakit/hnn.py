@@ -17,41 +17,43 @@ from .words import (concat, conjugating_element, free_reduce, inverse,
 
 
 def check_pairs(gens, images, what, rank, image_rank):
-    """(gens, images, G, H): the pairs gens[i] ~ images[i] freely reduced
-    over rank and image_rank (a letter outside raises MalformedWordError)
-    and without their 1 ~ 1 pairs, and the folded graphs of the two
-    sides.  ValueError unless the lists pair off one to one, trivial with
-    trivial, and each side is a free basis, so that the pairing extends
-    to an isomorphism G -> H."""
+    """The folded graphs (G, H) of the two sides of the pairs gens[i] ~
+    images[i], over rank and image_rank (a letter outside raises
+    MalformedWordError); fold drops the 1 ~ 1 pairs.  ValueError unless
+    the lists pair off one to one, trivial with trivial, and each side is
+    a free basis, so that the pairing extends to an isomorphism G -> H."""
     if len(gens) != len(images):
         raise ValueError(f"{what} generator counts differ")
-    pairs = [(free_reduce(g, rank), free_reduce(w, image_rank))
-             for g, w in zip(gens, images)]
-    if any(bool(g) != bool(w) for g, w in pairs):
+    G, H = fold(gens, rank), fold(images, image_rank)
+    if any(bool(free_reduce(g)) != bool(free_reduce(w))
+           for g, w in zip(gens, images)):
         raise ValueError("phi cannot pair a trivial generator with "
                          "a nontrivial one")
-    gens = tuple(g for g, _ in pairs if g)
-    images = tuple(w for _, w in pairs if w)
-    G, H = fold(gens, rank), fold(images, image_rank)
-    if G.free_rank != len(gens) or H.free_rank != len(gens):
+    if G.free_rank != len(G.generators) or H.free_rank != len(G.generators):
         raise ValueError(f"{what} generators are not a basis")
-    return gens, images, G, H
+    return G, H
 
 
 class HnnPresentation:
     """HNN extension of a free group of rank base_rank.
 
-    a_gens and b_gens are the pairs as check_pairs returns them, so phi
-    extends to an isomorphism A -> B, and the i-th generator is the i-th
-    basis element of its folded graph A or B.
+    phi extends to an isomorphism A -> B, and the i-th of a_gens or
+    b_gens is the i-th basis element of its folded graph A or B.
     """
 
-    def __init__(self, base_rank, a_gens, b_gens):
+    def __new__(cls, base_rank, a_gens, b_gens):
         if base_rank < 0:
             raise ValueError(f"base rank {base_rank} is negative")
-        self.base_rank = base_rank
-        self.a_gens, self.b_gens, self.A, self.B = check_pairs(
-            a_gens, b_gens, "associated subgroup", base_rank, base_rank)
+        return cls.from_graphs(*check_pairs(
+            a_gens, b_gens, "associated subgroup", base_rank, base_rank))
+
+    @classmethod
+    def from_graphs(cls, A, B):
+        """The extension over graphs check_pairs returned, or their shifts."""
+        self = super().__new__(cls)
+        self.base_rank = A.rank
+        self.A, self.B = A, B
+        self.a_gens, self.b_gens = A.generators, B.generators
         # generator index (negative for inverses) -> image word, keyed by
         # the sign e of the pinch t^e g t^-e it resolves
         self._images = {-1: _index_images(self.b_gens),
@@ -59,6 +61,7 @@ class HnnPresentation:
         # an expression of at most limit / _longest parts writes out no more
         # letters than the word limit, so _image counts only longer ones
         self._longest = max(map(len, self.a_gens + self.b_gens), default=0)
+        return self
 
     def pinch(self, e, g):
         """Image of the base word g across the pinch t^e g t^-e: phi(g)

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CLOSURE_CAP, CapExceededError
-from .words import concat, free_reduce, inverse, letter_key, shortlex_key
+from .words import (concat, free_reduce, inverse, letter_key, shift_word,
+                    shortlex_key)
 
 
 class CoreGraph:
@@ -52,6 +53,15 @@ class CoreGraph:
                     self.edges[l].append((v, w))
         self.num_vertices = len(names)
         self._tree_back_exprs = None
+
+    def shifted(self, offset, rank):
+        """The graph of the generators shifted by offset, over rank
+        letters, numbered and tagged as fold would: shift_word keeps the
+        order of letter_key, which orders letters by |l|."""
+        succ = {(v,) + shift_word((l,), offset): hit
+                for (v, l), hit in self.succ.items()}
+        return CoreGraph(rank, succ, tuple(shift_word(g, offset)
+                                           for g in self.generators))
 
     # -- basic automaton queries -------------------------------------------
 

@@ -41,6 +41,11 @@ def inverse(w):
     return tuple(-l for l in reversed(w))
 
 
+def shift_word(word, offset):
+    """word with each letter l moved to l + offset (l - offset for l < 0)."""
+    return tuple(l + offset if l > 0 else l - offset for l in word)
+
+
 def concat(*ws):
     """Product of already-reduced words (result reduced)."""
     out = []

@@ -13,6 +13,7 @@ from csakit.hnn import (HnnPresentation, britton_reduce, is_identity,
 from csakit.stallings import fold, is_malnormal, malnormal_closure
 from csakit.words import free_reduce, power
 from test_hnn import tword_from_word
+from test_stallings import rand_word
 from test_words import reduced_words
 
 
@@ -185,6 +186,17 @@ def test_constructors_store_checked_pairs():
             build()
     with pytest.raises(ValueError, match="a graph of groups needs a vertex"):
         GraphOfGroups({}, [])
+    # a negative rank is no free group, with or without pairs to check
+    for build, what in (
+            (lambda: HnnPresentation(-1, [], []), "base rank -1"),
+            (lambda: AmalgamPresentation(-1, 2, [], []), "factor rank -1"),
+            (lambda: AmalgamPresentation(2, -1, [], []), "factor rank -1"),
+            (lambda: AmalgamPresentation(-1, -1, [], []), "factor rank -1"),
+            (lambda: _gog([GogEdge("u", "v", (), ())], u=-2, v=1),
+             "vertex rank -2"),
+            (lambda: _gog([], u=1, v=-1), "vertex rank -1")):
+        with pytest.raises(ValueError, match=f"^{what} is negative$"):
+            build()
 
 
 def test_trivial_edges_cut_the_tree():
@@ -339,6 +351,35 @@ def test_graph_groups_needs_an_oriented_line():
         assert (tree.csa, tree.citation) == want, edges
 
 
+def test_extension_reads_the_shifted_factor_graphs():
+    """The extension's A and B are the factor graphs moved into the free
+    product: equal, tags included, to the folds of the pairs over the
+    free-product rank with B's letters shifted past the left factor's,
+    so Britton reduction and normal_form read the same graphs."""
+    rng = random.Random(67)
+    built = 0
+    for _ in range(1500):
+        left, right = rng.randint(1, 3), rng.randint(1, 3)
+        n = rng.randint(1, 2)
+        a_gens = [rand_word(rng, left, rng.randint(1, 4)) for _ in range(n)]
+        b_gens = [rand_word(rng, right, rng.randint(1, 4)) for _ in range(n)]
+        try:
+            P = AmalgamPresentation(left, right, a_gens, b_gens)
+        except ValueError:
+            continue
+        built += 1
+        rank = P.free_product_rank
+        for got, words in (
+                (P.extension.A, a_gens),
+                (P.extension.B, [shift_word(w, left) for w in b_gens])):
+            want = fold(words, rank)
+            assert (got.succ, got.tree_paths, got.edges, got.generators,
+                    got.num_vertices, got.rank) == \
+                (want.succ, want.tree_paths, want.edges, want.generators,
+                 want.num_vertices, want.rank), (a_gens, b_gens)
+    assert built > 700
+
+
 def test_edges_are_checked_and_folded_once(monkeypatch):
     """Only the constructors check pairs: the tree verdicts read the
     checked edges, and gog_predicates reads the graphs that check_pairs
@@ -364,13 +405,19 @@ def test_edges_are_checked_and_folded_once(monkeypatch):
     assert amalgam_csa_verdict(P) == ("csa*", "Thm-amalgiff")
     assert calls == {"check_pairs": 0, "fold": 0}
     # badtree-gog folds <a> on each edge, <c^2>, <f^2> and the join of
-    # each closure; amalgiff-amalgam folds A and B over the factors and
-    # again in the extension
+    # each closure; an amalgam folds A and B over the factors once, and
+    # its extension shifts those graphs into the free product
     goldens = {g["name"]: g.get("source") for g in cli.load_goldens()}
-    for name, folds in (("badtree-gog", 6), ("amalgiff-amalgam", 4)):
+    for name, checks, folds in (("badtree-gog", 2, 6),
+                                ("treeprodab-gog", 2, 4),
+                                ("mustmax-amalgam", 1, 2),
+                                ("amalgiff-amalgam", 1, 2)):
         calls.update(check_pairs=0, fold=0)
         cli.run("gog-check", goldens[name])
-        assert calls == {"check_pairs": 2, "fold": folds}, name
+        assert calls == {"check_pairs": checks, "fold": folds}, name
+    calls.update(check_pairs=0, fold=0)
+    AmalgamPresentation(2, 2, [(1,)], [(1, 1)])
+    assert calls == {"check_pairs": 1, "fold": 2}
 
 
 def test_tree_presentation_relators():

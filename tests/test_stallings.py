@@ -10,7 +10,7 @@ from csakit.stallings import (conj_intersection_trivial, fold, is_malnormal,
                               malnormal_closure)
 from csakit.words import (concat, conjugate, free_reduce, inverse,
                           is_maximal_abelian_in_free, letter_key,
-                          shortlex_key)
+                          shift_word, shortlex_key)
 
 
 def rand_word(rng, rank=3, max_len=4):
@@ -444,7 +444,8 @@ def bfs_tree_paths(G):
 
 def test_core_graph_records_edges_and_tree_paths_when_built():
     """A folded graph is BFS-numbered, each vertex's tree path is its BFS
-    path and each letter's edges are listed by source."""
+    path and each letter's edges are listed by source; shifted gives the
+    fold of the shifted words."""
     for seed in (61, 62, 63):
         for gens, rank in seeded_fold_sets(seed, 2000):
             H = fold(gens, rank)
@@ -454,6 +455,14 @@ def test_core_graph_records_edges_and_tree_paths_when_built():
             assert list(paths) == list(range(H.num_vertices))
             assert H.tree_paths == list(paths.values())
             assert H.num_edges == sum(1 for (_v, l) in H.succ if l > 0)
+            # a shift renames letters in the order of letter_key, so it
+            # numbers and tags the graph as fold does the shifted words
+            for k in range(5):
+                G = H.shifted(k, rank + k)
+                want = fold([shift_word(g, k) for g in gens], rank + k)
+                assert (G.succ, G.tree_paths, G.edges, G.generators,
+                        G.rank) == (want.succ, want.tree_paths, want.edges,
+                                    want.generators, want.rank), (gens, k)
 
 
 def test_core_graph_keeps_a_bfs_numbering_and_renumbers_any_other():
