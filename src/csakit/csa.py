@@ -174,9 +174,18 @@ class CtWitness:
     c: tuple
 
 
+@lru_cache(maxsize=1)
 def _search_context(spec, radius):
     """(elements, rows, columns, comm, commutes, conj_commutes): the
-    search over the ball of spec and radius.
+    search session over the ball of spec and radius.
+
+    The last session built is kept, so consecutive searches on one spec
+    and radius (falsify_csa, then falsify_ct) share its words settled
+    by _walk, its canonical keys, the index's built blocks, the forms
+    with their pinch memo and the commutes cache.  A search on another
+    spec or radius replaces it once its own is built, so between
+    searches one session is alive, until _search_context.cache_clear()
+    frees it.  Keeping one per spec would hold every searched ball.
 
     elements holds the skeleton's searched words, those of the ball
     that come before their literal inverse.  The search ball is those of

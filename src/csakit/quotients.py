@@ -5,8 +5,8 @@ A homomorphism rho with rho([a, b]) != 1 proves [a, b] != 1, so the
 falsifiers in ``csa`` run Britton reduction only on the pairs that no
 such quotient separates (Sims, *Computation with Finitely Presented
 Groups*, CUP 1994).  ``letter_tables`` gives the images of a search's
-letters and ``BallIndex`` the pair tests and candidate columns read off
-the images of its ball.
+letters, kept on the spec, and ``BallIndex`` the pair tests and
+candidate columns read off the images of its ball.
 
 Permutations of {0, ..., d-1} are ``bytes`` of length d, acting on the
 right: the point x goes to p[x], and the product p q is "p, then q",
@@ -84,16 +84,27 @@ def letter_tables(spec):
     """(identity, tables): the identity permutation and, for each letter
     of spec's displayed generators, both signs, the translation table
     of its image under permutation_quotients(spec.ext); None when spec
-    has no extension or there is no quotient."""
+    has no extension or there is no quotient.
+
+    A spec with an extension computes them on its first call and keeps
+    them, None included, as its _letter_tables for as long as it lives:
+    permutation_quotients is seeded, so they depend on the spec alone.
+    A spec with no extension keeps nothing."""
     P = spec.ext
-    rho = None if P is None else permutation_quotients(P)
-    if rho is None:
+    if P is None:
         return None
-    t = P.base_rank + 1
-    identity = bytes(range(len(rho[1])))
-    return identity, {l: table(evaluate(spec.tword((l,)).flatten(t), rho,
-                                        identity))
-                      for g in range(1, spec.rank + 1) for l in (g, -g)}
+    if not hasattr(spec, "_letter_tables"):
+        rho = permutation_quotients(P)
+        if rho is None:
+            spec._letter_tables = None
+        else:
+            t = P.base_rank + 1
+            identity = bytes(range(len(rho[1])))
+            spec._letter_tables = identity, {
+                l: table(evaluate(spec.tword((l,)).flatten(t), rho,
+                                  identity))
+                for g in range(1, spec.rank + 1) for l in (g, -g)}
+    return spec._letter_tables
 
 
 def _plan(P):

@@ -31,8 +31,8 @@ class GroupSpec:
     over the displayed generators (an amalgam adds its stable letter,
     rank + 1).  ``ext`` is the HNN extension of a free group that a
     Britton spec reduces words in, ``tword`` mapping words into it; a
-    falsifier search draws its permutation quotients from it
-    (``quotients.letter_tables``).  It is None for free products of
+    falsifier search draws its permutation quotients from it once per
+    spec (``quotients.letter_tables`` keeps them).  It is None for free products of
     cyclics and the free-by-cyclic group, which reduce words their own
     way and whose searches run under the trivial quotient."""
 

@@ -292,11 +292,93 @@ def _witnesses(spec, radius):
             None if hit_ct is None else (hit_ct.a, hit_ct.b, hit_ct.c))
 
 
+def afresh(spec):
+    """A new spec of spec's group that has kept no quotient tables: an
+    HNN or amalgam spec of the same presentation, or spec itself for the
+    value specs, which keep nothing.  A search on it draws its quotient
+    from quotients.permutation_quotients as it is then."""
+    if isinstance(spec, AmalgamSpec):
+        return AmalgamSpec(spec.pres)
+    if isinstance(spec, HnnSpec):
+        return HnnSpec(spec.pres)
+    return spec
+
+
+def patch_quotients(monkeypatch, draw):
+    """Make draw the quotient of every spec built afresh from now on, and
+    drop the kept search session: value-equal specs share its slot."""
+    monkeypatch.setattr(quotients, "permutation_quotients", draw)
+    csa._search_context.cache_clear()
+
+
+def quotient_kind(spec):
+    """How spec's searches filter pairs: "none" with no quotient,
+    "constant" when every letter's image is the identity, "separating"
+    otherwise."""
+    quotient = quotients.letter_tables(spec)
+    if quotient is None:
+        return "none"
+    identity, tables = quotient
+    if set(tables.values()) == {quotients.table(identity)}:
+        return "constant"
+    return "separating"
+
+
 def test_filtered_searches_match_unfiltered(monkeypatch):
     filtered = [_witnesses(spec, radius) for _, spec, radius in EXACTNESS]
-    monkeypatch.setattr(quotients, "permutation_quotients", lambda P: None)
+    assert {quotient_kind(spec) for _, spec, _ in EXACTNESS} == \
+        {"separating"}
+    patch_quotients(monkeypatch, lambda P: None)
     for (name, spec, radius), got in zip(EXACTNESS, filtered):
+        spec = afresh(spec)
+        assert quotient_kind(spec) == "none", name
         assert got == _witnesses(spec, radius), name
+
+
+def test_consecutive_searches_share_one_session(monkeypatch):
+    # falsify_csa then falsify_ct on one spec and radius read one session;
+    # another radius builds a new one from the tables the spec keeps, so
+    # the spec's quotient is drawn once
+    draws = []
+    draw = quotients.permutation_quotients
+
+    def counting(P):
+        draws.append(P)
+        return draw(P)
+
+    patch_quotients(monkeypatch, counting)
+    spec = afresh(QUADRANT_SPECS[0])
+    context = csa._search_context
+    assert csa.falsify_csa(spec, 3) is None
+    assert context.cache_info()[:2] == (0, 1)
+    assert csa.falsify_ct(spec, 3) is None
+    assert context.cache_info()[:2] == (1, 1)
+    assert csa.falsify_csa(spec, 4) is None
+    assert context.cache_info()[:2] == (1, 2)
+    assert draws == [spec.ext]
+    # the radius-4 session holds the radius-4 ball
+    assert max(map(len, context(spec, 4)[0])) == 4
+
+
+def test_shared_sessions_give_the_witnesses_of_fresh_specs():
+    # whatever an earlier search on the session settled, each search
+    # finds what it finds on a fresh spec from an empty session: csa then
+    # ct, ct then csa, and csa and ct with a search on another spec, which
+    # evicts the session, between them
+    other = afresh(QUADRANT_SPECS[1])
+    for name, spec, radius in EXACTNESS:
+        csa._search_context.cache_clear()
+        want_csa = csa.falsify_csa(afresh(spec), radius)
+        csa._search_context.cache_clear()
+        want_ct = csa.falsify_ct(afresh(spec), radius)
+        first, second, third = afresh(spec), afresh(spec), afresh(spec)
+        assert csa.falsify_csa(first, radius) == want_csa, name
+        assert csa.falsify_ct(first, radius) == want_ct, name
+        assert csa.falsify_ct(second, radius) == want_ct, name
+        assert csa.falsify_csa(second, radius) == want_csa, name
+        assert csa.falsify_csa(third, radius) == want_csa, name
+        assert csa.falsify_ct(other, 2) is None
+        assert csa.falsify_ct(third, radius) == want_ct, name
 
 
 def _relator_images(P, rho):
@@ -725,9 +807,10 @@ def _constant_quotient(P):
 
 
 def test_constant_quotient_falls_back_on_every_row(monkeypatch):
-    monkeypatch.setattr(quotients, "permutation_quotients",
-                        _constant_quotient)
+    patch_quotients(monkeypatch, _constant_quotient)
     for name, spec, radius in EXACTNESS:
+        spec = afresh(spec)
+        assert quotient_kind(spec) == "constant", name
         _, rows, columns, *_ = csa._search_context(spec, radius)
         rows = list(rows())
         # C(1) = Sym(DEGREE) is larger than any ball: every row is given
@@ -955,15 +1038,13 @@ def test_search_ball_matches_key_only_ball():
 
 @pytest.mark.parametrize("images", ["constant", "none"])
 def test_ball_without_separating_images_keys_every_word(monkeypatch, images):
-    def constant(P):
-        identity = bytes(range(quotients.DEGREE))
-        return {l: identity for g in range(1, P.base_rank + 2)
-                for l in (g, -g)}
-
-    monkeypatch.setattr(quotients, "permutation_quotients",
-                        constant if images == "constant" else lambda P: None)
+    patch_quotients(monkeypatch, _constant_quotient
+                    if images == "constant" else lambda P: None)
     calls = _counting_keys(monkeypatch)
     for name, spec, radius in BALLS:
+        spec = afresh(spec)
+        assert quotient_kind(spec) == \
+            (images if spec.ext is not None else "none"), name
         calls[0] = 0
         assert search_ball(spec, radius) == \
             before_their_inverse(key_only_ball(spec, radius)), name
