@@ -788,6 +788,8 @@ def run(command, text, flags=None):
             check_budget(abs(flags[f]), flag=f"--{f}")
     if flags.get("cap") is None:
         flags["cap"] = CLOSURE_CAP
+    elif flags["cap"] < 1:
+        raise CsakitError("cap must be >= 1")
     t0 = time.monotonic()
     if kinds is None:
         report = impl(flags)

@@ -259,6 +259,7 @@ def _solve_step(edges, known, t):
 
 
 def _cycles(p):
+    """The cycles of p, fixed points too, each from its least point."""
     seen = bytearray(len(p))
     out = []
     for x in range(len(p)):
@@ -276,18 +277,19 @@ def _cycles(p):
 
 def _conjugator(A, B, rng):
     """A random T with T^-1 A T = B, or None when A and B have different
-    cycle types, found before any random choice.  Each cycle of A goes
-    onto a cycle of B of the same length, picked at random, at a random
-    rotation."""
-    if _cycle_type(A) != _cycle_type(B):
+    cycle types, read off the cycles it matches before any random
+    choice.  Each cycle of A goes onto a cycle of B of the same length,
+    picked at random, at a random rotation."""
+    cycles_a, cycles_b = _cycles(A), _cycles(B)
+    if _shape(cycles_a) != _shape(cycles_b):
         return None
     pools = {}
-    for cycle in _cycles(B):
+    for cycle in cycles_b:
         pools.setdefault(len(cycle), []).append(cycle)
     for pool in pools.values():
         rng.shuffle(pool)
     T = [0] * len(A)
-    for cycle in _cycles(A):
+    for cycle in cycles_a:
         target = pools[len(cycle)].pop()
         r = rng.randrange(len(cycle))
         for m, x in enumerate(cycle):
@@ -298,15 +300,15 @@ def _conjugator(A, B, rng):
 def _random_perm(rng, lengths=None):
     """A uniform random permutation; with lengths, uniform among those
     other than 1 whose cycles longer than 1 all have a length in
-    lengths, drawn by rejection (with 7 alone, about 1 draw in 42 is
-    kept)."""
+    lengths, drawn by rejection on the lengths of its cycles (with 7
+    alone, about 1 draw in 42 is kept)."""
     p = list(range(DEGREE))
     while True:
         rng.shuffle(p)
         q = bytes(p)
         if lengths is None:
             return q
-        moved = [n for n in _cycle_type(q) if n > 1]
+        moved = [len(c) for c in _cycles(q) if len(c) > 1]
         if moved and all(n in lengths for n in moved):
             return q
 
@@ -327,29 +329,19 @@ def _random_perm(rng, lengths=None):
 
 
 def relabelling(g):
-    """(shape, pi): the cycle type of g, its lengths in increasing
-    order, and pi with g = pi^-1 g0 pi for the canonical element g0 of
-    that type, pi sending each run of g0 onto a cycle of g."""
-    cycles = sorted(_cycles(g), key=len)
+    """(shape, pi) of g, as _relabel reads them off its cycles."""
+    return _relabel(_cycles(g))
+
+
+def _shape(cycles):
+    return tuple(sorted(map(len, cycles)))
+
+
+def _relabel(cycles):
+    """(shape, pi): the cycle type of g with these cycles, and pi sending
+    the runs of its canonical element g0 onto them: g = pi^-1 g0 pi."""
+    cycles = sorted(cycles, key=len)
     return tuple(map(len, cycles)), bytes(chain.from_iterable(cycles))
-
-
-def _cycle_type(g):
-    """The cycle lengths of g, increasing: relabelling(g)[0], by a walk
-    that lists no cycle."""
-    out = []
-    rest = set(range(len(g)))
-    while rest:
-        x = rest.pop()
-        n = 1
-        y = g[x]
-        while y != x:
-            rest.discard(y)
-            y = g[y]
-            n += 1
-        out.append(n)
-    out.sort()
-    return tuple(out)
 
 
 @cache
@@ -453,16 +445,16 @@ class BallIndex:
         return transporter_order(shape)
 
     def _candidates(self, a, transport):
-        """The columns, increasing, whose images lie in C(g), or T(g),
-        for the image g of a in the block where that set is smallest;
-        every column when it is larger than the ball."""
-        blocks = [a[DEGREE * k:DEGREE * (k + 1)].translate(_SHIFTS[k])
+        """The columns, increasing, whose images lie in C(g), or T(g), for
+        the image g of a in the block where that set is smallest (one walk
+        per block image); every column when it is larger than the ball."""
+        cycles = [_cycles(a[DEGREE * k:DEGREE * (k + 1)].translate(_SHIFTS[k]))
                   for k in range(len(self._blocks))]
-        s, k = min((self._size(_cycle_type(g), transport), k)
-                   for k, g in enumerate(blocks))
+        s, k = min((self._size(_shape(c), transport), k)
+                   for k, c in enumerate(cycles))
         if s > len(self._every):
             return self._every
-        shape, pi = relabelling(blocks[k])
+        shape, pi = _relabel(cycles[k])
         pi_inv, pi_table = inv(pi), table(pi)
         # C(g) = pi^-1 C(g0) pi, and T(g) the cosets C(g) pi^-1 h pi
         keys = [pi_inv.translate(c).translate(pi_table)

@@ -31,7 +31,7 @@ class CoreGraph:
 
     def __init__(self, rank, succ, generators):
         self.rank = rank
-        self.generators = generators  # input generator words (reduced, nontrivial)
+        self.generators = generators  # input words, reduced and nontrivial
         letters = sorted({l for (_, l) in succ}, key=letter_key)
         self.succ = {}
         self.edges = {l: [] for l in letters if l > 0}

@@ -32,9 +32,9 @@ class GroupSpec:
     rank + 1).  ``ext`` is the HNN extension of a free group that a
     Britton spec reduces words in, ``tword`` mapping words into it; a
     falsifier search draws its permutation quotients from it once per
-    spec (``quotients.letter_tables`` keeps them).  It is None for free products of
-    cyclics and the free-by-cyclic group, which reduce words their own
-    way and whose searches run under the trivial quotient."""
+    spec (``quotients.letter_tables`` keeps them).  It is None for free
+    products of cyclics and the free-by-cyclic group, which reduce words
+    their own way and whose searches run under the trivial quotient."""
 
     ext = None
 

@@ -716,6 +716,11 @@ REJECTED = [
     (["gog-check", "amalgam(< a >, < c >; a ~ c, a^2 ~ c)"],
      "amalgamated subgroup generators are not a basis"),
     (["gog-check", "gog { }"], "a graph of groups needs a vertex"),
+    # --cap is checked for every command, also where no closure runs
+    (["gog-check", "amalgam(< a >, < b >; a ~ b)", "--cap", "0"],
+     "cap must be >= 1"),
+    (["gog-check", "gog { vertex u = < a >; }", "--cap", "-3"],
+     "cap must be >= 1"),
 ]
 
 

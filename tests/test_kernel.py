@@ -839,18 +839,25 @@ def _shapes(n, least=1):
             yield (k,) + rest
 
 
-def _relabelled(h, shape, rng):
-    """g of cycle type shape, pi with g = pi^-1 g0 pi, and h carried
-    from g0 to g."""
+def _canonical(shape):
+    """g0, the canonical element of cycle type shape: its cycles are runs
+    of consecutive points, x -> x + 1 within each."""
     g0 = bytearray()
     for length in shape:
         start = len(g0)
         g0 += bytes(start + (x + 1) % length for x in range(length))
+    return bytes(g0)
+
+
+def _relabelled(h, shape, rng):
+    """g of cycle type shape, pi with g = pi^-1 g0 pi, and h carried
+    from g0 to g."""
+    g0 = _canonical(shape)
     pi = list(range(len(g0)))
     rng.shuffle(pi)
     pi = bytes(pi)
     carry = quotients.inv(pi)
-    return (quotients.mul(quotients.mul(carry, bytes(g0)), pi),
+    return (quotients.mul(quotients.mul(carry, g0), pi),
             quotients.mul(quotients.mul(carry, h), pi))
 
 
@@ -917,6 +924,80 @@ def test_small_centralizers_and_transporters_are_complete(n):
                 transporting.add(h)
         assert listed(_transporter(shape, n)) == transporting
         assert len(transporting) == quotients.transporter_order(shape)
+
+
+def _orbit_lengths(g):
+    """The lengths of the orbits of g, increasing, each orbit found by
+    applying g len(g) times to each point."""
+    orbits = set()
+    for x in range(len(g)):
+        orbit, y = {x}, x
+        for _ in range(len(g)):
+            y = g[y]
+            orbit.add(y)
+        orbits.add(frozenset(orbit))
+    return tuple(sorted(map(len, orbits)))
+
+
+def test_cycle_readers_agree_with_orbits():
+    rng = random.Random(1996)
+    d = quotients.DEGREE
+    shapes = list(_shapes(d))
+    assert len(shapes) == 42
+    perms = [_relabelled(bytes(range(d)), shape, rng)[0] for shape in shapes]
+    perms += [quotients._random_perm(rng) for _ in range(200)]
+    for g in perms:
+        cycles = quotients._cycles(g)
+        assert sorted(x for c in cycles for x in c) == list(range(d))
+        assert all(g[c[m]] == c[(m + 1) % len(c)]
+                   for c in cycles for m in range(len(c)))
+        shape = quotients._shape(cycles)
+        assert shape == _orbit_lengths(g)
+        relabelled, pi = quotients.relabelling(g)
+        assert relabelled == shape
+        assert _conj(_canonical(shape), pi) == g
+    assert [_orbit_lengths(g) for g in perms[:42]] == shapes
+
+
+def test_conjugator_finds_a_conjugator_exactly_for_one_cycle_type():
+    rng = random.Random(1996)
+    d = quotients.DEGREE
+    perms = [_relabelled(bytes(range(d)), shape, rng)[0]
+             for shape in _shapes(d)]
+    for A in perms:
+        pi = quotients._random_perm(rng)
+        B = _conj(A, pi)
+        T = quotients._conjugator(A, B, rng)
+        assert T is not None and _conj(A, T) == B
+        for other in perms:
+            if other != A:
+                # None is found before any random choice
+                state = rng.getstate()
+                assert quotients._conjugator(A, other, rng) is None
+                assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("lengths", [{7}, {2}, {3, 5}, {5, 7, 9},
+                                     set(range(2, 11))])
+def test_random_perm_moves_only_cycles_of_allowed_lengths(lengths):
+    class FirstDrawIdentity(random.Random):
+        """Its first shuffle leaves the list as it is, so the first
+        draw is the identity, which _random_perm must reject."""
+        first = True
+
+        def shuffle(self, x):
+            if not self.first:
+                super().shuffle(x)
+            self.first = False
+
+    rng = FirstDrawIdentity(1996)
+    d = quotients.DEGREE
+    for _ in range(100):
+        q = quotients._random_perm(rng, lengths)
+        assert sorted(q) == list(range(d))
+        assert q != bytes(range(d))
+        assert all(len(c) in lengths
+                   for c in quotients._cycles(q) if len(c) > 1)
 
 
 @pytest.mark.parametrize("k", [-3, -2, 2, 3, 4])
