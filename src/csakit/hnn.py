@@ -68,18 +68,27 @@ class HnnPresentation:
         for e = -1, phi^-1(g) for e = 1; None when g lies outside A
         (e = -1) or B (e = 1), so that there is no pinch.  g must be
         freely reduced over the base letters; it is not checked."""
-        expr = (self.A if e < 0 else self.B)._express(g)
-        if expr is None:
+        v, i, expr = (self.A if e < 0 else self.B)._read(g)
+        if v or i < len(g):
             return None
-        return self._image(e, expr)
+        return tuple(self._image(e, expr, []))
 
-    def _image(self, e, expr):
-        """The word that an expression over the basis of A (e = -1) or
-        B (e = 1) maps to across the stable letter, under the word limit."""
+    def _image(self, e, expr, into):
+        """Append to the freely reduced list into, and return it, the word
+        that an expression over the basis of A (e = -1) or B (e = 1) maps
+        to across the stable letter, reducing as it writes, once the
+        letters the images write out are held to the word limit."""
         images = self._images[e]
         if len(expr) * self._longest > WORD_LETTER_LIMIT:
             check_budget(sum(len(images[i]) for i in expr))
-        return concat(*[images[i] for i in expr])
+        push, pop = into.append, into.pop
+        for i in expr:
+            for l in images[i]:
+                if into and into[-1] == -l:
+                    pop()
+                else:
+                    push(l)
+        return into
 
     def phi(self, a):
         """Image of a in B; a must lie in A."""
@@ -219,7 +228,7 @@ def normal_form(w: TWord, P: HnnPresentation) -> tuple:
         rep, expr = (P.A if e < 0 else P.B)._coset_split(g)
         syls[i] = (e, rep)
         pe, pg = syls[i - 1]
-        syls[i - 1] = (pe, concat(pg, P._image(e, expr)))
+        syls[i - 1] = (pe, tuple(P._image(e, expr, list(pg))))
     return (syls[0][1], tuple(syls[1:]))
 
 

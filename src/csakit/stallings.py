@@ -93,10 +93,7 @@ class CoreGraph:
     def express(self, word):
         """Rewrite a basepoint loop as a word over the generator alphabet
         (1..len(generators)); None if word is not in the subgroup."""
-        return self._express(free_reduce(word, self.rank))
-
-    def _express(self, word):
-        """express for a freely reduced word over 1..rank, unchecked."""
+        word = free_reduce(word, self.rank)
         v, i, expr = self._read(word)
         return tuple(expr) if v == 0 and i == len(word) else None
 
@@ -130,11 +127,13 @@ class CoreGraph:
         """Canonical representative of the right coset H*word.
 
         Reads word through the graph, spilling into a spur once it leaves;
-        the rep is tree-path-to-exit plus the unread tail.
+        the rep is tree-path-to-exit plus the unread tail.  The two join
+        reduced: the graph has the edge out of the exit v that undoes v's
+        tree edge, so the letter where the read stops is not that one.
         """
         word = free_reduce(word, self.rank)
         v, i, _ = self._read(word)
-        return concat(self.tree_paths[v], word[i:])
+        return self.tree_paths[v] + word[i:]
 
     def _coset_split(self, word):
         """(coset_rep(word), express(word * rep^-1)) from one read, for a
@@ -143,10 +142,17 @@ class CoreGraph:
         The read stops at the vertex v where word leaves the graph (or
         ends); word * rep^-1 is the read prefix followed by v's tree path
         backwards, so its expression is the tags read followed by v's
-        inverted tree-path expression."""
+        inverted tree-path expression.  The rep joins reduced as in
+        coset_rep; the two expression parts are reduced, so only their
+        seam cancels."""
         v, i, expr = self._read(word)
-        return (concat(self.tree_paths[v], word[i:]),
-                concat(expr, self._tree_back()[v]))
+        back = self._tree_back()[v]
+        k = 0
+        while k < len(back) and expr and expr[-1] == -back[k]:
+            expr.pop()
+            k += 1
+        expr.extend(back[k:])
+        return self.tree_paths[v] + word[i:], tuple(expr)
 
 
 def fold(generators, rank):

@@ -583,6 +583,14 @@ def test_reductions_that_outgrow_the_word_limit(capsys):
     b12 = "< x, t | t^-1 x t = x^2 >"
     assert run("reduce", b12, {"word": "t^-19 x t^19"})[0].verdict == \
         "x^524288"
+    # the first step over the limit: the pinch that writes x^1048576, and
+    # the hop that carries x^524287 across t^-1, writing x^1048574
+    for word, letters in (("t^-20 x t^20", 1_048_576),
+                          ("(t^-1 x)^20", 1_048_574)):
+        with pytest.raises(BudgetExceededError) as caught:
+            run("reduce", b12, {"word": word})
+        assert str(caught.value) == (f"a word of {letters} letters is over "
+                                     f"the limit of {WORD_LETTER_LIMIT}")
     fiber, k = wpengine.fc_normal_form(power((wpengine.FBC_Y,), 900) +
                                        power((wpengine.FBC_X,), 1000))
     assert (len(fiber), k) == (901_000, 900)
@@ -663,68 +671,108 @@ def test_run_names_each_missing_flag():
         assert str(exc.value) == message
 
 
-# (argv, message) for rejected inputs that reach main's exit 2 through
-# each error path; "@file" is a file holding "< x, y, x >", "@missing" a
-# path into a missing folder whose name holds a bracket, and None runs
-# run("nope", ...), which main's command choices never let through
+def keyed(rows):
+    """The rows of a table below as test cases, each named by the key that
+    leads its row and its fields after argv, whatever its position, so
+    that adding a row renames no other test.  The rows that were named by
+    their position keep those names as keys (argv0, argv1, ..., and None
+    for the row without argv); a new row takes a key of its own."""
+    return [pytest.param(*row, id="-".join(map(str, (key, *row[1:]))))
+            for key, *row in rows]
+
+
+# (key, argv, message) for rejected inputs that reach main's exit 2
+# through each error path; "@file" is a file holding "< x, y, x >",
+# "@missing" a path into a missing folder whose name holds a bracket, and
+# None runs run("nope", ...), which main's command choices never let
+# through
 REJECTED = [
-    (["classify", "hnn(< x, y >; A -> B x -> y)"], "expected 'via'"),
-    (["gog-check", "gog { vertex u = < a >; edge u -> w : a ~ a; }"],
+    ("argv0",
+     ["classify", "hnn(< x, y >; A -> B x -> y)"], "expected 'via'"),
+    ("argv1",
+     ["gog-check", "gog { vertex u = < a >; edge u -> w : a ~ a; }"],
      "edge references an unknown vertex"),
-    (["gog-check", "gog { node u = < a >; }"],
+    ("argv2",
+     ["gog-check", "gog { node u = < a >; }"],
      "expected 'vertex' or 'edge', found 'node'"),
-    (["check-malnormal", "< x, y > sub H = { x"], "unterminated sub block"),
-    (["reduce", "< x, y >", "--word", "x y; x"],
+    ("argv3",
+     ["check-malnormal", "< x, y > sub H = { x"], "unterminated sub block"),
+    ("argv4",
+     ["reduce", "< x, y >", "--word", "x y; x"],
      "trailing input after word"),
-    (["verify-obstacle", "< x, y | x^2 >", "--obstacle", "dinf",
+    ("argv5",
+     ["verify-obstacle", "< x, y | x^2 >", "--obstacle", "dinf",
       "--images", "x, y; x"], "trailing input after images"),
-    (["abelianize", "< x, y >"], "abelianize needs exactly one relator"),
-    (["classify"], "classify needs a presentation source"),
-    (["classify", "@file"], "duplicate generator name 'x'"),
-    (["gog-check",
+    ("argv6",
+     ["abelianize", "< x, y >"], "abelianize needs exactly one relator"),
+    ("argv7",
+     ["classify"], "classify needs a presentation source"),
+    ("argv8",
+     ["classify", "@file"], "duplicate generator name 'x'"),
+    ("argv9",
+     ["gog-check",
       "gog { vertex u = < a, b >; vertex v = < c >; edge u -> v : 1 ~ c; }"],
      "phi cannot pair a trivial generator with a nontrivial one"),
-    (["classify", "< x, y $ >"], "unexpected character '$'"),
-    (["reduce", "< x, y >", "--word", ")"], "expected a word"),
-    (["classify", "{ }"], "expected a group, found '{'"),
-    (["falsify-csa", "< x, y >", "--radius", "1000000000"],
+    ("argv10",
+     ["classify", "< x, y $ >"], "unexpected character '$'"),
+    ("argv11",
+     ["reduce", "< x, y >", "--word", ")"], "expected a word"),
+    ("argv12",
+     ["classify", "{ }"], "expected a group, found '{'"),
+    ("argv13",
+     ["falsify-csa", "< x, y >", "--radius", "1000000000"],
      "with at least 2000000001 words"),
-    (["check-strict-separated", "< x, y, t | t^-1 x t = y >", "--cap", "0"],
+    ("argv14",
+     ["check-strict-separated", "< x, y, t | t^-1 x t = y >", "--cap", "0"],
      "cap must be >= 1"),
-    (["classify", "< x, y, x >"], "duplicate generator name 'x'"),
-    (["gog-check", "gog { vertex u = < a, b >; vertex v = < c >; "
-      "edge u -> v : b ~ c; vertex u = < a >; }"], "duplicate vertex name 'u'"),
-    (["falsify-csa", "amalgam(< a >, < c | c^2 >; a ~ c)"],
+    ("argv15",
+     ["classify", "< x, y, x >"], "duplicate generator name 'x'"),
+    ("argv16",
+     ["gog-check", "gog { vertex u = < a, b >; vertex v = < c >; "
+      "edge u -> v : b ~ c; vertex u = < a >; }"],
+     "duplicate vertex name 'u'"),
+    ("argv17",
+     ["falsify-csa", "amalgam(< a >, < c | c^2 >; a ~ c)"],
      "amalgam factors must be free (at position 15)"),
-    (["classify", "@missing"], "No such file or directory"),
+    ("argv18",
+     ["classify", "@missing"], "No such file or directory"),
     # --m and --n are exponents written out as powers, under the word limit
-    (["resp-obstruction", "--m", "300000000", "--n", "3", "--p", "2"],
+    ("argv19",
+     ["resp-obstruction", "--m", "300000000", "--n", "3", "--p", "2"],
      f"300000000 letters is over the limit of {WORD_LETTER_LIMIT} (from --m)"),
     # a ball on one generator is held to the letter limit: 4,801 words pass
     # the word limit, their 5,762,400 letters do not
-    (["falsify-csa", "< x >", "--radius", "2400"],
+    ("argv20",
+     ["falsify-csa", "< x >", "--radius", "2400"],
      f"5762400 letters is over the limit of {BALL_LETTER_LIMIT}"),
     # x ~ x^210 draws no quotient, and at radius 3 a Britton reduction
     # outgrows the word limit
-    (["falsify-ct", "< x, t | t^-1 x t = x^210 >", "--radius", "3"],
+    ("argv21",
+     ["falsify-ct", "< x, t | t^-1 x t = x^210 >", "--radius", "3"],
      f"letters is over the limit of {WORD_LETTER_LIMIT}"),
-    (None, "unknown command 'nope'"),
+    ("None",
+     None, "unknown command 'nope'"),
     # an edge, like an amalgam, must pair free bases of its two sides
-    (["gog-check", "gog { vertex u = < a >; vertex v = < c >; "
+    ("argv23",
+     ["gog-check", "gog { vertex u = < a >; vertex v = < c >; "
       "edge u -> v : a ~ c, a^2 ~ c; }"],
      "edge subgroup generators are not a basis"),
-    (["gog-check", "amalgam(< a >, < c >; a ~ c, a^2 ~ c)"],
+    ("argv24",
+     ["gog-check", "amalgam(< a >, < c >; a ~ c, a^2 ~ c)"],
      "amalgamated subgroup generators are not a basis"),
-    (["gog-check", "gog { }"], "a graph of groups needs a vertex"),
+    ("argv25",
+     ["gog-check", "gog { }"], "a graph of groups needs a vertex"),
     # --cap is checked for every command, also where no closure runs
-    (["gog-check", "amalgam(< a >, < b >; a ~ b)", "--cap", "0"],
+    ("argv26",
+     ["gog-check", "amalgam(< a >, < b >; a ~ b)", "--cap", "0"],
      "cap must be >= 1"),
-    (["gog-check", "gog { vertex u = < a >; }", "--cap", "-3"],
+    ("argv27",
+     ["gog-check", "gog { vertex u = < a >; }", "--cap", "-3"],
      "cap must be >= 1"),
 ]
 
 
-@pytest.mark.parametrize("argv, message", REJECTED)
+@pytest.mark.parametrize("argv, message", keyed(REJECTED))
 def test_rejected_input_exits_2(argv, message, tmp_path, capsys):
     if argv is None:
         # main exits 2 on exactly the errors in INPUT_ERRORS
@@ -744,89 +792,115 @@ def test_rejected_input_exits_2(argv, message, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
-# (argv, exit code, stdout line, seconds) for inputs that get a verdict:
-# exit 0 for a computed verdict and 1 for a violation witness, printed
-# within the stated seconds
+# (key, argv, exit code, stdout line, seconds) for inputs that get a
+# verdict: exit 0 for a computed verdict and 1 for a violation witness,
+# printed within the stated seconds
 ANSWERED = [
     # a sub block on an HNN source is checked after A and B
-    (["check-malnormal", "< x, y, t | t^-1 x t = y > sub H = { x^2 }"], 1,
+    ("argv0",
+     ["check-malnormal", "< x, y, t | t^-1 x t = y > sub H = { x^2 }"], 1,
      "witness: h = x^2, g = x^-1, subgroup = H", 2),
     # an hnn(...) header names its subgroups
-    (["check-malnormal", "hnn(< x, y >; P -> Q via x -> y)"], 0,
+    ("argv1",
+     ["check-malnormal", "hnn(< x, y >; P -> Q via x -> y)"], 0,
      "P: malnormal", 2),
     # malnormality witnesses from both kinds of mirror orbit in H x H: the
     # second component walked of an orbit {C, sigma C}, and a component
     # that the swap of coordinates maps to itself
-    (["check-malnormal", "< x, y > sub H = { x^4, y }"], 1,
+    ("argv2",
+     ["check-malnormal", "< x, y > sub H = { x^4, y }"], 1,
      "witness: h = x^4, g = x, subgroup = H", 2),
-    (["check-malnormal", "< x, y > sub H = { y, y^-1 x x, y y }"], 1,
+    ("argv3",
+     ["check-malnormal", "< x, y > sub H = { y, y^-1 x x, y y }"], 1,
      "witness: h = x^2, g = x^-1, subgroup = H", 2),
     # a proper power u with v not one is read the other way round, so both
     # spellings of B(1, 2) get one verdict, and t^-1 x^2 t = y is F(x, t)
-    (["classify", "< x, t | t x t^-1 = x^2 >"], 1, "verdict: CASE4 not-csa", 2),
-    (["classify", "< x, z | z^-1 x z = x^2 >"], 1, "verdict: CASE4 not-csa", 2),
-    (["classify", "hnn(< x, y >; A -> B via x^2 -> y)"], 0,
+    ("argv4",
+     ["classify", "< x, t | t x t^-1 = x^2 >"], 1,
+     "verdict: CASE4 not-csa", 2),
+    ("argv5",
+     ["classify", "< x, z | z^-1 x z = x^2 >"], 1,
+     "verdict: CASE4 not-csa", 2),
+    ("argv6",
+     ["classify", "hnn(< x, y >; A -> B via x^2 -> y)"], 0,
      "verdict: CASE1-SEPARATED csa*", 2),
     # <a> and <a^-1> are one maximal abelian edge group at u
-    (["gog-check", "gog { vertex u = < a, b >; vertex v = < c, d >; "
+    ("argv7",
+     ["gog-check", "gog { vertex u = < a, b >; vertex v = < c, d >; "
       "vertex w = < f, g >; edge u -> v : a ~ c^2; "
       "edge u -> w : a^-1 ~ f^2; }"], 1, "citations: Prop-BadTree", 2),
     # an amalgam's stable letter is named apart from a factor generator t
-    (["reduce", "amalgam(< t, a >, < c >; t ~ c^2)", "--word", "a c"], 0,
+    ("argv8",
+     ["reduce", "amalgam(< t, a >, < c >; t ~ c^2)", "--word", "a c"], 0,
      "verdict: s^-1 a s c", 2),
     # a pinch through A = <y^-1 x y, y>, whose fold merges a vertex that
     # carries a self-loop
-    (["reduce", "< x, y, z, t | t^-1 y^-1 x y t = x, t^-1 y t = z >",
+    ("argv9",
+     ["reduce", "< x, y, z, t | t^-1 y^-1 x y t = x, t^-1 y t = z >",
       "--word", "t^-1 x t"], 0, "verdict: z x z^-1", 2),
     # the b1n obstacle ball, which no golden reaches
-    (["verify-obstacle", "< x, z | z^-1 x z = x^2 >", "--obstacle", "b1n",
+    ("argv10",
+     ["verify-obstacle", "< x, z | z^-1 x z = x^2 >", "--obstacle", "b1n",
       "--n", "2", "--images", "x, z^-1", "--radius", "6"], 0,
      "verdict: verified", 2),
     # a free-group search, which no golden runs
-    (["falsify-ct", "< a, b >", "--radius", "3"], 0, "verdict: no-witness", 2),
+    ("argv11",
+     ["falsify-ct", "< a, b >", "--radius", "3"], 0, "verdict: no-witness", 2),
     # F4 as an HNN extension of F3 over trivial subgroups draws quotients,
     # so its 3,201-word radius-4 ball is searched through the index
-    (["falsify-csa", "< a, b, c, d >", "--radius", "4"], 0,
+    ("argv12",
+     ["falsify-csa", "< a, b, c, d >", "--radius", "4"], 0,
      "verdict: no-witness", 10),
     # a free product of cyclics searches under the trivial quotient: every
     # row is an identity row, given every column, so every pair of its
     # radius-4 ball is tested
-    (["falsify-ct", "< x, y, z | x^2, y^3 >", "--radius", "4"], 0,
+    ("argv13",
+     ["falsify-ct", "< x, y, z | x^2, y^3 >", "--radius", "4"], 0,
      "verdict: no-witness", 10),
-    (["falsify-csa", "< x, y, z | x^2, y^3 >", "--radius", "4"], 1,
+    ("argv14",
+     ["falsify-csa", "< x, y, z | x^2, y^3 >", "--radius", "4"], 1,
      "witness: a = x y x y^-1, v = x", 10),
     # an HNN extension for which no quotient is drawn: x ~ x^210 forces the
     # image of x to 1 in Sym(10), so every pair is tested by Britton
     # reduction
-    (["falsify-csa", "< x, t | t^-1 x t = x^210 >", "--radius", "3"], 1,
+    ("argv15",
+     ["falsify-csa", "< x, t | t^-1 x t = x^210 >", "--radius", "3"], 1,
      "witness: a = x, v = t", 10),
-    (["falsify-ct", "< x, t | t^-1 x t = x^210 >", "--radius", "2"], 0,
+    ("argv16",
+     ["falsify-ct", "< x, t | t^-1 x t = x^210 >", "--radius", "2"], 0,
      "verdict: no-witness", 10),
-    (["falsify-ct", "< x >", "--radius", "100"], 0, "verdict: no-witness", 10),
+    ("argv17",
+     ["falsify-ct", "< x >", "--radius", "100"], 0, "verdict: no-witness", 10),
     # a full radius-5 scan (2,582-element ball) through the indexed join
-    (["falsify-csa", "< x, y, t | t^-1 x t = y >", "--radius", "5"], 0,
+    ("argv18",
+     ["falsify-csa", "< x, y, t | t^-1 x t = y >", "--radius", "5"], 0,
      "verdict: no-witness", 30),
     # the slowest radius-5 search: powers of x and t commute with many
     # elements
-    (["falsify-ct", "< x, y, t | t^-1 x t = x >", "--radius", "5"], 0,
+    ("argv19",
+     ["falsify-ct", "< x, y, t | t^-1 x t = x >", "--radius", "5"], 0,
      "verdict: no-witness", 30),
     # the deepest early exit under the ball limit, a 4,687-word ball: the
     # search stops at its second row, so no normal form is computed
-    (["falsify-csa", "< x, y, t | t^-1 y t = y^3 >", "--radius", "5"], 1,
+    ("argv20",
+     ["falsify-csa", "< x, y, t | t^-1 y t = y^3 >", "--radius", "5"], 1,
      "witness: a = y, v = t", 10),
     # a sub block that restates A, up to its 1 words, is not checked again
-    (["check-malnormal", "< x, y, t | t^-1 x t = y > sub A = { 1, x }"], 0,
+    ("argv21",
+     ["check-malnormal", "< x, y, t | t^-1 x t = y > sub A = { 1, x }"], 0,
      "verdict: malnormal", 2),
     # a 1 -> 1 pair gives no generator and no relator, so both commands
     # read the group t^-1 x^2 t = x^-1
-    (["classify", "hnn(< x >; A -> B via x^2 -> x^-1, 1 -> 1)"], 1,
+    ("argv22",
+     ["classify", "hnn(< x >; A -> B via x^2 -> x^-1, 1 -> 1)"], 1,
      "verdict: CASE4 not-csa", 2),
-    (["abelianize", "hnn(< x >; A -> B via x^2 -> x^-1, 1 -> 1)"], 0,
+    ("argv23",
+     ["abelianize", "hnn(< x >; A -> B via x^2 -> x^-1, 1 -> 1)"], 0,
      "verdict: Z + Z/3", 2),
 ]
 
 
-@pytest.mark.parametrize("argv, code, line, seconds", ANSWERED)
+@pytest.mark.parametrize("argv, code, line, seconds", keyed(ANSWERED))
 def test_answered_input(argv, code, line, seconds, capsys):
     start = time.perf_counter()
     assert main(argv) == code

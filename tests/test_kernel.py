@@ -1,8 +1,10 @@
 """The single-pass Britton kernel against the restart-scan reducer it
 replaced, the one-walk normal form against the two-walk one, the
-falsifiers built on it against brute-force scans, and the permutation
-quotients that filter their pairs."""
+one-pass image writer against concat, the falsifiers built on the kernel
+against brute-force scans, and the permutation quotients that filter
+their pairs."""
 
+import collections
 import hashlib
 import itertools
 import math
@@ -10,9 +12,10 @@ import random
 
 import pytest
 
-from csakit import csa, quotients
+from csakit import csa, hnn, quotients, stallings, words
 from csakit.amalgam import AmalgamPresentation
-from csakit.errors import BALL_WORD_LIMIT, MalformedWordError
+from csakit.errors import (BALL_WORD_LIMIT, WORD_LETTER_LIMIT,
+                           BudgetExceededError, MalformedWordError)
 from csakit.hnn import HnnPresentation, TWord, britton_reduce, normal_form
 from csakit.stallings import fold
 from csakit.words import (concat, conjugate, free_reduce, inverse, power,
@@ -1269,3 +1272,83 @@ def test_public_graph_reads_check_their_input():
     # unreduced input is reduced before the walk
     assert H.member((1, 1, -1, 2)) and H.express((1, 1, -1, 2)) == (1,)
     assert H.coset_rep((2, 2, -2)) == H.coset_rep((2,))
+
+
+# -- the one-pass image writer -----------------------------------------------
+
+
+def basis_image(P, e, i):
+    """The image across the stable letter of basis letter i of A (e = -1)
+    or of B (e = 1), read off the generator lists."""
+    basis = P.b_gens if e < 0 else P.a_gens
+    return basis[i - 1] if i > 0 else inverse(basis[-i - 1])
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_image_writer_matches_concat(name):
+    P = GROUPS[name]
+    rng = random.Random(f"writer:{name}")
+    n = len(P.a_gens)
+    seams = 0
+    for _ in range(300):
+        e = rng.choice((1, -1))
+        expr = [rng.choice((1, -1)) * rng.randint(1, n)
+                for _ in range(rng.randint(0, 6))]
+        images = [basis_image(P, e, i) for i in expr]
+        image = concat(*images)
+        left = rand_base(rng, P)
+        if image and rng.random() < 0.5:
+            # a left neighbour that ends by undoing a prefix of the image
+            left = concat(left, inverse(image[:rng.randint(1, len(image))]))
+        into = list(left)
+        got = P._image(e, expr, into)
+        assert got is into
+        assert tuple(got) == concat(left, *images)
+        seams += len(got) < len(left) + len(image)
+    assert seams > 50
+    for e in (1, -1):
+        into = [1]
+        assert P._image(e, [], into) == [1]
+
+
+def test_image_writer_checks_the_word_limit_before_writing():
+    P = GROUPS["bs12"]
+    into = [-1]
+    with pytest.raises(BudgetExceededError) as caught:
+        P._image(-1, [1] * 600_000, into)
+    assert str(caught.value) == \
+        f"a word of 1200000 letters is over the limit of {WORD_LETTER_LIMIT}"
+    assert into == [-1]
+
+
+@pytest.mark.parametrize("name", ["ex1", "amalgam"])
+def test_normal_form_reads_once_and_joins_nothing_per_hop(name, monkeypatch):
+    """Past its Britton reduction, normal_form reads each hop's segment
+    once and writes the image onto the segment before it with no
+    words.concat call."""
+    P = GROUPS[name]
+    rng = random.Random(f"hops:{name}")
+    w = TWord(rand_base(rng, P), tuple((rng.choice((1, -1)), rand_base(rng, P))
+                                       for _ in range(400)))
+    want = normal_form(w, P)  # builds the graphs' cached tree expressions
+    calls = collections.Counter()
+    read, join = stallings.CoreGraph._read, words.concat
+
+    def counted_read(self, word):
+        calls["read"] += 1
+        return read(self, word)
+
+    def counted_concat(*ws):
+        calls["concat"] += 1
+        return join(*ws)
+
+    monkeypatch.setattr(stallings.CoreGraph, "_read", counted_read)
+    for module in (words, stallings, hnn):
+        monkeypatch.setattr(module, "concat", counted_concat)
+    hops = britton_reduce(w, P).t_length
+    reduced = calls.copy()
+    calls.clear()
+    assert normal_form(w, P) == want
+    assert hops > 100
+    assert calls["read"] == reduced["read"] + hops
+    assert calls["concat"] == reduced["concat"]
