@@ -177,7 +177,7 @@ def _components(vertices, edges):
     """Each vertex's label, the position of the first vertex of its
     component, and whether an edge closed a cycle (or a multi-edge)."""
     position = {v: i for i, v in enumerate(vertices)}
-    parent, cycle = {}, False
+    parent, cycle = [-1] * len(position), False
     for e in edges:
         a, b = _find(parent, position[e.src]), _find(parent, position[e.dst])
         if a == b:

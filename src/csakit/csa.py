@@ -174,18 +174,33 @@ class CtWitness:
     c: tuple
 
 
-@lru_cache(maxsize=1)
+_kept = {}  # the one search session kept, under its (spec, radius)
+
+
 def _search_context(spec, radius):
-    """(elements, rows, columns, comm, commutes, conj_commutes): the
-    search session over the ball of spec and radius.
+    """The search session over the ball of spec and radius, _new_session's.
 
     The last session built is kept, so consecutive searches on one spec
     and radius (falsify_csa, then falsify_ct) share its words settled
     by _walk, its canonical keys, the index's built blocks, the forms
     with their pinch memo and the commutes cache.  A search on another
-    spec or radius replaces it once its own is built, so between
-    searches one session is alive, until _search_context.cache_clear()
-    frees it.  Keeping one per spec would hold every searched ball.
+    spec or radius drops it before building its own, so two sessions
+    are never alive at once, and _search_context.cache_clear() frees
+    it.  Keeping one per spec would hold every searched ball."""
+    key = spec, radius
+    session = _kept.get(key)
+    if session is None:
+        _kept.clear()
+        session = _kept[key] = _new_session(spec, radius)
+    return session
+
+
+_search_context.cache_clear = _kept.clear
+
+
+def _new_session(spec, radius):
+    """(elements, rows, columns, comm, commutes, conj_commutes): a new
+    search session over the ball of spec and radius.
 
     elements holds the skeleton's searched words, those of the ball
     that come before their literal inverse.  The search ball is those of

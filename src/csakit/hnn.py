@@ -227,8 +227,9 @@ def normal_form(w: TWord, P: HnnPresentation) -> tuple:
         e, g = syls[i]
         rep, expr = (P.A if e < 0 else P.B)._coset_split(g)
         syls[i] = (e, rep)
-        pe, pg = syls[i - 1]
-        syls[i - 1] = (pe, tuple(P._image(e, expr, list(pg))))
+        if expr:  # an empty hop leaves the syllable to the left as it is
+            pe, pg = syls[i - 1]
+            syls[i - 1] = (pe, tuple(P._image(e, expr, list(pg))))
     return (syls[0][1], tuple(syls[1:]))
 
 

@@ -184,22 +184,25 @@ def fold(generators, rank):
             incident[v][eid] = incident[nxt][eid] = None
             v = nxt
 
+    def end(eid, key):
+        """(far vertex, tag) of the end of edge eid with out-label key."""
+        src, letter, dst, tag = edges[eid]
+        return (dst, tag) if key == letter else (src, inverse(tag))
+
     def first_collision(v):
         """The first two edge ends at v with the same out-label, in
-        incident order: ((far, tag), (far, tag), the second's edge id),
-        or None when v is folded."""
+        incident order (an edge's outgoing end before its incoming one):
+        ((far, tag), (far, tag), the second's edge id), or None when v is
+        folded.  The scan keeps each label's first edge id; only the two
+        ends returned are read, so only theirs can have a tag inverted."""
         by_label = {}
         for eid in incident[v]:
-            src, letter, dst, tag = edges[eid]
-            ends = []
-            if src == v:
-                ends.append((letter, dst, tag))
-            if dst == v:
-                ends.append((-letter, src, inverse(tag)))
-            for key, far, t in ends:
-                if key in by_label:
-                    return by_label[key], (far, t), eid
-                by_label[key] = (far, t)
+            src, letter, dst, _ = edges[eid]
+            for key in ((letter, -letter) if src == dst
+                        else (letter,) if src == v else (-letter,)):
+                first = by_label.setdefault(key, eid)
+                if first != eid:
+                    return end(first, key), end(eid, key), eid
         return None
 
     def absorb(keep, gone, delta):
@@ -287,13 +290,16 @@ def _fiber_cycles(A, B, start, seen):
 
 
 def _find(parent, p):
-    """Root of pair id p in the union-find forest parent, which maps each
-    non-root to its parent; halves the path on the way."""
+    """Root of id p in the union-find forest parent, a flat list indexed
+    by id that holds -1 at a root and its parent at every other id;
+    halves the path on the way."""
     while True:
-        q = parent.get(p, p)
-        if q == p:
+        q = parent[p]
+        if q < 0:
             return p
-        r = parent.get(q, q)
+        r = parent[q]
+        if r < 0:
+            return q
         parent[p] = r
         p = r
 
@@ -303,10 +309,11 @@ def _walk_cyclic(A, B, parent, cyclic, width, mirrored):
 
     Yields (g, h) with h != 1, h in A and g h g^-1 in B, one per
     fundamental cycle.  parent and cyclic are the pass's union-find
-    forest over pair ids, each root the least id of its class, and the
-    ids whose edges closed a cycle; a root r names the pair
-    divmod(r, width).  Roots are walked in increasing order with
-    _fiber_cycles, each component from its least pair.
+    forest, the flat list over pair ids that _find reads, each root the
+    least id of its class, and the ids whose edges closed a cycle; a
+    root r names the pair divmod(r, width).  Roots are walked in
+    increasing order with _fiber_cycles, each component from its least
+    pair.
 
     mirrored marks the pass over the unordered off-diagonal pairs of
     A x A: a root is then the least pair of one component C of the
@@ -336,7 +343,8 @@ def _witnesses(A, B, mirrored=False):
 
     One union-find pass over the product's positive edges finds those
     components: each letter's edges of A are joined with that letter's
-    edges of B, pair (u, v) has id u * |V_B| + v, a union keeps the
+    edges of B, pair (u, v) has id u * |V_B| + v, the forest is a flat
+    list of |V_A| * |V_B| entries with -1 at a root, a union keeps the
     smaller id as the root, and an edge whose ends already share a root
     closes a cycle.  The other components have no fundamental cycle and
     are never walked.  Neither the roots nor which components are cyclic
@@ -359,7 +367,7 @@ def _witnesses(A, B, mirrored=False):
     nb = B.num_vertices
     a_edges = A.edges
     b_edges = a_edges if mirrored else B.edges
-    parent = {}
+    parent = [-1] * (A.num_vertices * nb)
     cyclic = []
     for l, edges in a_edges.items():
         others = b_edges.get(l, ())
@@ -373,9 +381,9 @@ def _witnesses(A, B, mirrored=False):
             for v, x in others[i + 1:] if mirrored else others:
                 p = src + v
                 q = dst + x if x > lo else x * nb + w
-                if p in parent:
+                if parent[p] >= 0:
                     p = _find(parent, p)
-                if q in parent:
+                if parent[q] >= 0:
                     q = _find(parent, q)
                 if p < q:
                     parent[q] = p

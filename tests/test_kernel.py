@@ -5,10 +5,12 @@ against brute-force scans, and the permutation quotients that filter
 their pairs."""
 
 import collections
+import gc
 import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -350,17 +352,49 @@ def test_consecutive_searches_share_one_session(monkeypatch):
         return draw(P)
 
     patch_quotients(monkeypatch, counting)
+    builds = []
+    build = csa._new_session
+
+    def counted_build(spec, radius):
+        builds.append(radius)
+        return build(spec, radius)
+
+    monkeypatch.setattr(csa, "_new_session", counted_build)
     spec = afresh(QUADRANT_SPECS[0])
-    context = csa._search_context
     assert csa.falsify_csa(spec, 3) is None
-    assert context.cache_info()[:2] == (0, 1)
+    assert builds == [3]
     assert csa.falsify_ct(spec, 3) is None
-    assert context.cache_info()[:2] == (1, 1)
+    assert builds == [3]
     assert csa.falsify_csa(spec, 4) is None
-    assert context.cache_info()[:2] == (1, 2)
+    assert builds == [3, 4]
     assert draws == [spec.ext]
     # the radius-4 session holds the radius-4 ball
-    assert max(map(len, context(spec, 4)[0])) == 4
+    assert max(map(len, csa._search_context(spec, 4)[0])) == 4
+
+
+def test_a_search_drops_the_kept_session_before_building_its_own():
+    """A radius-4 EX1 falsify_ct run right after another EX1 radius-4
+    session (a spec equal only to itself, so a miss) peaks no higher
+    under tracemalloc than one run after cache_clear(): the kept session
+    is freed before the new one is built, not once it is in place."""
+
+    def peak(clear):
+        csa._search_context.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            csa.falsify_ct(HnnSpec(GROUPS["ex1"]), 4)
+            if clear:
+                csa._search_context.cache_clear()
+            tracemalloc.reset_peak()
+            assert csa.falsify_ct(HnnSpec(GROUPS["ex1"]), 4) is None
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(True)  # fills the caches the sessions share, such as the skeleton
+    cleared = peak(True)
+    assert peak(False) <= 1.1 * cleared
 
 
 def test_shared_sessions_give_the_witnesses_of_fresh_specs():

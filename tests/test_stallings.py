@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from collections import deque
 
 from csakit import amalgam, stallings
@@ -836,17 +837,33 @@ def recording_joins(monkeypatch):
     """Replace stallings._walk_cyclic, the step every join pass hands its
     union-find forest to, by a wrapper that records the number of
     product edges the pass joined: each join either makes one root a
-    child, adding one key to parent, or closes a cycle, adding one entry
-    to cyclic."""
+    child, turning one -1 entry of parent into a parent id (x >= 0), or
+    closes a cycle, adding one entry to cyclic."""
     joins = []
     walk = stallings._walk_cyclic
 
     def recorded(A, B, parent, cyclic, width, mirrored):
-        joins.append(len(parent) + len(cyclic))
+        joins.append(sum(x >= 0 for x in parent) + len(cyclic))
         return walk(A, B, parent, cyclic, width, mirrored)
 
     monkeypatch.setattr(stallings, "_walk_cyclic", recorded)
     return joins
+
+
+def test_self_product_forest_is_one_flat_list():
+    """On <x^1000 y>, whose 1,001-vertex graph has 1,000 x-edges, the
+    self product's 499,500 joins fill a forest of 1,001^2 list slots,
+    8 MB, and the Python heap peaks under 16 MB."""
+    H = fold([(1,) * 1000 + (2,)], 2)
+    assert H.num_vertices == 1001
+    tracemalloc.start()
+    try:
+        report = is_malnormal(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict
+    assert peak < 16 * 10 ** 6
 
 
 def test_self_product_joins_each_mirror_pair_once(monkeypatch):
