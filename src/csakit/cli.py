@@ -567,21 +567,22 @@ def _sep_witness(wit, names):
 
 def _cmd_check_malnormal(src, flags):
     """A and B of an hnn source, under the names an hnn(...) header
-    gives them, then every sub block over the base but those that
-    restate A's or B's generators, as the header's do."""
+    gives them, then every sub block over the base under its own name
+    but one that has A's or B's name and restates that subgroup's
+    generators, as the header's do."""
     if src.kind == "hnn":
         pres = src.spec.pres
         targets = dict(zip(src.subgroup_names, (pres.A, pres.B)))
+        restated = dict(zip(src.subgroup_names, (pres.a_gens, pres.b_gens)))
         names = src.names[:-1]
-        restated = (pres.a_gens, pres.b_gens)
     elif src.subs:
-        targets, names, restated = {}, src.names, ()
+        targets, names = {}, src.names
     else:
         raise CsakitError("check-malnormal needs sub blocks or an hnn source")
     for nm, gens in src.subs.items():
-        if tuple(g for g in gens if g) in restated:
-            continue
         if nm in targets:
+            if tuple(g for g in gens if g) == restated[nm]:
+                continue
             raise CsakitError(f"sub block {nm} is named like an "
                               "associated subgroup")
         if any(abs(l) > len(names) for g in gens for l in g):

@@ -11,8 +11,8 @@ from typing import Optional
 
 from .errors import BALL_LETTER_LIMIT, BALL_WORD_LIMIT, check_budget
 from .hnn import HnnPresentation
-from .wpengine import (HnnSpec, canonical_key, commutes, is_trivial,
-                       num_generators)
+from .wpengine import (TRIVIAL, HnnSpec, canonical_key, commutes,
+                       is_trivial, num_generators)
 from .words import (check_radius, commutator, concat, conjugate, free_reduce,
                     inverse, power)
 
@@ -48,7 +48,7 @@ def _skeleton(rank, radius):
     return tuple(words), tuple(parent), tuple(last), tuple(searched)
 
 
-def _walk(spec, radius, quotient=None):
+def _walk(spec, radius, quotient):
     """(skeleton, images, kept): the _skeleton of the ball of spec and
     radius, the image of each word under quotient, and kept(k), True iff
     no earlier word of the ball is word k's element.  Raises
@@ -56,8 +56,8 @@ def _walk(spec, radius, quotient=None):
 
     quotient is (identity, tables) with tables[l] the translation table
     of letter l's image under a homomorphism, so each image is its
-    prefix's image moved by one table; with none, each image is b"",
-    under the quotient onto the trivial group.  Words of one element
+    prefix's image moved by one table; under TRIVIAL, known by its empty
+    identity, each image is b"".  Words of one element
     have one image, so keys are compared only within a group of words
     of one image, the identity word heading the identity's group.
     No key is computed here: kept settles a word when it is first asked
@@ -71,10 +71,10 @@ def _walk(spec, radius, quotient=None):
     _check_ball_size(rank, radius)
     skeleton = _skeleton(rank, radius)
     words, parent, last, _ = skeleton
-    if quotient is None:
+    identity, tables = quotient
+    if not identity:
         images = [b""] * len(words)
     else:
-        identity, tables = quotient
         images = [identity]
         append = images.append
         for p, l in islice(zip(parent, last), 1, None):
@@ -128,7 +128,7 @@ def ball(spec, radius):
     omitted.  Raises BudgetExceededError before enumerating when the
     reduced words are more than BALL_WORD_LIMIT or their letters more
     than BALL_LETTER_LIMIT."""
-    (words, *_), _, kept = _walk(spec, radius)
+    (words, *_), _, kept = _walk(spec, radius, TRIVIAL)
     return [words[k] for k in range(1, len(words)) if kept(k)]
 
 
@@ -206,7 +206,7 @@ def _new_session(spec, radius):
     that come before their literal inverse.  The search ball is those of
     them that ball() keeps: rows() yields its indices in elements,
     increasing, and columns(i, transport) yields, increasing and one at
-    a time, those whose quotient images pass the test of row i
+    a time, those whose images under spec.quotient pass the test of row i
     (quotients.BallIndex.columns): the commutation test when transport
     is False, the transporter test when it is True.  Whether a word is
     kept is settled when rows or columns first reaches it (_walk's
@@ -231,7 +231,7 @@ def _new_session(spec, radius):
     # imported on first use, so a command that runs no search does not
     # pay for its import
     from . import quotients
-    quotient = quotients.letter_tables(spec)
+    quotient = spec.quotient
     (words, _, _, searched), images, kept = _walk(spec, radius, quotient)
     elements = [words[k] for k in searched]
     index = quotients.BallIndex([images[k] for k in searched])
@@ -261,7 +261,7 @@ def _new_session(spec, radius):
             r = cache[k] = trivial(a, b, a_inv, b_inv)
         return r
 
-    if quotient is None:
+    if not quotient[0]:
         # under the trivial quotient every pair passes the filter
         comm = commutes
     else:

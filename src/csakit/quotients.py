@@ -5,8 +5,8 @@ A homomorphism rho with rho([a, b]) != 1 proves [a, b] != 1, so the
 falsifiers in ``csa`` run Britton reduction only on the pairs that no
 such quotient separates (Sims, *Computation with Finitely Presented
 Groups*, CUP 1994).  ``letter_tables`` gives the images of a search's
-letters, kept on the spec, and ``BallIndex`` the pair tests and
-candidate columns read off the images of its ball.
+letters, which a spec keeps as its ``quotient``, and ``BallIndex`` the
+pair tests and candidate columns read off the images of its ball.
 
 Permutations of {0, ..., d-1} are ``bytes`` of length d, acting on the
 right: the point x goes to p[x], and the product p q is "p, then q",
@@ -18,6 +18,8 @@ from collections import Counter
 from functools import cache
 from itertools import chain, permutations, product
 from math import factorial, gcd
+
+from .wpengine import TRIVIAL
 
 DEGREE = 10
 QUOTIENTS = 3
@@ -83,28 +85,18 @@ def permutation_quotients(P):
 def letter_tables(spec):
     """(identity, tables): the identity permutation and, for each letter
     of spec's displayed generators, both signs, the translation table
-    of its image under permutation_quotients(spec.ext); None when spec
-    has no extension or there is no quotient.
-
-    A spec with an extension computes them on its first call and keeps
-    them, None included, as its _letter_tables for as long as it lives:
-    permutation_quotients is seeded, so they depend on the spec alone.
-    A spec with no extension keeps nothing."""
+    of its image under permutation_quotients(spec.ext); TRIVIAL when
+    there is no quotient.  Seeded, so they depend on the spec alone:
+    spec.quotient computes them once."""
     P = spec.ext
-    if P is None:
-        return None
-    if not hasattr(spec, "_letter_tables"):
-        rho = permutation_quotients(P)
-        if rho is None:
-            spec._letter_tables = None
-        else:
-            t = P.base_rank + 1
-            identity = bytes(range(len(rho[1])))
-            spec._letter_tables = identity, {
-                l: table(evaluate(spec.tword((l,)).flatten(t), rho,
-                                  identity))
-                for g in range(1, spec.rank + 1) for l in (g, -g)}
-    return spec._letter_tables
+    rho = permutation_quotients(P)
+    if rho is None:
+        return TRIVIAL
+    t = P.base_rank + 1
+    identity = bytes(range(len(rho[1])))
+    return identity, {l: table(evaluate(spec.tword((l,)).flatten(t), rho,
+                                        identity))
+                      for g in range(1, spec.rank + 1) for l in (g, -g)}
 
 
 def _plan(P):

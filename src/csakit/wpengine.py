@@ -12,12 +12,15 @@ displayed generators:
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import hnn as hnn_mod
 from .errors import WORD_LETTER_LIMIT, UnsupportedBaseError, check_budget
 from .words import commutator, concat, free_reduce, inverse, power
 
 FBC_X, FBC_Y, FBC_D = 1, 2, 3
+# the quotient onto the trivial group; searches know it by its b"" identity
+TRIVIAL = b"", {}
 # fiber alphabet of the free-by-cyclic group: d = 1, x = 2
 FIB_D, FIB_X = 1, 2
 
@@ -29,14 +32,11 @@ class GroupSpec:
     hashable normal form, equal for two words exactly when they are equal
     elements; ``normal_word(word)`` writes that normal form back as a word
     over the displayed generators (an amalgam adds its stable letter,
-    rank + 1).  ``ext`` is the HNN extension of a free group that a
-    Britton spec reduces words in, ``tword`` mapping words into it; a
-    falsifier search draws its permutation quotients from it once per
-    spec (``quotients.letter_tables`` keeps them).  It is None for free
-    products of cyclics and the free-by-cyclic group, which reduce words
-    their own way and whose searches run under the trivial quotient."""
+    rank + 1).  ``quotient`` is the (identity, letter tables) pair that a
+    falsifier search filters pairs through: TRIVIAL, which passes every
+    pair, unless the class draws its own."""
 
-    ext = None
+    quotient = TRIVIAL
 
     def is_trivial(self, word):
         return self.key(word) == self.key(())
@@ -68,6 +68,12 @@ class BrittonSpec(GroupSpec):
     """A group whose word problem is Britton reduction in the HNN
     extension ``ext`` of a free group; ``tword(word)`` maps a word over
     the displayed generators into ``ext``."""
+
+    @cached_property
+    def quotient(self):
+        """quotients.letter_tables(self), drawn on first use and kept."""
+        from . import quotients     # imported on first use, as in csa
+        return quotients.letter_tables(self)
 
     def key(self, word):
         return hnn_mod.normal_form(self.tword(word), self.ext)

@@ -333,8 +333,10 @@ def test_check_malnormal_on_sub_blocks(capsys):
 
 
 def test_check_malnormal_on_hnn_sub_blocks(capsys):
-    # sub blocks come after A and B, over the base; one that restates
-    # A's or B's generators, as an hnn(...) header's do, is not listed
+    # sub blocks come after A and B, over the base, each under its own
+    # name; one with A's or B's name is not listed when it restates that
+    # subgroup's generators, as an hnn(...) header's do, and is an error
+    # otherwise
     for text, a, b in (
             ("< x, y, t | t^-1 x t = y > sub H = { x^2 }", "A", "B"),
             ("hnn(< x, y >; A -> B via x -> y) sub H = { x^2 }", "A", "B"),
@@ -353,9 +355,17 @@ def test_check_malnormal_on_hnn_sub_blocks(capsys):
     assert main(["check-malnormal",
                  "< x, y, t | t^-1 x t = y > sub H = { x t }"]) == 2
     assert "uses the stable letter" in capsys.readouterr().err
-    assert main(["check-malnormal",
-                 "< x, y, t | t^-1 x t = y > sub A = { x^2 }"]) == 2
-    assert "named like an associated subgroup" in capsys.readouterr().err
+    # H restates A's generators under a name of its own
+    rep, code = run("check-malnormal",
+                    "< x, y, t | t^-1 x t = y > sub H = { x }", {})
+    assert (rep.details, code) == ({"A": "malnormal", "B": "malnormal",
+                                    "H": "malnormal"}, 0)
+    # A's name on B's generators, or on other words
+    for text in ("< x, y, t | t^-1 x t = y^2 > sub A = { y^2 }",
+                 "< x, y, t | t^-1 x t = y > sub A = { x^2 }"):
+        assert main(["check-malnormal", text]) == 2, text
+        assert "named like an associated subgroup" in \
+            capsys.readouterr().err, text
 
 
 def test_check_malnormal_names_the_header_subgroups(capsys):

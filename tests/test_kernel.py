@@ -22,7 +22,7 @@ from csakit.hnn import HnnPresentation, TWord, britton_reduce, normal_form
 from csakit.stallings import fold
 from csakit.words import (concat, conjugate, free_reduce, inverse, power,
                           shortlex_key)
-from csakit.wpengine import (AmalgamSpec, FreeByCyclicSpec,
+from csakit.wpengine import (AmalgamSpec, BrittonSpec, FreeByCyclicSpec,
                              FreeProductCyclicsSpec, FreeSpec, HnnSpec,
                              canonical_key, commutes, is_trivial,
                              num_generators)
@@ -298,10 +298,10 @@ def _witnesses(spec, radius):
 
 
 def afresh(spec):
-    """A new spec of spec's group that has kept no quotient tables: an
+    """A new spec of spec's group that has not drawn its quotient yet: an
     HNN or amalgam spec of the same presentation, or spec itself for the
-    value specs, which keep nothing.  A search on it draws its quotient
-    from quotients.permutation_quotients as it is then."""
+    value specs, whose quotient is TRIVIAL.  A search on it draws its
+    quotient from quotients.permutation_quotients as it is then."""
     if isinstance(spec, AmalgamSpec):
         return AmalgamSpec(spec.pres)
     if isinstance(spec, HnnSpec):
@@ -310,20 +310,21 @@ def afresh(spec):
 
 
 def patch_quotients(monkeypatch, draw):
-    """Make draw the quotient of every spec built afresh from now on, and
-    drop the kept search session: value-equal specs share its slot."""
+    """Make draw the permutation quotients of every Britton spec whose
+    spec.quotient is first read from now on, as on a spec built afresh,
+    and drop the kept search session: value-equal specs share its
+    slot."""
     monkeypatch.setattr(quotients, "permutation_quotients", draw)
     csa._search_context.cache_clear()
 
 
 def quotient_kind(spec):
-    """How spec's searches filter pairs: "none" with no quotient,
-    "constant" when every letter's image is the identity, "separating"
-    otherwise."""
-    quotient = quotients.letter_tables(spec)
-    if quotient is None:
+    """How spec's searches filter pairs: "none" under the trivial
+    quotient, "constant" when every letter's image is the identity,
+    "separating" otherwise."""
+    if spec.quotient == quotients.TRIVIAL:
         return "none"
-    identity, tables = quotient
+    identity, tables = spec.quotient
     if set(tables.values()) == {quotients.table(identity)}:
         return "constant"
     return "separating"
@@ -342,8 +343,8 @@ def test_filtered_searches_match_unfiltered(monkeypatch):
 
 def test_consecutive_searches_share_one_session(monkeypatch):
     # falsify_csa then falsify_ct on one spec and radius read one session;
-    # another radius builds a new one from the tables the spec keeps, so
-    # the spec's quotient is drawn once
+    # another radius builds a new one from the spec's own quotient, so it
+    # is drawn once
     draws = []
     draw = quotients.permutation_quotients
 
@@ -370,6 +371,32 @@ def test_consecutive_searches_share_one_session(monkeypatch):
     assert draws == [spec.ext]
     # the radius-4 session holds the radius-4 ball
     assert max(map(len, csa._search_context(spec, 4)[0])) == 4
+
+
+def test_each_spec_owns_its_quotient(monkeypatch):
+    # letter_tables only computes: the spec keeps the tables, as its
+    # quotient, and nothing else writes onto it
+    spec = afresh(QUADRANT_SPECS[0])
+    before = dict(vars(spec))
+    tables = quotients.letter_tables(spec)
+    assert vars(spec) == before
+    assert quotient_kind(spec) == "separating"
+    assert spec.quotient == tables
+    # the classes that reduce words their own way search under the trivial
+    # quotient, as does a Britton spec with no draw
+    patch_quotients(monkeypatch, lambda P: None)
+    for spec in (FreeProductCyclicsSpec((2, 3)), FreeByCyclicSpec(),
+                 afresh(QUADRANT_SPECS[0])):
+        assert spec.quotient == quotients.TRIVIAL, spec
+    # a session built anew on a spec that has drawn reads what it keeps
+    draws = []
+    draw = quotients.permutation_quotients
+    patch_quotients(monkeypatch, lambda P: draws.append(P) or draw(P))
+    spec = afresh(QUADRANT_SPECS[1])
+    assert csa.falsify_ct(spec, 3) is None
+    csa._search_context.cache_clear()
+    assert csa.falsify_ct(spec, 4) is None
+    assert draws == [spec.ext]
 
 
 def test_a_search_drops_the_kept_session_before_building_its_own():
@@ -462,13 +489,11 @@ def test_quotient_is_a_homomorphism(name):
 
 def word_images(spec):
     """The map from a word to its image under the quotient of spec's
-    searches, letter by letter; when there is no quotient, the constant
-    map to b"", the image under the trivial quotient that csa._walk
-    gives those searches."""
-    quotient = quotients.letter_tables(spec)
-    if quotient is None:
+    searches, letter by letter; under the trivial quotient, the constant
+    map to b"", the image that csa._walk gives every word."""
+    identity, tables = spec.quotient
+    if not identity:
         return lambda w: b""
-    identity, tables = quotient
 
     def image(w):
         p = identity
@@ -520,7 +545,7 @@ def test_no_quotient_falls_back_to_the_plain_scan():
     # x ~ x^210 forces x to 1, which no draw finds
     spec = _hnn(1, (1,), power((1,), 210))
     assert quotients.permutation_quotients(spec.ext) is None
-    assert quotients.letter_tables(spec) is None
+    assert spec.quotient == quotients.TRIVIAL
     _, rows, columns, *_ = csa._search_context(spec, 1)
     rows = list(rows())
     # every row is given every word of the search ball
@@ -783,7 +808,7 @@ INDEXED = [(name, spec) for name, spec, _ in SEARCHES + GENERIC_SEARCHES] \
                          ids=[name for name, _ in INDEXED])
 def test_columns_hold_every_pair_the_index_passes(name, spec):
     # the images are those of the index a search builds
-    (words, *_), walked, _ = csa._walk(spec, 3, quotients.letter_tables(spec))
+    (words, *_), walked, _ = csa._walk(spec, 3, spec.quotient)
     assert walked == [word_images(spec)(w) for w in words]
     # exactly the columns that pass the per-pair tests, increasing
     elements = csa.ball(spec, 3)
@@ -1162,7 +1187,7 @@ def test_ball_without_separating_images_keys_every_word(monkeypatch, images):
     for name, spec, radius in BALLS:
         spec = afresh(spec)
         assert quotient_kind(spec) == \
-            (images if spec.ext is not None else "none"), name
+            (images if isinstance(spec, BrittonSpec) else "none"), name
         calls[0] = 0
         assert search_ball(spec, radius) == \
             before_their_inverse(key_only_ball(spec, radius)), name
