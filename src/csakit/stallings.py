@@ -53,6 +53,7 @@ class CoreGraph:
                     self.edges[l].append((v, w))
         self.num_vertices = len(names)
         self._tree_back_exprs = None
+        self._skeleton_parts = None
 
     def shifted(self, offset, rank):
         """The graph of the generators shifted by offset, over rank
@@ -122,6 +123,34 @@ class CoreGraph:
                 back.append(concat(tag, back[u]))
             self._tree_back_exprs = back
         return self._tree_back_exprs
+
+    def _skeleton(self):
+        """(marked, segments): the marked vertices, the basepoint and
+        every vertex of degree other than 2, in increasing order, and each
+        maximal path between two of them through unmarked vertices, once,
+        as (i, label word, j) from marked[i] to marked[j] (computed once,
+        on first use)."""
+        if self._skeleton_parts is None:
+            succ = self.succ
+            out = [[] for _ in range(self.num_vertices)]
+            for (v, l) in succ:
+                out[v].append(l)
+            marked = [v for v, ls in enumerate(out) if not v or len(ls) != 2]
+            index = {v: i for i, v in enumerate(marked)}
+            segments = []
+            for a in marked:
+                for first in out[a]:
+                    word = [first]
+                    v = succ[(a, first)][0]
+                    while v not in index:
+                        l, k = out[v]
+                        word.append(k if l == -word[-1] else l)
+                        v = succ[(v, word[-1])][0]
+                    # the path read from its other end starts (v, -last)
+                    if (a, first) < (v, -word[-1]):
+                        segments.append((index[a], tuple(word), index[v]))
+            self._skeleton_parts = marked, segments
+        return self._skeleton_parts
 
     def coset_rep(self, word):
         """Canonical representative of the right coset H*word.
@@ -289,6 +318,21 @@ def _fiber_cycles(A, B, start, seen):
                 yield path + (sl,) + inverse(tree[q])
 
 
+def _component(A, B, start):
+    """The pairs of the component of start in the fiber product of A and
+    B (letter 0 labels no edge)."""
+    letters = range(-max(A.rank, B.rank), max(A.rank, B.rank) + 1)
+    comp, todo = {start}, [start]
+    for u, v in todo:
+        for l in letters:
+            a = A.succ.get((u, l))
+            b = a and B.succ.get((v, l))
+            if b and (a[0], b[0]) not in comp:
+                comp.add((a[0], b[0]))
+                todo.append((a[0], b[0]))
+    return comp
+
+
 def _find(parent, p):
     """Root of id p in the union-find forest parent, a flat list indexed
     by id that holds -1 at a root and its parent at every other id;
@@ -309,17 +353,17 @@ def _walk_cyclic(A, B, parent, cyclic, width, mirrored):
 
     Yields (g, h) with h != 1, h in A and g h g^-1 in B, one per
     fundamental cycle.  parent and cyclic are the pass's union-find
-    forest, the flat list over pair ids that _find reads, each root the
-    least id of its class, and the ids whose edges closed a cycle; a
-    root r names the pair divmod(r, width).  Roots are walked in
-    increasing order with _fiber_cycles, each component from its least
-    pair.
+    forest, the flat list over node ids that _find reads, and the ids
+    whose reads closed a cycle; id i * width + v names the pair
+    (marked[i], v) of A's skeleton.  One scan of each cyclic component
+    finds its least pair, and the components are walked with
+    _fiber_cycles from those, in increasing order.
 
-    mirrored marks the pass over the unordered off-diagonal pairs of
-    A x A: a root is then the least pair of one component C of the
-    orbit {C, sigma C}, sigma(u, v) = (v, u), and when (v, u) is not in
-    C the walk goes on to sigma C, from its own least pair, the least
-    mirrored pair of C."""
+    mirrored marks the pass over the off-diagonal pairs of A x A: the
+    least pair is then that of the orbit {C, sigma C}, sigma(u, v) =
+    (v, u), and when (v, u) is not in the component C walked from it,
+    the walk goes on to sigma C, from its own least pair."""
+    marked = A._skeleton()[0]
     pa = A.tree_paths
     pb = B.tree_paths
 
@@ -329,8 +373,12 @@ def _walk_cyclic(A, B, parent, cyclic, width, mirrored):
         for cyc in _fiber_cycles(A, B, start, comp):
             yield g, concat(pa[u], cyc, inverse(pa[u]))
 
-    for root in sorted({_find(parent, p) for p in cyclic}):
-        u, v = divmod(root, width)
+    roots = set()
+    for r in {_find(parent, p) for p in cyclic}:
+        i, v = divmod(r, width)
+        comp = _component(A, B, (marked[i], v))
+        roots.add(min(comp | {(b, a) for a, b in comp} if mirrored else comp))
+    for u, v in sorted(roots):
         comp = set()
         yield from rooted((u, v), comp)
         if mirrored and (v, u) not in comp:
@@ -341,54 +389,38 @@ def _witnesses(A, B, mirrored=False):
     """Witness words from every cyclic component of the fiber product of
     A and B, as _walk_cyclic yields them.
 
-    One union-find pass over the product's positive edges finds those
-    components: each letter's edges of A are joined with that letter's
-    edges of B, pair (u, v) has id u * |V_B| + v, the forest is a flat
-    list of |V_A| * |V_B| entries with -1 at a root, a union keeps the
-    smaller id as the root, and an edge whose ends already share a root
-    closes a cycle.  The other components have no fundamental cycle and
-    are never walked.  Neither the roots nor which components are cyclic
-    depend on the order of the joins.
+    One union-find pass over A's skeleton finds those components: each
+    segment's word is read through B from every vertex of B with an edge
+    of its first letter, and a read that completes joins node
+    (marked[i], v) to node (marked[j], v') in a flat forest of
+    |marked| * |V_B| entries, -1 at a root, or closes a cycle when they
+    share a root.  A reduced cycle of the product projects to a reduced
+    closed walk in A, which passes a marked vertex, so it is a chain of
+    completed reads; the other components have no fundamental cycle.
 
-    mirrored, with B = A, leaves out the diagonal component and joins
-    each mirror pair of edges once.  The diagonal pairs (w, w) form a
-    component on their own: an edge (w, w) -> (x, y) would need two
-    edges with one label out of w.  Off it, the swap sigma(u, v) = (v, u)
-    moves every pair and every edge, so the pass runs over the unordered
-    pairs: {u, v}, u < v, has id u * |V| + v, each letter's edges are
-    sorted by source and edge i is joined only with the edges j > i.  A
-    component C with sigma C != C maps isomorphically onto its image,
-    and one with sigma C = C double-covers it, with chi(C) = 2 chi(C /
-    sigma), so neither is a tree: C has a cycle exactly when its image
-    does.  The least id of a cyclic image is the least pair of a
-    component C over it, and _walk_cyclic walks C and then, when it is
-    not C itself, sigma C, so the witnesses are those of the ordered
-    pass less the diagonal's, which alone have g = 1."""
+    mirrored, with B = A, leaves out the diagonal component: the pairs
+    (w, w) form one on their own, since an edge (w, w) -> (x, y) would
+    need two edges with one label out of w, so no read starts at one."""
     nb = B.num_vertices
-    a_edges = A.edges
-    b_edges = a_edges if mirrored else B.edges
-    parent = [-1] * (A.num_vertices * nb)
+    marked, segments = A._skeleton()
+    succ = B.succ
+    parent = [-1] * (len(marked) * nb)
     cyclic = []
-    for l, edges in a_edges.items():
-        others = b_edges.get(l, ())
-        # mirrored: the edges are sorted by source and a folded graph has
-        # one edge of each label out of each vertex, so the sources of
-        # j > i exceed u and the ends differ
-        for i, (u, w) in enumerate(edges):
-            src, dst = u * nb, w * nb
-            # an unordered end pair {w, x} is numbered from its less end
-            lo = w if mirrored else -1
-            for v, x in others[i + 1:] if mirrored else others:
-                p = src + v
-                q = dst + x if x > lo else x * nb + w
-                if parent[p] >= 0:
-                    p = _find(parent, p)
-                if parent[q] >= 0:
-                    q = _find(parent, q)
-                if p < q:
+    for i, word, j in segments:
+        first, rest = word[0], word[1:]
+        edges = B.edges.get(abs(first), ())
+        for v, x in edges if first > 0 else [(x, v) for v, x in edges]:
+            if mirrored and v == marked[i]:
+                continue
+            for l in rest:
+                hit = succ.get((x, l))
+                if hit is None:
+                    break
+                x = hit[0]
+            else:
+                p, q = _find(parent, i * nb + v), _find(parent, j * nb + x)
+                if p != q:
                     parent[q] = p
-                elif q < p:
-                    parent[p] = q
                 else:
                     cyclic.append(p)
     return _walk_cyclic(A, B, parent, cyclic, nb, mirrored)
@@ -423,11 +455,10 @@ def is_malnormal(H):
     """H cap H^g = 1 for every g outside H, via the self fiber product
     less its diagonal component, whose pairs (w, w) give g = 1.
 
-    _witnesses(H, H, mirrored=True) joins each mirror pair of product
-    edges once and yields the witnesses of the ordered pass less the
-    diagonal's.  Every walk starts at (u, v) with u != v, and H p_u =
-    H p_v only when u = v in a folded graph, so no g = p_v p_u^-1 lies
-    in H."""
+    _witnesses(H, H, mirrored=True) yields the witnesses of the ordered
+    pass less the diagonal's.  Every walk starts at (u, v) with u != v,
+    and H p_u = H p_v only when u = v in a folded graph, so no g = p_v
+    p_u^-1 lies in H."""
     if H.is_trivial:
         return SubgroupReport(True)
     found = ((inverse(g), h) for g, h in _witnesses(H, H, True))

@@ -918,6 +918,27 @@ def test_answered_input(argv, code, line, seconds, capsys):
     assert line in capsys.readouterr().out.splitlines()
 
 
+def test_check_malnormal_answers_on_a_10000_vertex_subgroup(capsys):
+    """check-malnormal on a subgroup of F3 with two seeded 5,000-letter
+    generators, about 10,000 vertices, answers (malnormal, exit 0) within
+    2 s: the fiber product's forest has a slot per marked vertex and
+    vertex, where a forest over vertex pairs would hold 10^8 slots."""
+    rng = random.Random(5000)
+    gens = []
+    for _ in range(2):
+        w = []
+        while len(w) < 5000:
+            l = rng.choice((1, -1, 2, -2, 3, -3))
+            if not (w and w[-1] == -l):
+                w.append(l)
+        gens.append(word_to_str(tuple(w), ("x", "y", "z")))
+    text = "< x, y, z > sub H = { " + ", ".join(gens) + " }"
+    start = time.perf_counter()
+    assert main(["check-malnormal", text]) == 0
+    assert time.perf_counter() - start < 2
+    assert "verdict: malnormal" in capsys.readouterr().out.splitlines()
+
+
 def test_trivial_edge_group_is_free(capsys):
     """An amalgam or one-edge graph of groups over the trivial subgroup is
     a free product of free groups, so free: csa* with no citation and no

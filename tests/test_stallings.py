@@ -833,29 +833,33 @@ def test_mirror_pass_yields_the_ordered_witnesses():
     assert witnesses > 600
 
 
-def recording_joins(monkeypatch):
+def recording_work(monkeypatch):
     """Replace stallings._walk_cyclic, the step every join pass hands its
-    union-find forest to, by a wrapper that records the number of
-    product edges the pass joined: each join either makes one root a
-    child, turning one -1 entry of parent into a parent id (x >= 0), or
-    closes a cycle, adding one entry to cyclic."""
-    joins = []
+    union-find forest to, by a wrapper that records the pass's work:
+    (node slots in the forest, completed segment reads).  Each completed
+    read either makes one root a child, turning one -1 entry of parent
+    into a parent id (x >= 0), or closes a cycle, adding one entry to
+    cyclic."""
+    work = []
     walk = stallings._walk_cyclic
 
     def recorded(A, B, parent, cyclic, width, mirrored):
-        joins.append(sum(x >= 0 for x in parent) + len(cyclic))
+        work.append((len(parent), sum(x >= 0 for x in parent) + len(cyclic)))
         return walk(A, B, parent, cyclic, width, mirrored)
 
     monkeypatch.setattr(stallings, "_walk_cyclic", recorded)
-    return joins
+    return work
 
 
 def test_self_product_forest_is_one_flat_list():
-    """On <x^1000 y>, whose 1,001-vertex graph has 1,000 x-edges, the
-    self product's 499,500 joins fill a forest of 1,001^2 list slots,
-    8 MB, and the Python heap peaks under 16 MB."""
+    """On <x^1000 y>, whose 1,001-vertex graph is one cycle, the basepoint
+    is the only marked vertex, so the self product's forest is one flat
+    list of 1 * 1,001 node slots, and the Python heap peaks under 1 MB
+    (a forest over the product's vertex pairs would hold 1,001^2 slots,
+    8 MB)."""
     H = fold([(1,) * 1000 + (2,)], 2)
     assert H.num_vertices == 1001
+    assert H._skeleton() == ([0], [(0, (-2,) + (-1,) * 1000, 0)])
     tracemalloc.start()
     try:
         report = is_malnormal(H)
@@ -863,24 +867,113 @@ def test_self_product_forest_is_one_flat_list():
     finally:
         tracemalloc.stop()
     assert report.verdict
-    assert peak < 16 * 10 ** 6
+    assert peak < 10 ** 6
 
 
-def test_self_product_joins_each_mirror_pair_once(monkeypatch):
-    """On the large graphs, is_malnormal joins sum_l |E_l| (|E_l| - 1) / 2
-    product edges, half the off-diagonal edges the ordered pass joins."""
-    joins = recording_joins(monkeypatch)
-    for H in large_graphs():
+def test_skeleton_pass_work_is_below_the_product_edge_count(monkeypatch):
+    """On the large graphs, the pass over |marked| * |V| node slots
+    completes fewer segment reads than the slots it has, and both stay
+    below the product's sum_l |E_l| (|E_l| - 1) / 2 off-diagonal edges
+    up to the swap (sum_l |E_l|^2 edges for the ordered pass).  The
+    ordered pass completes each segment's diagonal read as well."""
+    work = recording_work(monkeypatch)
+    pinned = [(2, 4, (652, 18)), (5, 9, (1560, 306))]
+    for H, (marks, segments, mirrored) in zip(large_graphs(), pinned):
+        marked, segs = H._skeleton()
+        assert (len(marked), len(segs)) == (marks, segments)
         sizes = {}
         for (_v, l) in H.succ:
             if l > 0:
                 sizes[l] = sizes.get(l, 0) + 1
-        joins.clear()
+        work.clear()
         is_malnormal(H)
-        assert joins == [sum(e * (e - 1) // 2 for e in sizes.values())]
-        joins.clear()
+        assert work == [mirrored]
+        assert mirrored[0] == len(marked) * H.num_vertices
+        assert max(mirrored) < sum(e * (e - 1) // 2 for e in sizes.values())
+        work.clear()
         list(_witnesses(H, H))
-        # the ordered pass joins the |E_l| diagonal edges as well
-        assert joins == [sum(e * e for e in sizes.values())]
-        assert 2 * sum(e * (e - 1) // 2 for e in sizes.values()) == \
-            joins[0] - sum(sizes.values())
+        assert work == [(mirrored[0], mirrored[1] + len(segs))]
+        assert max(work[0]) < sum(e * e for e in sizes.values())
+
+
+def thin_graph():
+    """The fold of two seeded 1,800-letter words in F3: about 3,600
+    vertices, almost all of degree 2."""
+    rng = random.Random(7)
+    return fold([long_word(rng, 3, 1800) for _ in range(2)], 3)
+
+
+def test_thin_graph_is_read_by_segments():
+    """is_malnormal on a thin graph of about 3,600 vertices reads a few
+    long segments instead of joining the product's 4.3 million edges:
+    under 1 s, and a Python heap peak under 5 MB (a forest over its
+    vertex pairs would hold 3,597^2 slots, about 100 MB)."""
+    H = thin_graph()
+    assert H.num_vertices > 3500
+    marked, segments = H._skeleton()
+    assert len(marked) < 10 and len(segments) < 10
+    H = thin_graph()
+    start = time.perf_counter()
+    assert is_malnormal(H).verdict
+    assert time.perf_counter() - start < 1
+    H = thin_graph()
+    tracemalloc.start()
+    try:
+        report = is_malnormal(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict
+    assert peak < 5 * 10 ** 6
+
+
+def test_sparse_products_allocate_by_marked_vertices():
+    """Two 4,000-vertex products with no edge, or one: the forest has a
+    slot per marked vertex of A and vertex of B, so each call peaks under
+    2 MB (a forest over the vertex pairs would hold 16 million slots,
+    128 MB)."""
+    n = 4000
+    for gens_a, gens_b, rank in (([(1,) * n], [(2,) * n], 2),
+                                 ([(1,) * n + (2,)], [(3,) * n + (2,)], 3)):
+        A, B = fold(gens_a, rank), fold(gens_b, rank)
+        tracemalloc.start()
+        try:
+            answer = conj_intersection_trivial(A, B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert answer == (True, None)
+        assert peak < 2 * 10 ** 6, peak
+
+
+def test_skeleton_edge_shapes_match_two_pass_bfs():
+    """Graphs whose skeleton is degenerate, each against every other and
+    against itself, agree with the two-pass reference: a rose (one
+    vertex, each edge a segment), <x^5 y> (no vertex of degree other
+    than 2: the basepoint is the only marked vertex, and one segment
+    runs from it back to it), conjugated generators (a basepoint of
+    degree 1) and rank 1."""
+    rose = fold([(1,), (2,), (3,)], 3)
+    assert rose.num_vertices == 1
+    assert rose._skeleton() == ([0], [(0, (-1,), 0), (0, (-2,), 0),
+                                      (0, (-3,), 0)])
+    cycle = fold([(1,) * 5 + (2,)], 2)
+    assert cycle._skeleton() == ([0], [(0, (-2,) + (-1,) * 5, 0)])
+    conjugated = [fold([(3, 1, -3), (3, 2, -3)], 3),
+                  fold([(3, 1, 1, -3), (3, 2, -3)], 3)]
+    for H in conjugated:
+        assert sum(v == 0 for (v, _l) in H.succ) == 1
+    rank1 = [fold([(1,)], 1), fold([(1, 1)], 1), fold([(1,) * 3], 1)]
+    shapes = [rose, fold([(1,), (2,)], 3), cycle,
+              fold([(1,) * 2 + (2,)], 2)] + conjugated + rank1
+    witnesses = 0
+    for A in shapes:
+        for B in shapes:
+            assert_matches_two_pass(A, B)
+            witnesses += len(list(_witnesses(A, B)))
+        mirrored = sorted(_witnesses(A, A, mirrored=True))
+        assert mirrored == sorted(w for w in _witnesses(A, A) if w[0])
+        witnesses += len(mirrored)
+    assert witnesses > 50
+    assert not is_malnormal(conjugated[1]).verdict
+    assert not is_malnormal(rank1[1]).verdict
